@@ -1,10 +1,18 @@
 """Integral-metric norms of periodic polynomials and best approximation.
 
 Norms are taken over the full period, ||p||_q = (int_0^{2pi} |p|^q dt)^{1/q},
-with no normalizing factor.  Quadrature is the rectangle rule on uniform
-nodes, which is spectrally accurate for smooth periodic integrands; |p|^q is
-only piecewise smooth, so convergence is confirmed by grid doubling rather
-than assumed.
+with no normalizing factor.
+
+The q = 1 norm is exact.  Between consecutive sign changes of p the integral
+of |p| is the absolute increment of the antiderivative, so ||p||_1 needs only
+the sign changes, which are bracketed on one FFT sample, screened for hidden
+close pairs, and refined by safeguarded Newton iteration.
+
+Other q use the rectangle rule on uniform nodes, which is spectrally accurate
+for smooth periodic integrands; |p|^q is only piecewise smooth, so
+convergence is confirmed by grid doubling rather than assumed.  The grid and
+stop tolerance of a NormRequest steer only this doubling; they are unused at
+q = 1.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ __all__ = [
     "lq_norm",
     "l2_norm_coeffs",
     "l1_norm",
+    "sign_changes",
     "BestApproxResult",
     "best_approx",
 ]
@@ -29,6 +38,16 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _MAX_DOUBLINGS = 12
+
+# q = 1: sign changes are bracketed on about this many nodes per harmonic.
+_ROOT_OVERSAMPLE = 64
+# Halvings of a cell that the zero screens cannot clear; the last width is
+# about 1e-12 of a grid cell.
+_SCREEN_LEVELS = 40
+# Newton iterations per zero.  Steps leaving the bracket fall back to
+# bisection, so the bracket collapses well within this.
+_NEWTON_STEPS = 100
+_NEWTON_TOL = 4.0 * np.finfo(float).eps * TWO_PI
 
 
 @dataclass(frozen=True)
@@ -58,14 +77,22 @@ def _rectangle_lq(p: TrigPoly, q: float, m: int) -> float:
 
 
 def lq_norm(p: TrigPoly, req: NormRequest) -> float:
-    """||p||_q by rectangle-rule quadrature with grid doubling.
+    """||p||_q: exact at q = 1, else rectangle-rule quadrature with grid doubling.
 
-    The grid starts at max(req.grid_m, a power of two resolving p) and
-    doubles until two successive values differ by less than req.tolerance.
-    |p|^q is merely piecewise smooth at the zeros of p, and the lower q the
-    sharper the kink, so the starting grid oversamples the bandwidth more
-    aggressively for small q to leave the doubling budget room to converge.
+    At q = 1 the value is the sum of |P(z_{i+1}) - P(z_i)| over consecutive
+    sign changes z_i of p, cyclically across the period, where
+    P(t) = a0 t/2 + sum (a_k sin kt - b_k cos kt)/k is the exact
+    antiderivative; with no sign change it is pi |a0|.
+
+    Otherwise the grid starts at max(req.grid_m, a power of two resolving p)
+    and doubles until two successive values differ by less than
+    req.tolerance.  |p|^q is merely piecewise smooth at the zeros of p, and
+    the lower q the sharper the kink, so the starting grid oversamples the
+    bandwidth more aggressively for small q to leave the doubling budget
+    room to converge.
     """
+    if req.q == 1.0:
+        return _l1_exact(p)
     oversample = 16 if req.q < 2.0 else 4
     m = max(req.grid_m, oversample * _next_pow2(2 * p.degree + 2))
     prev = _rectangle_lq(p, req.q, m)
@@ -83,6 +110,148 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     )
 
 
+def _l1_exact(p: TrigPoly) -> float:
+    z = sign_changes(p)
+    if z.size == 0:
+        return math.pi * abs(p.a0)
+    (antiderivative,) = _jet(p, z, (-1,))
+    steps = np.diff(antiderivative, append=antiderivative[0] + math.pi * p.a0)
+    return float(np.sum(np.abs(steps)))
+
+
+def sign_changes(p: TrigPoly) -> np.ndarray:
+    """Sorted points of [0, 2pi] at which p changes sign.
+
+    p, p' and p'' are sampled on one power-of-two grid of about
+    64 (degree + 1) nodes.  A grid cell [a, b] of width w whose end values of
+    p differ in sign brackets a zero, and holds no other when p' keeps its
+    sign on it; a cell whose end values agree in sign holds no zero when |p|
+    exceeds the chord error there.  Both tests bound the chord error of f
+    by w^2/8 * max |f''| over the cell: for f = p that maximum is at most the
+    larger of |p''(a)|, |p''(b)| plus w/2 * sum k^3 |c_k| (|c_k| is the
+    amplitude of harmonic k), and for f = p' it is at most sum k^3 |c_k|.
+    A cell on which |p| stays at the rounding level is settled at once, as
+    any zeros it hides enclose no area.  Cells that pass no test are halved
+    by exact evaluation, at most _SCREEN_LEVELS times, and then settled by
+    the signs of their ends.  The brackets are refined together by Newton's
+    method.  A zero of even multiplicity may or may not be reported, which
+    is harmless to ||p||_1.
+    """
+    amp = np.hypot(p.a, p.b)
+    if not np.any(amp):
+        return np.zeros(0)
+    k = np.arange(1, p.degree + 1, dtype=float)
+    # Absolute rounding allowances for computed values of p and p'.
+    floor0 = 1.0e-12 * (abs(p.a0) / 2.0 + float(np.sum(amp)))
+    floor1 = 1.0e-12 * float(k @ amp)
+    sup3 = float(k**3 @ amp)
+
+    m = _next_pow2(_ROOT_OVERSAMPLE * (p.degree + 1))
+    w = TWO_PI / m
+    # The cells of a level all have width w, so each is kept as its left end
+    # a and the values at both ends.  On the grid, the values at the right
+    # ends are views of the closed samples, whose last node is the first.
+    a = w * np.arange(m)
+    ends = []
+    for f in (p, *(TrigPoly(0.0, *_derivative(p, r)) for r in (1, 2))):
+        closed = sample(f, m).values
+        closed = np.append(closed, closed[0])
+        ends.append((closed[:-1], closed[1:]))
+    (va, vb), (sa, sb), (ca, cb) = ends
+
+    brackets = []
+    for level in range(_SCREEN_LEVELS + 1):
+        change = (va < 0.0) != (vb < 0.0)
+        bend = w * w / 8.0 * (np.maximum(np.abs(ca), np.abs(cb)) + w / 2.0 * sup3)
+        clear = np.minimum(np.abs(va), np.abs(vb)) - floor0 > bend
+        negligible = np.maximum(np.abs(va), np.abs(vb)) + bend <= floor0
+        monotone = (sa * sb > 0.0) & (
+            np.minimum(np.abs(sa), np.abs(sb)) - floor1 > w * w / 8.0 * sup3
+        )
+        last = level == _SCREEN_LEVELS
+        single = change & (monotone | negligible | last)
+        empty = ~change & (clear | negligible | last)
+        brackets.append((a[single], a[single] + w, va[single], vb[single]))
+        keep = ~(single | empty)
+        if not np.any(keep):
+            break
+        a, va, vb, sa, sb, ca, cb = (x[keep] for x in (a, va, vb, sa, sb, ca, cb))
+        w /= 2.0
+        mid = a + w
+        vm, sm, cm = _jet(p, mid, (0, 1, 2))
+        a = np.concatenate([a, mid])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+        sa, sb = np.concatenate([sa, sm]), np.concatenate([sm, sb])
+        ca, cb = np.concatenate([ca, cm]), np.concatenate([cm, cb])
+
+    lo, hi, vlo, vhi = (np.concatenate(x) for x in zip(*brackets))
+    return np.sort(_newton(p, lo, hi, vlo, vhi, floor0))
+
+
+def _newton(
+    p: TrigPoly, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarray, noise: float
+) -> np.ndarray:
+    """Refine the sign-change brackets [lo, hi] of p to its zeros, all at once.
+
+    Starts from the secant root of the end values.  An iterate on the closed
+    bracket is accepted; a step out of it, or a zero derivative, is replaced
+    by the bracket midpoint.  A zero is final once the step or the bracket
+    is below _NEWTON_TOL, or |p| is at the rounding level `noise`.
+    """
+    neg_lo = vlo < 0.0
+    x = lo - vlo * (hi - lo) / (vhi - vlo)
+    active = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        if active.size == 0:
+            break
+        xa = x[active]
+        value, slope = _jet(p, xa, (0, 1))
+        same = (value < 0.0) == neg_lo[active]
+        la = np.where(same, xa, lo[active])
+        ha = np.where(same, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xa - value / slope
+        step = np.where((step >= la) & (step <= ha), step, 0.5 * (la + ha))
+        x[active], lo[active], hi[active] = step, la, ha
+        done = np.abs(value) <= noise
+        done |= (np.abs(step - xa) <= _NEWTON_TOL) | (ha - la <= _NEWTON_TOL)
+        active = active[~done]
+    return x
+
+
+def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine coefficients of the derivative of p of the given
+    order; order -1 gives those of the antiderivative less a0 t/2."""
+    k = np.arange(1, p.degree + 1, dtype=float) ** order
+    a, b = k * p.a, k * p.b
+    for _ in range(order % 4):
+        a, b = b, -a
+    return a, b
+
+
+def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """Exact values at the points t of derivatives of p, one array per order.
+
+    Order -1 is the antiderivative a0 t/2 + sum (a_k sin kt - b_k cos kt)/k.
+    Each sum is Re sum_k (a_k - i b_k) e^{ikt}, split as k = 1 + j + B l with
+    B about sqrt(degree), so only e^{ijt} and e^{iBlt} are tabulated and the
+    rest is one matrix product.
+    """
+    d = p.degree
+    width = math.isqrt(d) + 1
+    rows = -(-d // width)
+    coef = np.zeros((len(orders) * rows, width), dtype=complex)
+    for i, r in enumerate(orders):
+        a, b = _derivative(p, r)
+        coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
+    inner = np.exp(1j * np.multiply.outer(t, np.arange(width)))
+    outer = np.exp(1j * np.multiply.outer(t, width * np.arange(rows) + 1.0))
+    blocks = (inner @ coef.T).reshape(t.size, len(orders), rows)
+    sums = np.einsum("nrl,nl->rn", blocks, outer).real
+    constant = {-1: 0.5 * p.a0 * t, 0: 0.5 * p.a0}
+    return [sums[j] + constant.get(r, 0.0) for j, r in enumerate(orders)]
+
+
 def l2_norm_coeffs(p: TrigPoly) -> float:
     """||p||_2 from the coefficients: sqrt(2pi (a0/2)^2 + pi sum(a^2 + b^2))."""
     acc = TWO_PI * (p.a0 / 2.0) ** 2
@@ -92,14 +261,13 @@ def l2_norm_coeffs(p: TrigPoly) -> float:
 
 
 def l1_norm(p: TrigPoly, req: NormRequest | None = None) -> float:
-    """||p||_1, the q = 1 quadrature norm (used for witness calibration).
+    """||p||_1, exact up to rounding (used for witness calibration).
 
-    The default stop tolerance is looser than NormRequest's: |p| has a corner
-    at every zero crossing, so the quadrature converges only quadratically.
+    Computed by lq_norm from the sign changes of p and its exact
+    antiderivative.  `req` is accepted for compatibility; its grid and
+    tolerance are unused at q = 1.
     """
-    if req is None:
-        req = NormRequest(q=1.0, grid_m=512, tolerance=1.0e-8)
-    return lq_norm(p, NormRequest(q=1.0, grid_m=req.grid_m, tolerance=req.tolerance))
+    return lq_norm(p, NormRequest(q=1.0))
 
 
 @dataclass(frozen=True, eq=False)

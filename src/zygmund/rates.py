@@ -40,6 +40,7 @@ __all__ = [
     "critical_integral",
     "weyl_nagy_rate",
     "upper_bound_estimate",
+    "unit_ball_sources",
     "unit_ball_deviations",
     "RateReport",
     "loglog_slope",
@@ -207,6 +208,17 @@ def upper_bound_estimate(
     raise ConvergenceError("upper_bound_estimate: tail norm did not stabilize")
 
 
+def unit_ball_sources(count: int, seed: int, degree: int = 64) -> list[TrigPoly]:
+    """Seeded random zero-mean polynomials of the given degree, each scaled
+    to unit L_1 norm (exact up to rounding)."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(count):
+        phi = TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
+        sources.append((1.0 / l1_norm(phi)) * phi)
+    return sources
+
+
 def unit_ball_deviations(
     psi: PsiFunction,
     method: MethodParams,
@@ -215,25 +227,18 @@ def unit_ball_deviations(
     seed: int,
     degree: int = 64,
 ) -> list[float]:
-    """Measured deviations for seeded random unit-L_1-ball sources.
+    """Measured deviations for the sources of unit_ball_sources(count, seed, degree).
 
-    Each source is a random polynomial of the given degree scaled to unit
-    L_1 norm.  Every returned deviation is dominated by
-    upper_bound_estimate(psi, method, n) as long as the source degree stays
-    within the majorant's tail truncation.
+    Every returned deviation is dominated by upper_bound_estimate(psi,
+    method, n) as long as the source degree stays within the majorant's tail
+    truncation.
     """
-    rng = np.random.default_rng(seed)
     req = NormRequest(q=method.q, grid_m=512, tolerance=1.0e-10)
-    # Unit-ball normalization to 1e-6 relative is ample: the majorant
-    # dominates these deviations with a margin of order pi.
-    ball_req = NormRequest(q=1.0, grid_m=512, tolerance=1.0e-6)
     kernel = KernelSpec(psi=psi, beta=method.beta, length=max(degree, n))
-    values = []
-    for _ in range(count):
-        phi = TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
-        phi = (1.0 / l1_norm(phi, ball_req)) * phi
-        values.append(lq_norm(deviation_coeffs(phi, kernel, n, method.s), req))
-    return values
+    return [
+        lq_norm(deviation_coeffs(phi, kernel, n, method.s), req)
+        for phi in unit_ball_sources(count, seed, degree)
+    ]
 
 
 @dataclass(frozen=True)

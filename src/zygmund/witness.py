@@ -10,6 +10,7 @@ the class-level deviation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -31,18 +32,6 @@ __all__ = [
     "pairing_integral",
     "lower_bound",
 ]
-
-# The L_1 calibration integrand |V_n - 1/2| is highly oscillatory, so its
-# quadrature gets a looser stop tolerance than the deviation norms.
-_CALIBRATION_REQUEST = NormRequest(q=1.0, grid_m=1024, tolerance=1.0e-8)
-
-_pulse_l1_cache: dict[int, float] = {}
-
-
-def _pulse_l1(n: int) -> float:
-    if n not in _pulse_l1_cache:
-        _pulse_l1_cache[n] = l1_norm(vp_pulse(n), _CALIBRATION_REQUEST)
-    return _pulse_l1_cache[n]
 
 
 @dataclass(frozen=True)
@@ -91,17 +80,21 @@ def pulse_coefficients(n: int) -> np.ndarray:
     return vp_pulse(n).a
 
 
+@functools.lru_cache(maxsize=64)
+def _pulse_l1(n: int) -> float:
+    return l1_norm(vp_pulse(n))
+
+
 def calibrate_alpha0(n: int, req: Optional[NormRequest] = None) -> float:
     """Scale 1 / ||V_n - 1/2||_1 making the witness source a unit-ball member.
 
-    Sharper than any fixed absolute constant: the calibration is exact per n
-    up to quadrature tolerance, so ||alpha0 * (V_n - 1/2)||_1 = 1.
+    Sharper than any fixed absolute constant: the L_1 norm is exact up to
+    rounding, so ||alpha0 * (V_n - 1/2)||_1 = 1.  `req` is accepted for
+    compatibility and unused, as the exact norm needs no quadrature settings.
     """
     if n < 1:
         raise ParameterError("calibrate_alpha0: requires n >= 1")
-    if req is None:
-        return 1.0 / _pulse_l1(n)
-    return 1.0 / l1_norm(vp_pulse(n), req)
+    return 1.0 / _pulse_l1(n)
 
 
 def _deviation_request(method: MethodParams) -> NormRequest:
@@ -151,12 +144,6 @@ def build_witness(cfg: WitnessConfig, req: Optional[NormRequest] = None) -> Witn
     else:
         raw_lower = 0.0
 
-    # Class membership ||phi||_1 <= 1 holds by the calibration identity
-    # alpha0 = 1/||V_n - 1/2||_1; guard the identity itself here (the
-    # independent quadrature verification lives in the test suite).
-    identity = alpha0 * _pulse_l1(cfg.n)
-    if abs(identity - 1.0) > 1.0e-12:
-        raise ZygmundError(f"build_witness: calibration identity broken ({identity})")
     if raw_lower > deviation + 1.0e-9:
         raise ZygmundError(
             f"build_witness: Hölder lower bound {raw_lower} exceeds deviation {deviation}"
