@@ -6,7 +6,7 @@ empirically: measured deviations, their log-log slopes, and the matching
 closed-form exponents.
 """
 
-from zygmund import MethodParams, Power, loglog_slope, ratio_experiment, weyl_nagy_rate
+from zygmund import MethodParams, Power, loglog_slope, ratio_experiment, weyl_nagy_case, weyl_nagy_rate
 
 GRID = [8, 16, 32, 64, 128, 256]
 s, q = 1.0, 2.0
@@ -16,17 +16,13 @@ print(f"s={s}, q={q}: case boundary at r = s + 1 - 1/q = {boundary}\n")
 
 print(f"{'r':>5}  {'case':>6}  {'rate(16)':>10}  {'band':>7}  {'slope':>8}  {'theory':>8}")
 for r in (0.75, 1.5, 2.5):
-    if r < boundary:
-        case, slope_theory = "case1", -(r - 1.0 + 1.0 / q)
-    elif r > boundary:
-        case, slope_theory = "case3", -s
-    else:
-        case, slope_theory = "case2", -s  # up to the log factor
+    case, exponent = weyl_nagy_case(r, s, q)
+    slope_theory = -exponent  # up to the log factor in case 2
     report = ratio_experiment(Power(r), method, GRID, band_limit=4.0)
     spread = report.ratio_band[1] / report.ratio_band[0]
     slope = loglog_slope(report.n_grid, report.deviations)
     print(
-        f"{r:>5}  {case:>6}  {weyl_nagy_rate(r, s, q, 16):>10.6f}  "
+        f"{r:>5}  {f'case{case}':>6}  {weyl_nagy_rate(r, s, q, 16):>10.6f}  "
         f"{spread:>7.3f}  {slope:>+8.4f}  {slope_theory:>+8.4f}"
     )
 

@@ -22,7 +22,7 @@ from .decay import (
     reciprocal_convexity,
 )
 from .errors import CoefficientMismatchError, ConfigError, ZygmundError
-from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment
+from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment, weyl_nagy_case
 from .trig import TrigPoly
 from .witness import WitnessConfig, build_witness, dual_test_poly, lower_bound, pairing_integral
 
@@ -131,7 +131,6 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
     ns = cfg.require_n_grid()
     r_values = cfg.require_r_list()
     method = cfg.method
-    boundary = method.s + 1.0 - 1.0 / method.q
 
     rows = []
     all_ok = True
@@ -140,20 +139,16 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
             rows.append((r, "rejected", "", "", "", "requires r>1-1/q"))
             all_ok = False
             continue
-        if r < boundary - 1.0e-12:
-            case, slope_theory = "case1", -(r - 1.0 + 1.0 / method.q)
-        elif r > boundary + 1.0e-12:
-            case, slope_theory = "case3", -method.s
-        else:
-            case, slope_theory = "case2", -method.s
+        case, exponent = weyl_nagy_case(r, method.s, method.q)
+        slope_theory = -exponent
         report = ratio_experiment(Power(r), method, ns, band_limit=cfg.band_limit)
         spread = report.ratio_band[1] / report.ratio_band[0]
         slope = loglog_slope(report.n_grid, report.deviations)
         ok = report.verdict
-        if case == "case1":
+        if case == 1:
             ok = ok and abs(slope - slope_theory) < 0.1
         all_ok = all_ok and ok
-        rows.append((r, case, f"{spread:.4g}", f"{slope:.4f}", f"{slope_theory:.4f}", "ok" if ok else "failed"))
+        rows.append((r, f"case{case}", f"{spread:.4g}", f"{slope:.4f}", f"{slope_theory:.4f}", "ok" if ok else "failed"))
 
     print(f"{'r':>6}  {'case':>8}  {'band':>8}  {'slope':>8}  {'theory':>8}  verdict")
     csv_lines = ["r,case,band,slope,slope_theory,verdict"]

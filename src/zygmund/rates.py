@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .decay import (
 )
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
 from .norms import NormRequest, best_approx, l1_norm, lq_norm
-from .trig import KernelSpec, TrigPoly, deviation_coeffs
+from .trig import KernelSpec, TrigPoly, deviation_coeffs, phased_poly
 from .witness import WitnessConfig, build_witness, lower_bound
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "rate_formula",
     "theoretical_rate",
     "critical_integral",
+    "weyl_nagy_case",
     "weyl_nagy_rate",
     "upper_bound_estimate",
     "unit_ball_sources",
@@ -79,7 +80,6 @@ class RateFormula:
     """Closed-form rate matched to a growth regime."""
 
     regime: RegimeResult
-    description: str
     evaluate: Callable[[int], float]
 
     def __call__(self, n: int) -> float:
@@ -92,20 +92,17 @@ def rate_formula(psi: PsiFunction, method: MethodParams) -> RateFormula:
     if result.regime is Regime.GROWING:
         return RateFormula(
             regime=result,
-            description="psi(n) * n**(1 - 1/q)",
             evaluate=lambda n: float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q),
         )
     if result.regime is Regime.CRITICAL:
         return RateFormula(
             regime=result,
-            description="n**(-s) * (int_1^n g**q/t dt)**(1/q)",
             evaluate=lambda n: float(n) ** (-method.s)
             * critical_integral(psi, method, n) ** (1.0 / method.q),
         )
     if result.regime is Regime.DECAYING:
         return RateFormula(
             regime=result,
-            description="n**(-s)",
             evaluate=lambda n: float(n) ** (-method.s),
         )
     raise RegimeMismatchError("rate_formula: regime could not be determined")
@@ -117,52 +114,49 @@ def theoretical_rate(
     """Rate law value at order n, guarded against a stale regime tag."""
     if n < 2:
         raise ParameterError("theoretical_rate: requires n >= 2")
-    actual = classify_regime(psi, method)
-    if actual.regime is not regime.regime:
+    formula = rate_formula(psi, method)
+    if formula.regime.regime is not regime.regime:
         raise RegimeMismatchError(
             f"theoretical_rate: supplied regime {regime.regime.value} but "
-            f"classification gives {actual.regime.value}"
+            f"classification gives {formula.regime.regime.value}"
         )
-    return rate_formula(psi, method)(n)
+    return formula(n)
+
+
+def weyl_nagy_case(r: float, s: float, q: float) -> Tuple[int, float]:
+    """Case and rate exponent of the pure-power profile psi(t) = t**(-r).
+
+    Requires r > 1 - 1/q; the case is selected by comparing r with
+    s + 1 - 1/q (boundary resolved within 1e-12), and the rate is
+    n**(-exponent), times log(n)**(1/q) in case 2:
+
+        case 1, r below the boundary  ->  exponent r - 1 + 1/q
+        case 2, r at the boundary     ->  exponent s
+        case 3, r above the boundary  ->  exponent s
+    """
+    if not (1.0 < q and math.isfinite(q)):
+        raise ParameterError("weyl_nagy_case: requires q in (1, inf)")
+    if not (s > 0.0):
+        raise ParameterError("weyl_nagy_case: requires s > 0")
+    if not (r > 1.0 - 1.0 / q):
+        raise ParameterError("weyl_nagy_case: requires r > 1 - 1/q")
+    boundary = s + 1.0 - 1.0 / q
+    if r < boundary - 1.0e-12:
+        return 1, r - 1.0 + 1.0 / q
+    if r > boundary + 1.0e-12:
+        return 3, s
+    return 2, s
 
 
 def weyl_nagy_rate(r: float, s: float, q: float, n: int) -> float:
-    """Three-case closed rate for the pure-power profile psi(t) = t**(-r).
-
-    Requires r > 1 - 1/q; the case is selected by comparing r with
-    s + 1 - 1/q (boundary resolved within 1e-12):
-
-        r below the boundary  ->  n**(-(r - 1 + 1/q))
-        r at the boundary     ->  n**(-s) * log(n)**(1/q)
-        r above the boundary  ->  n**(-s)
-    """
-    if not (1.0 < q and math.isfinite(q)):
-        raise ParameterError("weyl_nagy_rate: requires q in (1, inf)")
-    if not (s > 0.0):
-        raise ParameterError("weyl_nagy_rate: requires s > 0")
-    if not (r > 1.0 - 1.0 / q):
-        raise ParameterError("weyl_nagy_rate: requires r > 1 - 1/q")
+    """Three-case closed rate for psi(t) = t**(-r); see weyl_nagy_case."""
+    case, exponent = weyl_nagy_case(r, s, q)
     if n < 2:
         raise ParameterError("weyl_nagy_rate: requires n >= 2")
-    boundary = s + 1.0 - 1.0 / q
-    if r < boundary - 1.0e-12:
-        return float(n) ** (-(r - 1.0 + 1.0 / q))
-    if r > boundary + 1.0e-12:
-        return float(n) ** (-s)
-    return float(n) ** (-s) * math.log(n) ** (1.0 / q)
-
-
-def _kernel_band_poly(psi: PsiFunction, beta: float, lo: int, hi: int, weight_s: float = 0.0) -> TrigPoly:
-    """sum_{k=lo}^{hi} psi(k) k**weight_s cos(kt - beta*pi/2) as a TrigPoly."""
-    deg = hi
-    a = np.zeros(deg)
-    b = np.zeros(deg)
-    k = np.arange(lo, hi + 1, dtype=float)
-    amp = np.asarray(psi(k), dtype=float) * k**weight_s
-    phase = beta * math.pi / 2.0
-    a[lo - 1 :] = amp * math.cos(phase)
-    b[lo - 1 :] = amp * math.sin(phase)
-    return TrigPoly(0.0, a, b)
+    rate = float(n) ** (-exponent)
+    if case == 2:
+        return rate * math.log(n) ** (1.0 / q)
+    return rate
 
 
 def upper_bound_estimate(
@@ -192,16 +186,22 @@ def upper_bound_estimate(
         )
     req = NormRequest(q=method.q, grid_m=1024, tolerance=1.0e-8)
     if n > 1:
-        head = _kernel_band_poly(psi, method.beta, 1, n - 1, weight_s=method.s)
+        k = np.arange(1, n, dtype=float)
+        head = phased_poly(np.asarray(psi(k), dtype=float) * k**method.s, method.beta)
         head_term = lq_norm(head, req) / (math.pi * float(n) ** method.s)
     else:
         head_term = 0.0
 
+    def majorant(length: int) -> float:
+        k = np.arange(n, length + 1, dtype=float)
+        tail = phased_poly(np.asarray(psi(k), dtype=float), method.beta, first_k=n)
+        return head_term + lq_norm(tail, req) / math.pi
+
     length = oversample * max(4 * n, 64)
-    prev = head_term + lq_norm(_kernel_band_poly(psi, method.beta, n, length), req) / math.pi
+    prev = majorant(length)
     for _ in range(12):
         length *= 2
-        curr = head_term + lq_norm(_kernel_band_poly(psi, method.beta, n, length), req) / math.pi
+        curr = majorant(length)
         if abs(curr - prev) < 1.0e-3 * curr:
             return curr
         prev = curr
@@ -309,9 +309,6 @@ def ratio_experiment(
     ns = _validate_grid(n_grid)
     if not (band_limit > 1.0):
         raise ParameterError("ratio_experiment: band_limit must exceed 1")
-    regime = classify_regime(psi, method)
-    if regime.regime is Regime.UNDETERMINED:
-        raise RegimeMismatchError("ratio_experiment: regime could not be determined")
     formula = rate_formula(psi, method)
 
     deviations = []
@@ -346,7 +343,6 @@ def best_vs_method_experiment(
     method: MethodParams,
     n_grid: Sequence[int],
     band_limit: float = 5.0,
-    norm_request: Optional[NormRequest] = None,
 ) -> RateReport:
     """Compare best approximation with the Zygmund deviation in the growing regime.
 
@@ -372,7 +368,7 @@ def best_vs_method_experiment(
         raise ParameterError(
             "best_vs_method_experiment: 1/psi has no definite convexity on the test window"
         )
-    req = norm_request or NormRequest(q=method.q, grid_m=512, tolerance=1.0e-10)
+    req = NormRequest(q=method.q, grid_m=512, tolerance=1.0e-10)
 
     zygmund_devs = []
     best_values = []

@@ -20,7 +20,7 @@ import numpy as np
 from .decay import MethodParams, PsiFunction, growth_function
 from .errors import CoefficientMismatchError, ParameterError, ZygmundError
 from .norms import NormRequest, l1_norm, lq_norm
-from .trig import KernelSpec, TrigPoly, convolve, max_coeff_diff, vallee_poussin, zygmund_sum
+from .trig import KernelSpec, TrigPoly, convolve, max_coeff_diff, phased_poly, vallee_poussin, zygmund_sum
 
 __all__ = [
     "WitnessConfig",
@@ -75,11 +75,6 @@ def vp_pulse(n: int) -> TrigPoly:
     return TrigPoly(0.0, kernel.a, kernel.b)
 
 
-def pulse_coefficients(n: int) -> np.ndarray:
-    """The cosine coefficients of V_n - 1/2 as an array of length 2n - 1."""
-    return vp_pulse(n).a
-
-
 @functools.lru_cache(maxsize=64)
 def _pulse_l1(n: int) -> float:
     return l1_norm(vp_pulse(n))
@@ -97,17 +92,11 @@ def calibrate_alpha0(n: int, req: Optional[NormRequest] = None) -> float:
     return 1.0 / _pulse_l1(n)
 
 
-def _deviation_request(method: MethodParams) -> NormRequest:
-    return NormRequest(q=method.q, grid_m=512, tolerance=1.0e-10)
-
-
 def _witness_direct(cfg: WitnessConfig, alpha0: float) -> TrigPoly:
     """Witness coefficients written out directly from the kernel expansion."""
-    c_k = pulse_coefficients(cfg.n)
     k = np.arange(1, 2 * cfg.n, dtype=float)
-    amp = alpha0 * np.asarray(cfg.psi(k), dtype=float) * c_k
-    phase = cfg.method.beta * math.pi / 2.0
-    return TrigPoly(0.0, amp * math.cos(phase), amp * math.sin(phase))
+    amp = alpha0 * np.asarray(cfg.psi(k), dtype=float) * vp_pulse(cfg.n).a
+    return phased_poly(amp, cfg.method.beta)
 
 
 def build_witness(cfg: WitnessConfig, req: Optional[NormRequest] = None) -> WitnessResult:
@@ -131,7 +120,7 @@ def build_witness(cfg: WitnessConfig, req: Optional[NormRequest] = None) -> Witn
             f"build_witness: direct expansion and convolution disagree by {gap:.3e}"
         )
 
-    dev_req = req or _deviation_request(cfg.method)
+    dev_req = req or NormRequest(q=cfg.method.q, grid_m=512, tolerance=1.0e-10)
     deviation = lq_norm(f - zygmund_sum(f, cfg.n, cfg.method.s), dev_req)
 
     pairing = _pairing_closed(cfg, alpha0)
@@ -168,9 +157,14 @@ def dual_test_poly(cfg: WitnessConfig) -> TrigPoly:
         raise ParameterError("dual_test_poly: requires n >= 2")
     k = np.arange(1, cfg.n, dtype=float)
     g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    amp = g ** (cfg.method.q - 1.0) / k ** (1.0 / cfg.method.q)
-    phase = cfg.method.beta * math.pi / 2.0
-    return TrigPoly(0.0, amp * math.cos(phase), amp * math.sin(phase))
+    return phased_poly(g ** (cfg.method.q - 1.0) / k ** (1.0 / cfg.method.q), cfg.method.beta)
+
+
+def _growth_sum(cfg: WitnessConfig) -> float:
+    """sum_{k<n} g(k)**q / k for the composite growth function g."""
+    k = np.arange(1, cfg.n, dtype=float)
+    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
+    return float(np.sum(g ** cfg.method.q / k))
 
 
 def _pairing_closed(cfg: WitnessConfig, alpha0: float) -> float:
@@ -178,10 +172,7 @@ def _pairing_closed(cfg: WitnessConfig, alpha0: float) -> float:
     relation: alpha0 * pi / n**s * sum_{k<n} g(k)**q / k."""
     if cfg.n < 2:
         return 0.0
-    k = np.arange(1, cfg.n, dtype=float)
-    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    total = float(np.sum(g ** cfg.method.q / k))
-    return alpha0 * math.pi / cfg.n ** cfg.method.s * total
+    return alpha0 * math.pi / cfg.n ** cfg.method.s * _growth_sum(cfg)
 
 
 def pairing_integral(cfg: WitnessConfig, grid_m: Optional[int] = None) -> Tuple[float, float]:
@@ -226,7 +217,4 @@ def lower_bound(cfg: WitnessConfig, result: Optional[WitnessResult] = None) -> f
     res = result if result is not None else build_witness(cfg)
     if res.lower_bound > res.deviation + 1.0e-9:
         raise ZygmundError("lower_bound: Hölder verification failed")
-    k = np.arange(1, cfg.n, dtype=float)
-    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    total = float(np.sum(g ** cfg.method.q / k))
-    return res.alpha0 * math.pi / cfg.n ** cfg.method.s * total ** (1.0 / cfg.method.q)
+    return res.alpha0 * math.pi / cfg.n ** cfg.method.s * _growth_sum(cfg) ** (1.0 / cfg.method.q)

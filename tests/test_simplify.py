@@ -1,0 +1,103 @@
+"""Seams shared across modules: the phase-rotation builder, one regime
+classification per experiment, and the Weyl–Nagy case split."""
+
+import math
+
+import numpy as np
+import pytest
+
+import zygmund.rates
+from zygmund.decay import MethodParams, Power, PowerLog, classify_regime
+from zygmund.errors import ParameterError
+from zygmund.rates import ratio_experiment, theoretical_rate, weyl_nagy_case, weyl_nagy_rate
+from zygmund.trig import KernelSpec, TrigPoly, kernel_poly, phased_poly
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    calls = []
+
+    def counting(psi, method):
+        calls.append((psi, method))
+        return classify_regime(psi, method)
+
+    monkeypatch.setattr(zygmund.rates, "classify_regime", counting)
+    return calls
+
+
+class TestOneClassification:
+    def test_ratio_experiment_classifies_once(self, classify_calls):
+        ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [4, 8, 16, 32, 64])
+        assert len(classify_calls) == 1
+
+    def test_theoretical_rate_classifies_once(self, classify_calls):
+        m = MethodParams(s=1.0, q=2.0)
+        regime = classify_regime(Power(1.5), m)
+        theoretical_rate(Power(1.5), m, regime, 16)
+        assert len(classify_calls) == 1
+
+
+class TestPhasedPoly:
+    def test_harmonics_below_first_k_are_zero(self):
+        p = phased_poly(np.arange(1.0, 6.0), 0.7, first_k=4)
+        assert p.degree == 8 and p.a0 == 0.0
+        assert np.all(p.a[:3] == 0.0) and np.all(p.b[:3] == 0.0)
+        assert np.all(p.a[3:] != 0.0) and np.all(p.b[3:] != 0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("first_k", [1, 3])
+    def test_values_match_rotated_cosine_sum(self, beta, first_k):
+        amp = np.random.default_rng(11).standard_normal(7)
+        p = phased_poly(amp, beta, first_k=first_k)
+        t = np.linspace(-math.pi, math.pi, 97)
+        ks = np.arange(first_k, first_k + amp.size)
+        expected = sum(a * np.cos(k * t - beta * math.pi / 2.0) for a, k in zip(amp, ks))
+        np.testing.assert_allclose(p(t), expected, rtol=0.0, atol=1.0e-13)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.3])
+    def test_kernel_poly_bitwise(self, beta):
+        spec = KernelSpec(psi=PowerLog(1.5, 1.0, 60.0), beta=beta, length=40)
+        poly, _ = kernel_poly(spec)
+        psi_k = spec.coefficients(spec.length)
+        assert np.array_equal(poly.a, psi_k * math.cos(spec.phase))
+        assert np.array_equal(poly.b, psi_k * math.sin(spec.phase))
+
+    @pytest.mark.parametrize("lo,hi,weight_s", [(1, 15, 1.0), (16, 64, 0.0), (5, 5, 2.0)])
+    def test_matches_band_construction_bitwise(self, lo, hi, weight_s):
+        # the band form the majorant's head and tail were once built with
+        psi, beta = Power(1.0), 0.5
+        k = np.arange(lo, hi + 1, dtype=float)
+        amp = np.asarray(psi(k), dtype=float) * k**weight_s
+        a, b = np.zeros(hi), np.zeros(hi)
+        a[lo - 1 :] = amp * math.cos(beta * math.pi / 2.0)
+        b[lo - 1 :] = amp * math.sin(beta * math.pi / 2.0)
+        band = TrigPoly(0.0, a, b)
+        p = phased_poly(amp, beta, first_k=lo)
+        assert np.array_equal(p.a, band.a) and np.array_equal(p.b, band.b)
+
+    def test_rejects_first_k_below_one(self):
+        with pytest.raises(ParameterError):
+            phased_poly(np.ones(3), 0.0, first_k=0)
+
+
+class TestWeylNagyCase:
+    S, Q = 1.0, 2.0
+    BOUNDARY = S + 1.0 - 1.0 / Q
+
+    @pytest.mark.parametrize("offset", [-5.0e-13, 0.0, 5.0e-13])
+    def test_boundary_tolerance_gives_case_two(self, offset):
+        assert weyl_nagy_case(self.BOUNDARY + offset, self.S, self.Q) == (2, self.S)
+
+    def test_outside_tolerance(self):
+        r = self.BOUNDARY - 1.0e-9
+        assert weyl_nagy_case(r, self.S, self.Q) == (1, r - 1.0 + 1.0 / self.Q)
+        assert weyl_nagy_case(self.BOUNDARY + 1.0e-9, self.S, self.Q) == (3, self.S)
+
+    @pytest.mark.parametrize("r", [0.75, 1.5, 2.5])
+    @pytest.mark.parametrize("n", [2, 16, 100])
+    def test_rate_is_power_of_exponent_bitwise(self, r, n):
+        case, exponent = weyl_nagy_case(r, self.S, self.Q)
+        expected = float(n) ** (-exponent)
+        if case == 2:
+            expected = expected * math.log(n) ** (1.0 / self.Q)
+        assert weyl_nagy_rate(r, self.S, self.Q, n) == expected
