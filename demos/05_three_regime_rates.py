@@ -12,7 +12,6 @@ from zygmund import (
     MethodParams,
     Power,
     PowerLog,
-    classify_regime,
     loglog_slope,
     ratio_experiment,
     upper_bound_estimate,
@@ -29,11 +28,10 @@ cases = [
 ]
 
 for label, psi, band_limit in cases:
-    regime = classify_regime(psi, method)
     report = ratio_experiment(psi, method, GRID, band_limit=band_limit)
     spread = report.ratio_band[1] / report.ratio_band[0]
     slope = loglog_slope(report.n_grid, report.deviations)
-    print(f"{label}: regime={regime.regime.value}")
+    print(f"{label}: regime={report.regime.regime.value}")
     print(f"  {'n':>5}  {'deviation':>12}  {'lower':>12}  {'rate':>12}  {'dev/rate':>9}")
     for n, dev, lo, rate in zip(report.n_grid, report.deviations, report.lower_bounds, report.upper_rates):
         print(f"  {n:>5}  {dev:>12.6f}  {lo:>12.6f}  {rate:>12.6f}  {dev / rate:>9.4f}")

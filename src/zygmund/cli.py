@@ -24,7 +24,7 @@ from .decay import (
 from .errors import CoefficientMismatchError, ConfigError, ZygmundError
 from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment, weyl_nagy_case
 from .trig import TrigPoly
-from .witness import WitnessConfig, build_witness, dual_test_poly, lower_bound, pairing_integral
+from .witness import WitnessConfig, build_witness, dual_test_poly, pairing_integral
 
 __all__ = ["main"]
 
@@ -94,7 +94,7 @@ def cmd_rate_check(cfg: ExperimentConfig) -> int:
     _write_plot_data(cfg.output_dir, "lower_bound", report.n_grid, report.lower_bounds)
     _write_plot_data(cfg.output_dir, "upper_rate", report.n_grid, report.upper_rates)
     spread = report.ratio_band[1] / report.ratio_band[0]
-    regime = classify_regime(cfg.psi, cfg.method).regime.value
+    regime = report.regime.regime.value
     if report.verdict:
         print(f"BANDED within {spread:.4g} over {_grid_label(ns)} (regime={regime}, limit={cfg.band_limit:g})")
         return 0
@@ -103,6 +103,8 @@ def cmd_rate_check(cfg: ExperimentConfig) -> int:
 
 
 def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
+    if n < 2:
+        raise ConfigError("n", "the witness pairing requires n >= 2")
     wcfg = WitnessConfig(psi=cfg.psi, method=cfg.method, n=n)
     result = build_witness(wcfg)
     try:
@@ -110,7 +112,6 @@ def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
     except CoefficientMismatchError as exc:
         print(f"pairing mismatch: {exc}", file=sys.stderr)
         return 1
-    lower = lower_bound(wcfg, result)
 
     header = "n,alpha0,I_closed,I_quadrature,lower_bound,deviation"
     row = (
@@ -123,7 +124,6 @@ def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
     _write(cfg.output_dir / "witness_dual.csv", trig_poly_csv(dual_test_poly(wcfg)))
     print(header)
     print(row)
-    print(f"sum-form lower bound: {lower!r}")
     return 0
 
 

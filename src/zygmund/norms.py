@@ -260,12 +260,11 @@ def l2_norm_coeffs(p: TrigPoly) -> float:
     return math.sqrt(acc)
 
 
-def l1_norm(p: TrigPoly, req: NormRequest | None = None) -> float:
+def l1_norm(p: TrigPoly) -> float:
     """||p||_1, exact up to rounding (used for witness calibration).
 
     Computed by lq_norm from the sign changes of p and its exact
-    antiderivative.  `req` is accepted for compatibility; its grid and
-    tolerance are unused at q = 1.
+    antiderivative.
     """
     return lq_norm(p, NormRequest(q=1.0))
 

@@ -31,7 +31,7 @@ from .decay import (
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
 from .norms import NormRequest, best_approx, l1_norm, lq_norm
 from .trig import KernelSpec, TrigPoly, deviation_coeffs, phased_poly
-from .witness import WitnessConfig, build_witness, lower_bound
+from .witness import WitnessConfig, build_witness
 
 __all__ = [
     "RateFormula",
@@ -243,9 +243,17 @@ def unit_ball_deviations(
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-order table of measured deviations against a closed-form rate."""
+    """Per-order table of measured deviations against a closed-form rate.
+
+    `deviations` are the witness deviations ||f - Z(f)||_q and `upper_rates`
+    the closed-form rate of `regime`.  `lower_bounds` are certified values at
+    or below the deviations: the Hölder quotient I / ||dual||_{q'} of the
+    witness, or the best approximation E_n(f)_q, which no concrete method
+    beats.  `ratio_band` is the (min, max) of deviation/rate.
+    """
 
     n_grid: Tuple[int, ...]
+    regime: RegimeResult
     deviations: Tuple[float, ...]
     lower_bounds: Tuple[float, ...]
     upper_rates: Tuple[float, ...]
@@ -277,10 +285,6 @@ def loglog_slope(n_grid: Sequence[int], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(n_grid, float)), np.log(np.asarray(values, float)), 1)[0])
 
 
-def _band(values: Sequence[float]) -> Tuple[float, float]:
-    return (min(values), max(values))
-
-
 def _validate_grid(n_grid: Sequence[int]) -> Tuple[int, ...]:
     ns = tuple(int(n) for n in n_grid)
     if len(ns) < 5:
@@ -292,6 +296,40 @@ def _validate_grid(n_grid: Sequence[int]) -> Tuple[int, ...]:
     return ns
 
 
+def _banded_report(
+    ns: Tuple[int, ...],
+    regime: RegimeResult,
+    deviations: Sequence[float],
+    lowers: Sequence[float],
+    rates: Sequence[float],
+    band_limit: float,
+) -> RateReport:
+    """The report and verdict shared by both experiments.
+
+    The verdict requires every lower value to stay at or below its deviation
+    (relative slack 1e-9), and both deviation/rate and lower/rate to stay
+    within the band limit (max over min of the ratios), which is the
+    falsifiable desk-scale reading of an order equality.
+    """
+    dev_ratios = [d / u for d, u in zip(deviations, rates)]
+    low_ratios = [lo / u for lo, u in zip(lowers, rates)]
+    band = (min(dev_ratios), max(dev_ratios))
+    verdict = (
+        all(lo <= d * (1.0 + 1.0e-9) for lo, d in zip(lowers, deviations))
+        and band[1] / band[0] <= band_limit
+        and max(low_ratios) / min(low_ratios) <= band_limit
+    )
+    return RateReport(
+        n_grid=ns,
+        regime=regime,
+        deviations=tuple(deviations),
+        lower_bounds=tuple(lowers),
+        upper_rates=tuple(rates),
+        ratio_band=band,
+        verdict=verdict,
+    )
+
+
 def ratio_experiment(
     psi: PsiFunction,
     method: MethodParams,
@@ -300,11 +338,9 @@ def ratio_experiment(
 ) -> RateReport:
     """Bounded-ratio certification of the rate law on a grid of orders.
 
-    For each n the witness deviation, its pairing lower bound, and the
-    regime's closed-form rate are tabulated.  The verdict is True when both
-    deviation/rate and lower/rate stay within the band limit (max over min
-    of the ratios), which is the falsifiable desk-scale reading of an order
-    equality.
+    For each n the witness deviation, its certified Hölder lower bound, and
+    the regime's closed-form rate are tabulated; see _banded_report for the
+    verdict.
     """
     ns = _validate_grid(n_grid)
     if not (band_limit > 1.0):
@@ -313,29 +349,13 @@ def ratio_experiment(
 
     deviations = []
     lowers = []
-    uppers = []
+    rates = []
     for n in ns:
-        cfg = WitnessConfig(psi=psi, method=method, n=n)
-        res = build_witness(cfg)
+        res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
         deviations.append(res.deviation)
-        lowers.append(lower_bound(cfg, res))
-        uppers.append(formula(n))
-
-    dev_ratios = [d / u for d, u in zip(deviations, uppers)]
-    low_ratios = [lo / u for lo, u in zip(lowers, uppers)]
-    band = _band(dev_ratios)
-    verdict = (
-        band[1] / band[0] <= band_limit
-        and max(low_ratios) / min(low_ratios) <= band_limit
-    )
-    return RateReport(
-        n_grid=ns,
-        deviations=tuple(deviations),
-        lower_bounds=tuple(lowers),
-        upper_rates=tuple(uppers),
-        ratio_band=band,
-        verdict=verdict,
-    )
+        lowers.append(res.lower_bound)
+        rates.append(formula(n))
+    return _banded_report(ns, formula.regime, deviations, lowers, rates, band_limit)
 
 
 def best_vs_method_experiment(
@@ -350,8 +370,8 @@ def best_vs_method_experiment(
     kernel integrability test for q', and 1/psi must have a definite
     convexity.  The report stores Zygmund deviations as `deviations`, best
     approximation values as `lower_bounds` (the infimum can never exceed a
-    concrete method), and psi(n) * n**(1 - 1/q) as `upper_rates`; the
-    verdict additionally requires both to stay banded against the rate.
+    concrete method), and psi(n) * n**(1 - 1/q) as `upper_rates`; see
+    _banded_report for the verdict.
     """
     ns = _validate_grid(n_grid)
     regime = classify_regime(psi, method)
@@ -373,30 +393,9 @@ def best_vs_method_experiment(
     zygmund_devs = []
     best_values = []
     rates = []
-    dominated = True
     for n in ns:
-        cfg = WitnessConfig(psi=psi, method=method, n=n)
-        res = build_witness(cfg, req)
-        best = best_approx(res.f, n, req)
+        res = build_witness(WitnessConfig(psi=psi, method=method, n=n), req)
         zygmund_devs.append(res.deviation)
-        best_values.append(best.value)
+        best_values.append(best_approx(res.f, n, req).value)
         rates.append(float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q))
-        if best.value > res.deviation * (1.0 + 1.0e-9):
-            dominated = False
-
-    zyg_ratios = [d / u for d, u in zip(zygmund_devs, rates)]
-    best_ratios = [b / u for b, u in zip(best_values, rates)]
-    band = _band(zyg_ratios)
-    verdict = (
-        dominated
-        and band[1] / band[0] <= band_limit
-        and max(best_ratios) / min(best_ratios) <= band_limit
-    )
-    return RateReport(
-        n_grid=ns,
-        deviations=tuple(zygmund_devs),
-        lower_bounds=tuple(best_values),
-        upper_rates=tuple(rates),
-        ratio_band=band,
-        verdict=verdict,
-    )
+    return _banded_report(ns, regime, zygmund_devs, best_values, rates, band_limit)

@@ -30,7 +30,6 @@ __all__ = [
     "build_witness",
     "dual_test_poly",
     "pairing_integral",
-    "lower_bound",
 ]
 
 
@@ -80,12 +79,11 @@ def _pulse_l1(n: int) -> float:
     return l1_norm(vp_pulse(n))
 
 
-def calibrate_alpha0(n: int, req: Optional[NormRequest] = None) -> float:
+def calibrate_alpha0(n: int) -> float:
     """Scale 1 / ||V_n - 1/2||_1 making the witness source a unit-ball member.
 
     Sharper than any fixed absolute constant: the L_1 norm is exact up to
-    rounding, so ||alpha0 * (V_n - 1/2)||_1 = 1.  `req` is accepted for
-    compatibility and unused, as the exact norm needs no quadrature settings.
+    rounding, so ||alpha0 * (V_n - 1/2)||_1 = 1.
     """
     if n < 1:
         raise ParameterError("calibrate_alpha0: requires n >= 1")
@@ -160,19 +158,14 @@ def dual_test_poly(cfg: WitnessConfig) -> TrigPoly:
     return phased_poly(g ** (cfg.method.q - 1.0) / k ** (1.0 / cfg.method.q), cfg.method.beta)
 
 
-def _growth_sum(cfg: WitnessConfig) -> float:
-    """sum_{k<n} g(k)**q / k for the composite growth function g."""
-    k = np.arange(1, cfg.n, dtype=float)
-    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    return float(np.sum(g ** cfg.method.q / k))
-
-
 def _pairing_closed(cfg: WitnessConfig, alpha0: float) -> float:
     """Closed form of the pairing integral via the cosine orthogonality
     relation: alpha0 * pi / n**s * sum_{k<n} g(k)**q / k."""
     if cfg.n < 2:
         return 0.0
-    return alpha0 * math.pi / cfg.n ** cfg.method.s * _growth_sum(cfg)
+    k = np.arange(1, cfg.n, dtype=float)
+    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
+    return alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
 
 
 def pairing_integral(cfg: WitnessConfig, grid_m: Optional[int] = None) -> Tuple[float, float]:
@@ -203,18 +196,3 @@ def pairing_integral(cfg: WitnessConfig, grid_m: Optional[int] = None) -> Tuple[
         )
     return closed, quadrature
 
-
-def lower_bound(cfg: WitnessConfig, result: Optional[WitnessResult] = None) -> float:
-    """Order-exact lower bound alpha0 * pi / n**s * (sum_{k<n} g(k)**q / k)**(1/q).
-
-    This is the pairing value I multiplied by (sum g**q / k)**(-1/q'); the
-    Hölder step (certified inside build_witness) guarantees the companion
-    quotient I / ||dual||_{q'} never exceeds the measured deviation, so the
-    returned value tracks the deviation up to constants.
-    """
-    if cfg.n < 2:
-        raise ParameterError("lower_bound: requires n >= 2")
-    res = result if result is not None else build_witness(cfg)
-    if res.lower_bound > res.deviation + 1.0e-9:
-        raise ZygmundError("lower_bound: Hölder verification failed")
-    return res.alpha0 * math.pi / cfg.n ** cfg.method.s * _growth_sum(cfg) ** (1.0 / cfg.method.q)

@@ -147,8 +147,9 @@ class TestCli:
         # rate is n**-s here, so the ratio column is deviation * n**s
         rows = (tmp_path / "sat" / "rate_report.csv").read_text().strip().splitlines()[1:]
         for row in rows:
-            n, dev, _, rate, ratio = row.split(",")
+            n, dev, lower, rate, ratio = row.split(",")
             assert float(ratio) == pytest.approx(float(dev) * int(n), rel=1e-12)
+            assert float(lower) <= float(dev)
 
     def test_witness_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
@@ -165,6 +166,13 @@ class TestCli:
         assert max_coeff_diff(phi, res.phi) == 0.0
         for name in ("witness_f.csv", "witness_dual.csv"):
             assert (out / name).exists()
+
+    def test_witness_below_order_two_rejected_up_front(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "w1"
+        assert main(["witness", "--config", str(path), "--out", str(out), "--n", "1"]) == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not (out / "witness.csv").exists()
 
     def test_table_vnad_rows_and_rejection(self, tmp_path, capsys):
         text = BASE.replace("n_grid = 4 8 16 32 64", "n_grid = 8 16 32 64 128") + "r_list = 0.75 1.5 2.5\n"

@@ -82,7 +82,7 @@ class TestClosedForms:
     def test_request_settings_are_unused_at_q1(self):
         p = vp_pulse(8)
         coarse = NormRequest(q=1.0, grid_m=16, tolerance=1e-2)
-        assert lq_norm(p, coarse) == lq_norm(p, NormRequest(q=1.0)) == l1_norm(p, coarse)
+        assert lq_norm(p, coarse) == lq_norm(p, NormRequest(q=1.0)) == l1_norm(p)
 
 
 class TestAgainstOracle:
@@ -152,10 +152,6 @@ class TestCalibration:
         assert calibrate_alpha0(n) * doubling_l1(vp_pulse(n), grid_m=1024, tolerance=1e-10) == pytest.approx(
             1.0, abs=1e-9
         )
-
-    def test_request_is_ignored(self):
-        coarse = NormRequest(q=1.0, grid_m=16, tolerance=1e-2)
-        assert calibrate_alpha0(32, coarse) == calibrate_alpha0(32)
 
     def test_cache_is_bounded(self):
         assert witness._pulse_l1.cache_info().maxsize == 64

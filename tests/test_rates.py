@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zygmund.decay import MethodParams, Power, PowerInvLog, PowerLog, classify_regime
+from zygmund.decay import MethodParams, Power, PowerInvLog, PowerLog, Regime, classify_regime
 from zygmund.errors import ConvergenceError, ParameterError, RegimeMismatchError
 from zygmund.rates import (
     best_vs_method_experiment,
@@ -16,6 +16,7 @@ from zygmund.rates import (
     upper_bound_estimate,
     weyl_nagy_rate,
 )
+from zygmund.witness import WitnessConfig, build_witness
 
 GRID = [8, 16, 32, 64, 128, 256]
 
@@ -170,6 +171,19 @@ class TestRatioExperiment:
         ratios = [lo / u for lo, u in zip(report.lower_bounds, report.upper_rates)]
         assert max(ratios) / min(ratios) <= 4.0
 
+    @pytest.mark.parametrize("s, q", [(1.0, 2.0), (1.0, 4.0), (2.0, 1.5)])
+    def test_lower_bounds_are_the_certified_holder_quotients(self, s, q):
+        psi, m, ns = Power(1.0), MethodParams(s=s, q=q), [4, 8, 16, 32, 64]
+        report = ratio_experiment(psi, m, ns)
+        for n, lower, dev in zip(ns, report.lower_bounds, report.deviations):
+            assert lower == build_witness(WitnessConfig(psi=psi, method=m, n=n)).lower_bound
+            assert lower <= dev
+
+    def test_report_carries_the_regime(self):
+        m = MethodParams(s=1.0, q=2.0)
+        report = ratio_experiment(Power(1.5), m, [4, 8, 16, 32, 64])
+        assert report.regime == classify_regime(Power(1.5), m)
+
     def test_grid_validation(self):
         m = MethodParams(s=1.0, q=2.0)
         with pytest.raises(ParameterError):
@@ -195,6 +209,7 @@ class TestBestVsMethod:
         m = MethodParams(s=1.0, q=2.0)
         report = best_vs_method_experiment(Power(1.0), m, [8, 16, 32, 64, 128])
         assert report.verdict
+        assert report.regime.regime is Regime.GROWING
         for best, dev in zip(report.lower_bounds, report.deviations):
             assert best <= dev * (1.0 + 1e-9)
 

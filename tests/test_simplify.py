@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import zygmund.cli
 import zygmund.rates
 from zygmund.decay import MethodParams, Power, PowerLog, classify_regime
 from zygmund.errors import ParameterError
@@ -22,12 +23,20 @@ def classify_calls(monkeypatch):
         return classify_regime(psi, method)
 
     monkeypatch.setattr(zygmund.rates, "classify_regime", counting)
+    monkeypatch.setattr(zygmund.cli, "classify_regime", counting)
     return calls
 
 
 class TestOneClassification:
     def test_ratio_experiment_classifies_once(self, classify_calls):
         ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [4, 8, 16, 32, 64])
+        assert len(classify_calls) == 1
+
+    def test_rate_check_classifies_once(self, classify_calls, tmp_path, capsys):
+        config = tmp_path / "growing.cfg"
+        config.write_text("psi.family = power\npsi.r = 1.0\nmethod.s = 1.0\nmethod.q = 2.0\nn_grid = 4 8 16 32 64\n")
+        assert zygmund.cli.main(["rate-check", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert "regime=growing" in capsys.readouterr().out
         assert len(classify_calls) == 1
 
     def test_theoretical_rate_classifies_once(self, classify_calls):

@@ -6,14 +6,12 @@ import pytest
 from zygmund.decay import MethodParams, Power, PowerLog, growth_function
 from zygmund.errors import ParameterError
 from zygmund.norms import NormRequest, l1_norm, lq_norm
-from zygmund.rates import critical_integral
 from zygmund.trig import KernelSpec, convolve, max_coeff_diff, vallee_poussin
 from zygmund.witness import (
     WitnessConfig,
     build_witness,
     calibrate_alpha0,
     dual_test_poly,
-    lower_bound,
     pairing_integral,
     vp_pulse,
 )
@@ -31,7 +29,7 @@ class TestCalibration:
     def test_defining_identity(self):
         for n in (2, 8, 32):
             pulse = vp_pulse(n)
-            assert calibrate_alpha0(n) * l1_norm(pulse, NormRequest(q=1.0, grid_m=1024, tolerance=1e-8)) == pytest.approx(
+            assert calibrate_alpha0(n) * l1_norm(pulse) == pytest.approx(
                 1.0, abs=1e-9
             )
 
@@ -79,7 +77,7 @@ class TestBuildWitness:
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_source_is_unit_ball_member(self, n):
         res = build_witness(config(n=n))
-        recomputed = l1_norm(res.phi, NormRequest(q=1.0, grid_m=4096, tolerance=1e-9))
+        recomputed = l1_norm(res.phi)
         assert recomputed == pytest.approx(1.0, abs=1e-8)
 
     def test_holder_chain(self):
@@ -134,11 +132,6 @@ class TestPairing:
 
 
 class TestLowerBound:
-    def test_single_term_value(self):
-        cfg = config(n=2)
-        res = build_witness(cfg)
-        assert lower_bound(cfg, res) == pytest.approx(calibrate_alpha0(2) * math.pi / 2.0, rel=1e-12)
-
     def test_raw_quotient_below_measured_deviation(self):
         for n in (4, 8, 16, 32):
             cfg = config(n=n)
@@ -146,23 +139,6 @@ class TestLowerBound:
             dual = dual_test_poly(cfg)
             dual_norm = lq_norm(dual, NormRequest(q=cfg.method.q_prime))
             assert res.pairing / dual_norm <= res.deviation + 1e-9
-
-    def test_sum_form_tracks_integral_form(self):
-        # For the slowly varying boundary profile the coefficient sum and the
-        # integral differ by a bounded factor.
-        m = MethodParams(s=1.0, q=2.0)
-        psi = Power(1.5)
-        for n in (8, 16, 32, 64, 128, 256):
-            cfg = WitnessConfig(psi=psi, method=m, n=n)
-            res = build_witness(cfg)
-            value = lower_bound(cfg, res)
-            integral_form = n ** (-m.s) * critical_integral(psi, m, n) ** (1.0 / m.q)
-            ratio = value / integral_form
-            assert 0.25 <= ratio <= 4.0
-
-    def test_requires_n_at_least_two(self):
-        with pytest.raises(ParameterError):
-            lower_bound(config(n=1))
 
 
 class TestLogFamilyWitness:
