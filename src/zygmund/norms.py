@@ -8,11 +8,18 @@ of |p| is the absolute increment of the antiderivative, so ||p||_1 needs only
 the sign changes, which are bracketed on one FFT sample, screened for hidden
 close pairs, and refined by safeguarded Newton iteration.
 
+The q = 2 norm is exact by Parseval, from the coefficients alone.
+
+At even integer q, |p|^q = p^q is a trigonometric polynomial of degree
+q * degree, which the rectangle rule on more than q * degree uniform nodes
+integrates exactly, so one sample suffices.
+
 Other q use the rectangle rule on uniform nodes, which is spectrally accurate
 for smooth periodic integrands; |p|^q is only piecewise smooth, so
-convergence is confirmed by grid doubling rather than assumed.  The grid and
-stop tolerance of a NormRequest steer only this doubling; they are unused at
-q = 1.
+convergence is confirmed by grid doubling rather than assumed.  Each doubling
+samples only the new midpoints and adds their sum to the one already taken.
+The grid and stop tolerance of a NormRequest steer only this doubling; they
+are unused at q = 1, q = 2 and even integer q.
 """
 
 from __future__ import annotations
@@ -52,7 +59,9 @@ _NEWTON_TOL = 4.0 * np.finfo(float).eps * TWO_PI
 
 @dataclass(frozen=True)
 class NormRequest:
-    """Quadrature parameters: metric exponent, starting grid, stop tolerance."""
+    """Metric exponent, and the starting grid and stop tolerance of the
+    grid doubling, which lq_norm uses only when q is neither 1 nor an even
+    integer."""
 
     q: float = 2.0
     grid_m: int = 512
@@ -71,34 +80,53 @@ def _next_pow2(n: int) -> int:
     return 1 << max(4, (n - 1).bit_length())
 
 
+def _power_sum(p: TrigPoly, q: float, m: int) -> float:
+    return float(np.sum(np.abs(sample(p, m).values) ** q))
+
+
 def _rectangle_lq(p: TrigPoly, q: float, m: int) -> float:
-    v = sample(p, m).values
-    return float((TWO_PI / m * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+    return (TWO_PI / m * _power_sum(p, q, m)) ** (1.0 / q)
 
 
 def lq_norm(p: TrigPoly, req: NormRequest) -> float:
-    """||p||_q: exact at q = 1, else rectangle-rule quadrature with grid doubling.
+    """||p||_q: exact at q = 1, q = 2 and even integer q, else rectangle-rule
+    quadrature with grid doubling.
 
     At q = 1 the value is the sum of |P(z_{i+1}) - P(z_i)| over consecutive
     sign changes z_i of p, cyclically across the period, where
     P(t) = a0 t/2 + sum (a_k sin kt - b_k cos kt)/k is the exact
-    antiderivative; with no sign change it is pi |a0|.
+    antiderivative; with no sign change it is pi |a0|.  At q = 2 it is
+    l2_norm_coeffs(p).  At even integer q it is the rectangle rule on the
+    first power of two above q * degree + 1 nodes, exact up to rounding.
 
     Otherwise the grid starts at max(req.grid_m, a power of two resolving p)
     and doubles until two successive values differ by less than
     req.tolerance.  |p|^q is merely piecewise smooth at the zeros of p, and
     the lower q the sharper the kink, so the starting grid oversamples the
     bandwidth more aggressively for small q to leave the doubling budget
-    room to converge.
+    room to converge.  Doubling an m-node grid adds the m midpoints
+    pi/m + 2 pi j/m, which are the m nodes of p(t + pi/m), whose harmonics
+    are those of p rotated by e^{ik pi/m}; their sum is added to the m-node
+    sum, so no node is sampled twice.
     """
-    if req.q == 1.0:
+    q = req.q
+    if q == 1.0:
         return _l1_exact(p)
-    oversample = 16 if req.q < 2.0 else 4
+    if q == 2.0:
+        return l2_norm_coeffs(p)
+    if q % 2.0 == 0.0:
+        return _rectangle_lq(p, q, _next_pow2(int(q) * p.degree + 2))
+    oversample = 16 if q < 2.0 else 4
     m = max(req.grid_m, oversample * _next_pow2(2 * p.degree + 2))
-    prev = _rectangle_lq(p, req.q, m)
+    total = _power_sum(p, q, m)
+    prev = (TWO_PI / m * total) ** (1.0 / q)
+    coef = p.a - 1j * p.b
+    k = np.arange(1, p.degree + 1)
     for _ in range(_MAX_DOUBLINGS):
+        shifted = coef * np.exp(1j * math.pi / m * k)
+        total += _power_sum(TrigPoly(p.a0, shifted.real, -shifted.imag), q, m)
         m *= 2
-        curr = _rectangle_lq(p, req.q, m)
+        curr = (TWO_PI / m * total) ** (1.0 / q)
         # Absolute stop for O(1) norms; proportional above that, since an
         # absolute target below the rounding floor of a large norm would
         # never be met.
@@ -288,9 +316,9 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
     are clipped below at 1e-10 (they degenerate near residual zeros for
     q > 2), and for q > 2 the iterate moves a partial step 1/(q-1) toward
     the weighted solution, the classical stabilization of the method.  The
-    reported value is always the grid-doubling quadrature norm of the final
-    residual, so a non-converged run still yields a valid upper bound on the
-    infimum.
+    reported value is always lq_norm of the final residual (exact at even
+    integer q, grid-doubling quadrature at other q), so a non-converged run
+    still yields a valid upper bound on the infimum.
     """
     if n < 1:
         raise ParameterError("best_approx: requires n >= 1")

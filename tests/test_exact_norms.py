@@ -1,0 +1,143 @@
+"""Exact L_q norms at q = 2 and even q, and midpoint-only doubling at other q.
+
+lq_norm takes ||p||_2 from the coefficients (Parseval), ||p||_q at even
+integer q from one rectangle rule on more than q * degree nodes (p^q is a
+trigonometric polynomial of degree q * degree, which that rule integrates
+exactly), and ||p||_q at other q by grid doubling that samples only the new
+midpoints.  The oracle below is the doubling loop lq_norm used for every
+q != 1 before: it re-samples the whole grid at each doubling.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import zygmund.norms
+from zygmund.errors import ConvergenceError
+from zygmund.norms import NormRequest, l2_norm_coeffs, lq_norm
+from zygmund.trig import TrigPoly, sample
+
+TWO_PI = 2.0 * math.pi
+
+
+def doubling_lq(p, q, grid_m=512, tolerance=1e-10, sizes=None):
+    """Rectangle rule on |p|^q, doubling the whole grid until two values agree.
+
+    The size of every grid sampled is appended to `sizes` when it is given.
+    """
+    oversample = 16 if q < 2.0 else 4
+    m = max(grid_m, oversample * (1 << max(4, (2 * p.degree + 1).bit_length())))
+
+    def rectangle(m):
+        if sizes is not None:
+            sizes.append(m)
+        v = sample(p, m).values
+        return float((TWO_PI / m * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+
+    prev = rectangle(m)
+    for _ in range(12):
+        m *= 2
+        curr = rectangle(m)
+        if abs(curr - prev) < tolerance * max(1.0, abs(curr)):
+            return curr
+        prev = curr
+    raise ConvergenceError("doubling_lq: no convergence")
+
+
+def random_poly(rng, degree):
+    return TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
+
+
+@pytest.fixture
+def sampled_sizes(monkeypatch):
+    """The node count of every sample call lq_norm makes, in order."""
+    sizes = []
+
+    def recording(p, m):
+        sizes.append(m)
+        return sample(p, m)
+
+    monkeypatch.setattr(zygmund.norms, "sample", recording)
+    return sizes
+
+
+class TestEvenQ:
+    @pytest.mark.parametrize("q", [4.0, 6.0, 8.0])
+    def test_matches_doubling_oracle(self, q):
+        rng = np.random.default_rng(int(q))
+        for degree in (1, 2, 7, 40, 151, 300):
+            p = random_poly(rng, degree)
+            expected = doubling_lq(p, q)
+            assert lq_norm(p, NormRequest(q=q)) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("q, integral", [(6.0, 5.0 * math.pi / 8.0), (8.0, 35.0 * math.pi / 64.0)])
+    def test_cosine_power_closed_forms(self, q, integral):
+        p = TrigPoly(0.0, [1.0], [0.0])
+        assert lq_norm(p, NormRequest(q=q)) ** q == pytest.approx(integral, rel=1e-12)
+
+    def test_grid_just_above_q_times_degree(self, sampled_sizes):
+        # 6 * 21 + 2 = 128: the rule runs on 128 nodes, above the degree 126
+        # of p^6, and agrees with the rule on eight times as many.
+        p = random_poly(np.random.default_rng(21), 21)
+        value = lq_norm(p, NormRequest(q=6.0))
+        assert sampled_sizes == [128]
+        v = sample(p, 1024).values
+        finer = float((TWO_PI / 1024 * np.sum(v**6)) ** (1.0 / 6.0))
+        assert value == pytest.approx(finer, rel=1e-13)
+        assert value == pytest.approx(doubling_lq(p, 6.0), rel=1e-12)
+
+    def test_one_sample_at_large_degree(self, sampled_sizes):
+        p = random_poly(np.random.default_rng(18), 1 << 18)
+        lq_norm(p, NormRequest(q=4.0))
+        assert sampled_sizes == [1 << 21]
+
+
+class TestQ2:
+    def test_parseval_bitwise(self):
+        rng = np.random.default_rng(2)
+        for degree in (0, 1, 5, 64, 1000):
+            p = random_poly(rng, degree)
+            assert lq_norm(p, NormRequest(q=2.0)) == l2_norm_coeffs(p)
+
+    def test_never_samples(self, sampled_sizes):
+        p = random_poly(np.random.default_rng(3), 4096)
+        lq_norm(p, NormRequest(q=2.0, grid_m=16, tolerance=1e-14))
+        assert sampled_sizes == []
+
+
+class TestOtherQ:
+    @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
+    def test_matches_doubling_oracle(self, q):
+        rng = np.random.default_rng(int(10 * q))
+        for degree in (1, 3, 17, 64, 200):
+            p = random_poly(rng, degree)
+            assert lq_norm(p, NormRequest(q=q)) == pytest.approx(doubling_lq(p, q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
+    def test_same_sample_calls_as_oracle(self, q, sampled_sizes):
+        rng = np.random.default_rng(int(100 * q))
+        for degree in (1, 9, 50, 300):
+            p = random_poly(rng, degree)
+            oracle = []
+            doubling_lq(p, q, tolerance=1e-8, sizes=oracle)
+            sampled_sizes.clear()
+            lq_norm(p, NormRequest(q=q, tolerance=1e-8))
+            assert len(sampled_sizes) == len(oracle)
+            assert sampled_sizes[0] == oracle[0]
+
+    def test_samples_only_midpoints(self, sampled_sizes):
+        # Each sample after the first covers the midpoints of the grid built
+        # so far, so it is as large as that grid: m, m, 2m, 4m, ...
+        p = random_poly(np.random.default_rng(30), 50)
+        lq_norm(p, NormRequest(q=3.0))
+        first = sampled_sizes[0]
+        assert first == 512 and len(sampled_sizes) >= 2
+        assert sampled_sizes[1:] == [first << i for i in range(len(sampled_sizes) - 1)]
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0, 6.0])
+def test_degree_zero(q):
+    p = TrigPoly.constant(-3.0)
+    assert lq_norm(p, NormRequest(q=q)) == pytest.approx(1.5 * TWO_PI ** (1.0 / q), rel=1e-14)
+    assert lq_norm(p, NormRequest(q=q)) == pytest.approx(doubling_lq(p, q), rel=1e-14)
