@@ -284,8 +284,12 @@ class MethodParams:
 
     @property
     def q_prime(self) -> float:
-        """Conjugate exponent, 1/q + 1/q' = 1."""
-        return self.q / (self.q - 1.0)
+        """Conjugate exponent, 1/q + 1/q' = 1, snapped to an integer within the
+        rounding of q amplified by |dq'/dq| = (q' - 1)^2, so that q = 1.2
+        gives 6 and not 6.000000000000001."""
+        q_prime = self.q / (self.q - 1.0)
+        k = round(q_prime)
+        return float(k) if abs(q_prime - k) <= 4.0 * math.ulp(self.q) * q_prime**2 else q_prime
 
     @property
     def growth_exponent(self) -> float:

@@ -20,6 +20,9 @@ convergence is confirmed by grid doubling rather than assumed.  Each doubling
 samples only the new midpoints and adds their sum to the one already taken.
 The grid and stop tolerance of a NormRequest steer only this doubling; they
 are unused at q = 1, q = 2 and even integer q.
+
+Best approximation at q != 2 is reweighted least squares, each step solving
+the Hermitian Toeplitz normal equations built from one FFT of the weights.
 """
 
 from __future__ import annotations
@@ -315,7 +318,9 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
     a uniform sample grid, started from the truncation; weights |r|^(q-2)
     are clipped below at 1e-10 (they degenerate near residual zeros for
     q > 2), and for q > 2 the iterate moves a partial step 1/(q-1) toward
-    the weighted solution, the classical stabilization of the method.  The
+    the weighted solution, the classical stabilization of the method.  Each
+    step solves the Hermitian Toeplitz normal equations built from one FFT
+    of the weights (_weighted_fit) and samples the residual by one FFT.  The
     reported value is always lq_norm of the final residual (exact at even
     integer q, grid-doubling quadrature at other q), so a non-converged run
     still yields a valid upper bound on the infimum.
@@ -331,64 +336,55 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
         return BestApproxResult(value=value, minimizer=truncation, iterations=0, converged=True)
 
     q = req.q
-    d = max(f.degree, n - 1)
-    m = max(req.grid_m, _next_pow2(4 * (d + 1)))
+    m = max(req.grid_m, _next_pow2(4 * (max(f.degree, n - 1) + 1)))
     fvals = sample(f, m).values
-    nodes = TWO_PI * np.arange(m) / m
-
-    ncols = 2 * (n - 1) + 1
-    basis = np.empty((m, ncols))
-    basis[:, 0] = 0.5
-    if n > 1:
-        k = np.arange(1, n, dtype=float)
-        phase = np.multiply.outer(nodes, k)
-        basis[:, 1:n] = np.cos(phase)
-        basis[:, n:] = np.sin(phase)
 
     def unpack(c: np.ndarray) -> TrigPoly:
-        if n == 1:
-            return TrigPoly.constant(float(c[0]))
-        return TrigPoly(float(c[0]), c[1:n].copy(), c[n:].copy())
+        return TrigPoly(float(c[0]), c[1:n], c[n:])
 
-    def objective(resid: np.ndarray) -> float:
-        return float((TWO_PI / m * np.sum(np.abs(resid) ** q)) ** (1.0 / q))
+    def evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
+        resid = fvals - sample(unpack(c), m).values
+        return resid, float((TWO_PI / m * np.sum(np.abs(resid) ** q)) ** (1.0 / q))
 
-    coef = np.zeros(ncols)
-    coef[0] = truncation.a0
-    if n > 1:
-        coef[1:n] = truncation.a
-        coef[n:] = truncation.b
-
+    coef = best_coef = np.concatenate([[truncation.a0], truncation.a, truncation.b])
     step = 1.0 if q < 2.0 else 1.0 / (q - 1.0)
-    best_coef = coef.copy()
-    best_obj = objective(fvals - basis @ coef)
+    resid, best_obj = evaluate(coef)
     prev_obj = best_obj
     flat_count = 0
-    converged = False
-    iterations = 0
-
     for iterations in range(1, 501):
-        resid = fvals - basis @ coef
-        w = np.clip(np.abs(resid), 1.0e-10, None) ** (q - 2.0)
-        w = np.clip(w, 1.0e-10, None)
-        sw = np.sqrt(w)
-        solution, *_ = np.linalg.lstsq(basis * sw[:, None], fvals * sw, rcond=None)
-        coef = coef + step * (solution - coef)
-        obj = objective(fvals - basis @ coef)
+        w = np.clip(np.clip(np.abs(resid), 1.0e-10, None) ** (q - 2.0), 1.0e-10, None)
+        coef = coef + step * (_weighted_fit(w, fvals, n) - coef)
+        resid, obj = evaluate(coef)
         if obj < best_obj:
-            best_obj = obj
-            best_coef = coef.copy()
-        if abs(obj - prev_obj) <= 1.0e-9 * max(obj, 1.0e-300):
-            flat_count += 1
-            if flat_count >= 3:
-                converged = True
-                break
-        else:
-            flat_count = 0
+            best_obj, best_coef = obj, coef
+        flat = abs(obj - prev_obj) <= 1.0e-9 * max(obj, 1.0e-300)
+        flat_count = flat_count + 1 if flat else 0
+        if flat_count >= 3:
+            break
         prev_obj = obj
 
     minimizer = unpack(best_coef)
-    value = lq_norm(f - minimizer, req)
-    return BestApproxResult(
-        value=value, minimizer=minimizer, iterations=iterations, converged=converged
-    )
+    return BestApproxResult(lq_norm(f - minimizer, req), minimizer, iterations, flat_count >= 3)
+
+
+def _weighted_fit(w: np.ndarray, fvals: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients (a0, a, b) of the t of degree <= n-1 minimizing
+    sum w |fvals - t|^2 on the uniform nodes, len(w) >= 4n.
+
+    With W = fft(w) and F = fft(w fvals), the normal equations in the basis
+    e^{ikt}, |k| < n, are Hermitian Toeplitz, W_{j-k}.  In the real basis 1,
+    cos kt, sin kt, with coefficients a0/2, a, b, they are Toeplitz plus
+    Hankel.  Doubled, the sums of w cos jt cos kt, w sin jt sin kt and
+    w cos jt sin kt are Re(W_{j-k} + W_{j+k}), Re(W_{j-k} - W_{j+k}) and
+    -Im(W_{k-j} + W_{j+k}); those of w fvals cos jt, sin jt are 2 Re F_j, -2 Im F_j.
+    """
+    k = np.arange(n)
+    spectrum = np.fft.fft(w)
+    toeplitz, hankel = spectrum[np.subtract.outer(k, k)], spectrum[np.add.outer(k, k)]
+    cos_cos, sin_sin = (toeplitz + hankel).real, (toeplitz - hankel).real[1:, 1:]
+    cos_sin = -(hankel + toeplitz.T).imag[:, 1:]
+    gram = np.block([[cos_cos, cos_sin], [cos_sin.T, sin_sin]])
+    rhs = np.fft.rfft(w * fvals)[:n]
+    solution = np.linalg.solve(gram, 2.0 * np.concatenate([rhs.real, -rhs.imag[1:]]))
+    solution[0] *= 2.0
+    return solution

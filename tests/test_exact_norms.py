@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import zygmund.norms
+from zygmund.decay import MethodParams
 from zygmund.errors import ConvergenceError
 from zygmund.norms import NormRequest, l2_norm_coeffs, lq_norm
 from zygmund.trig import TrigPoly, sample
@@ -141,3 +142,23 @@ def test_degree_zero(q):
     p = TrigPoly.constant(-3.0)
     assert lq_norm(p, NormRequest(q=q)) == pytest.approx(1.5 * TWO_PI ** (1.0 / q), rel=1e-14)
     assert lq_norm(p, NormRequest(q=q)) == pytest.approx(doubling_lq(p, q), rel=1e-14)
+
+
+class TestIntegerDualExponent:
+    """MethodParams.q_prime snaps integer conjugates, which lq_norm then
+    takes by the one-shot even-q rule."""
+
+    @pytest.mark.parametrize("q, q_prime", [(1.5, 3), (4.0 / 3.0, 4), (1.25, 5), (1.2, 6), (1.1, 11)])
+    def test_exact_integer(self, q, q_prime):
+        assert MethodParams(s=1.0, q=q).q_prime == float(q_prime)
+
+    @pytest.mark.parametrize("q", [1.3, 2.5, 3.0, 7.0])
+    def test_non_integer_unchanged(self, q):
+        assert MethodParams(s=1.0, q=q).q_prime == q / (q - 1.0)
+
+    def test_q_1_2_dual_norm_samples_once(self, sampled_sizes):
+        q_prime = MethodParams(s=1.0, q=1.2).q_prime
+        p = random_poly(np.random.default_rng(12), 64)
+        value = lq_norm(p, NormRequest(q=q_prime))
+        assert sampled_sizes == [512]
+        assert value == pytest.approx(doubling_lq(p, 6.0), rel=1e-12)
