@@ -3,8 +3,9 @@
 Subcommands: classify, rate-check, witness, table-vnad, best-approx.  Every
 command reads a flat key-value config (see `zygmund.config`), writes CSV
 files into the output directory, and exits 0 only when all verdicts pass and
-no validation error occurred.  Outputs are deterministic: identical config
-and seed give byte-identical files.
+no validation error occurred.  Outputs are deterministic: identical configs
+give byte-identical files.  `--seed` and the `seed` key are parsed, but no
+command reads them: no CLI path draws random numbers.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the experiment config file")
         sp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (overrides seed)")
+        sp.add_argument("--seed", type=int, default=None, help="RNG seed (overrides seed); unused by every command")
         sp.add_argument(
             "--band-limit", type=float, default=None, help="ratio band limit (overrides band_limit)"
         )

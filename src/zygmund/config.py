@@ -14,7 +14,8 @@ Canonical keys (camelCase aliases are accepted):
     n_grid        whitespace- or comma-separated polynomial orders
     band_limit    bounded-ratio verdict limit (default 4, or 6 for log families)
     output_dir    directory for CSV output (default "out")
-    seed          RNG seed for random-source checks (default 0)
+    seed          RNG seed (default 0); parsed, but read by no command, since
+                  no CLI path draws random numbers
     r_list        decay exponents for the three-case table command
 """
 

@@ -30,7 +30,7 @@ from .decay import (
 )
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
 from .norms import NormRequest, best_approx, l1_norm, lq_norm
-from .trig import KernelSpec, TrigPoly, deviation_coeffs, phased_poly
+from .trig import KernelSpec, TrigPoly, deviation, deviation_coeffs, phased_poly
 from .witness import WitnessConfig, build_witness
 
 __all__ = [
@@ -159,15 +159,14 @@ def weyl_nagy_rate(r: float, s: float, q: float, n: int) -> float:
     return rate
 
 
-def upper_bound_estimate(
-    psi: PsiFunction, method: MethodParams, n: int, oversample: int = 1
-) -> float:
+def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> float:
     """Two-norm majorant dominating every deviation generated by unit-ball sources.
 
-    Splits the deviation kernel into the order-n head, scaled by n**(-s), and
-    the coefficient tail from n on; the majorant is
+    Splits the deviation kernel into the head, the deviation of the kernel's
+    harmonics k < n, and the coefficient tail from n on, which the deviation
+    leaves unchanged; the majorant is
 
-        (1/pi) * ||head||_q / n**s  +  (1/pi) * ||tail||_q,
+        (1/pi) * ||head||_q  +  (1/pi) * ||tail||_q,
 
     with the tail truncated at a length that is doubled until the majorant
     value stabilizes to 0.1% (the truncated majorant already dominates every
@@ -176,8 +175,6 @@ def upper_bound_estimate(
     """
     if n < 1:
         raise ParameterError("upper_bound_estimate: requires n >= 1")
-    if oversample < 1:
-        raise ParameterError("upper_bound_estimate: oversample must be >= 1")
     theta = check_almost_decreasing(psi, method.q_prime)
     if theta.member is not True:
         warnings.warn(
@@ -185,19 +182,18 @@ def upper_bound_estimate(
             stacklevel=2,
         )
     req = NormRequest(q=method.q, grid_m=1024, tolerance=1.0e-8)
+    head_term = 0.0
     if n > 1:
         k = np.arange(1, n, dtype=float)
-        head = phased_poly(np.asarray(psi(k), dtype=float) * k**method.s, method.beta)
-        head_term = lq_norm(head, req) / (math.pi * float(n) ** method.s)
-    else:
-        head_term = 0.0
+        head = deviation(phased_poly(np.asarray(psi(k), dtype=float), method.beta), n, method.s)
+        head_term = lq_norm(head, req) / math.pi
 
     def majorant(length: int) -> float:
         k = np.arange(n, length + 1, dtype=float)
         tail = phased_poly(np.asarray(psi(k), dtype=float), method.beta, first_k=n)
         return head_term + lq_norm(tail, req) / math.pi
 
-    length = oversample * max(4 * n, 64)
+    length = max(4 * n, 64)
     prev = majorant(length)
     for _ in range(12):
         length *= 2
@@ -208,36 +204,33 @@ def upper_bound_estimate(
     raise ConvergenceError("upper_bound_estimate: tail norm did not stabilize")
 
 
-def unit_ball_sources(count: int, seed: int, degree: int = 64) -> list[TrigPoly]:
-    """Seeded random zero-mean polynomials of the given degree, each scaled
-    to unit L_1 norm (exact up to rounding)."""
+UNIT_BALL_DEGREE = 64
+
+
+def unit_ball_sources(count: int, seed: int) -> list[TrigPoly]:
+    """Seeded random zero-mean polynomials of degree UNIT_BALL_DEGREE, each
+    scaled to unit L_1 norm (exact up to rounding)."""
     rng = np.random.default_rng(seed)
     sources = []
     for _ in range(count):
-        phi = TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
+        phi = TrigPoly(0.0, rng.standard_normal(UNIT_BALL_DEGREE), rng.standard_normal(UNIT_BALL_DEGREE))
         sources.append((1.0 / l1_norm(phi)) * phi)
     return sources
 
 
 def unit_ball_deviations(
-    psi: PsiFunction,
-    method: MethodParams,
-    n: int,
-    count: int,
-    seed: int,
-    degree: int = 64,
+    psi: PsiFunction, method: MethodParams, n: int, count: int, seed: int
 ) -> list[float]:
-    """Measured deviations for the sources of unit_ball_sources(count, seed, degree).
+    """Measured deviations for the sources of unit_ball_sources(count, seed).
 
     Every returned deviation is dominated by upper_bound_estimate(psi,
-    method, n) as long as the source degree stays within the majorant's tail
-    truncation.
+    method, n), whose tail truncation is at least 64.
     """
-    req = NormRequest(q=method.q, grid_m=512, tolerance=1.0e-10)
-    kernel = KernelSpec(psi=psi, beta=method.beta, length=max(degree, n))
+    req = NormRequest(q=method.q)
+    kernel = KernelSpec(psi=psi, beta=method.beta, length=max(UNIT_BALL_DEGREE, n))
     return [
         lq_norm(deviation_coeffs(phi, kernel, n, method.s), req)
-        for phi in unit_ball_sources(count, seed, degree)
+        for phi in unit_ball_sources(count, seed)
     ]
 
 
@@ -388,13 +381,13 @@ def best_vs_method_experiment(
         raise ParameterError(
             "best_vs_method_experiment: 1/psi has no definite convexity on the test window"
         )
-    req = NormRequest(q=method.q, grid_m=512, tolerance=1.0e-10)
+    req = NormRequest(q=method.q)
 
     zygmund_devs = []
     best_values = []
     rates = []
     for n in ns:
-        res = build_witness(WitnessConfig(psi=psi, method=method, n=n), req)
+        res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
         zygmund_devs.append(res.deviation)
         best_values.append(best_approx(res.f, n, req).value)
         rates.append(float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q))

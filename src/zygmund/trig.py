@@ -38,6 +38,7 @@ __all__ = [
     "psi_beta_derivative",
     "zygmund_sum",
     "fejer_sum",
+    "deviation",
     "deviation_coeffs",
     "SampledFunction",
     "sample",
@@ -360,21 +361,24 @@ def psi_beta_derivative(f: TrigPoly, kernel: KernelSpec) -> TrigPoly:
 # Summation operators
 # ---------------------------------------------------------------------------
 
+def _deviation_factor(n: int, s: float, degree: int) -> np.ndarray:
+    """lambda_k = min(k/n, 1)**s for k = 1..degree: Z scales harmonic k by 1 - lambda_k."""
+    if n < 1:
+        raise ParameterError("Zygmund mean: requires n >= 1")
+    if not (s > 0.0):
+        raise ParameterError("Zygmund mean: requires s > 0")
+    k = np.arange(1, degree + 1, dtype=float)
+    return np.minimum(k / n, 1.0) ** s
+
+
 def zygmund_sum(f: TrigPoly, n: int, s: float) -> TrigPoly:
     """Zygmund mean: harmonic k < n scaled by 1 - (k/n)**s, the rest dropped.
 
     The result has degree min(n - 1, f.degree); the constant term passes
     through unchanged.  s = 1 reproduces the Fejér mean.
     """
-    if n < 1:
-        raise ParameterError("zygmund_sum: requires n >= 1")
-    if not (s > 0.0):
-        raise ParameterError("zygmund_sum: requires s > 0")
     d = min(n - 1, f.degree)
-    if d == 0:
-        return TrigPoly.constant(f.a0)
-    k = np.arange(1, d + 1, dtype=float)
-    factor = 1.0 - (k / n) ** s
+    factor = 1.0 - _deviation_factor(n, s, d)
     return TrigPoly(f.a0, f.a[:d] * factor, f.b[:d] * factor)
 
 
@@ -383,26 +387,24 @@ def fejer_sum(f: TrigPoly, n: int) -> TrigPoly:
     return zygmund_sum(f, n, 1.0)
 
 
+def deviation(f: TrigPoly, n: int, s: float) -> TrigPoly:
+    """f - Z(f), exactly: harmonic k scaled by min(k/n, 1)**s, the constant dropped.
+
+    Harmonics k >= n pass through bitwise unchanged.  This is the one place
+    where the deviation of the Zygmund mean is formed.
+    """
+    lam = _deviation_factor(n, s, f.degree)
+    return TrigPoly(0.0, f.a * lam, f.b * lam)
+
+
 def deviation_coeffs(phi: TrigPoly, kernel: KernelSpec, n: int, s: float) -> TrigPoly:
     """Exact coefficient form of f - Z(f) for f = convolve(kernel, phi).
 
-    Harmonics k < n of the convolution are scaled by (k/n)**s; harmonics
-    k >= n pass through unchanged.  Because phi is a polynomial this is
-    exact: no kernel tail is involved.
+    Because phi is a polynomial this is exact: no kernel tail is involved.
     """
-    if n < 1:
-        raise ParameterError("deviation_coeffs: requires n >= 1")
-    if not (s > 0.0):
-        raise ParameterError("deviation_coeffs: requires s > 0")
     if kernel.length < max(phi.degree, n):
         raise ParameterError("deviation_coeffs: kernel truncation below max(degree, n)")
-    f = convolve(kernel, phi)
-    d = f.degree
-    if d == 0:
-        return TrigPoly.zero()
-    k = np.arange(1, d + 1, dtype=float)
-    factor = np.where(k < n, (k / n) ** s, 1.0)
-    return TrigPoly(0.0, f.a * factor, f.b * factor)
+    return deviation(convolve(kernel, phi), n, s)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .decay import MethodParams, PsiFunction, growth_function
 from .errors import CoefficientMismatchError, ParameterError, ZygmundError
 from .norms import NormRequest, l1_norm, lq_norm
-from .trig import KernelSpec, TrigPoly, convolve, max_coeff_diff, phased_poly, vallee_poussin, zygmund_sum
+from .trig import KernelSpec, TrigPoly, convolve, deviation, max_coeff_diff, phased_poly, vallee_poussin
 
 __all__ = [
     "WitnessConfig",
@@ -97,7 +97,7 @@ def _witness_direct(cfg: WitnessConfig, alpha0: float) -> TrigPoly:
     return phased_poly(amp, cfg.method.beta)
 
 
-def build_witness(cfg: WitnessConfig, req: Optional[NormRequest] = None) -> WitnessResult:
+def build_witness(cfg: WitnessConfig) -> WitnessResult:
     """Assemble the calibrated witness and certify its internal consistency.
 
     The witness f is written directly from the expanded coefficient form and
@@ -118,30 +118,24 @@ def build_witness(cfg: WitnessConfig, req: Optional[NormRequest] = None) -> Witn
             f"build_witness: direct expansion and convolution disagree by {gap:.3e}"
         )
 
-    dev_req = req or NormRequest(q=cfg.method.q, grid_m=512, tolerance=1.0e-10)
-    deviation = lq_norm(f - zygmund_sum(f, cfg.n, cfg.method.s), dev_req)
+    dev = lq_norm(deviation(f, cfg.n, cfg.method.s), NormRequest(q=cfg.method.q))
 
     pairing = _pairing_closed(cfg, alpha0)
     if cfg.n >= 2:
         dual = dual_test_poly(cfg)
-        dual_norm = lq_norm(
-            dual, NormRequest(q=cfg.method.q_prime, grid_m=dev_req.grid_m, tolerance=dev_req.tolerance)
-        )
-        raw_lower = pairing / dual_norm
+        raw_lower = pairing / lq_norm(dual, NormRequest(q=cfg.method.q_prime))
     else:
         raw_lower = 0.0
 
-    if raw_lower > deviation + 1.0e-9:
-        raise ZygmundError(
-            f"build_witness: Hölder lower bound {raw_lower} exceeds deviation {deviation}"
-        )
+    if raw_lower > dev + 1.0e-9:
+        raise ZygmundError(f"build_witness: Hölder lower bound {raw_lower} exceeds deviation {dev}")
     return WitnessResult(
         alpha0=alpha0,
         phi=phi,
         f=f,
         pairing=pairing,
         lower_bound=raw_lower,
-        deviation=deviation,
+        deviation=dev,
     )
 
 
@@ -183,7 +177,7 @@ def pairing_integral(cfg: WitnessConfig, grid_m: Optional[int] = None) -> Tuple[
     closed = _pairing_closed(cfg, alpha0)
 
     f = _witness_direct(cfg, alpha0)
-    dev = f - zygmund_sum(f, cfg.n, cfg.method.s)
+    dev = deviation(f, cfg.n, cfg.method.s)
     dual = dual_test_poly(cfg)
     if grid_m is None:
         grid_m = max(1024, 1 << (6 * cfg.n + 1).bit_length())

@@ -1,0 +1,115 @@
+"""trig.deviation, the one place where f - Z(f) is formed, and the callers
+that build on it: the call structure of upper_bound_estimate and the
+scipy-free Power paths."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import zygmund.rates
+from zygmund import KernelSpec, MethodParams, Power, TrigPoly, convolve, deviation_coeffs, zygmund_sum
+from zygmund.rates import upper_bound_estimate
+from zygmund.trig import deviation
+
+NS = (1, 2, 7, 64)
+SS = (0.5, 1.0, 2.5)
+
+
+def random_f(n, s, degree=80):
+    rng = np.random.default_rng([n, round(10 * s)])
+    return TrigPoly(
+        1.0 + rng.uniform(), rng.uniform(-1.0, 1.0, degree), rng.uniform(-1.0, 1.0, degree)
+    )
+
+
+def random_phi(n, s, degree=80):
+    f = random_f(n, s, degree)
+    return TrigPoly(0.0, f.a, f.b)
+
+
+@pytest.mark.parametrize("s", SS)
+@pytest.mark.parametrize("n", NS)
+class TestDeviation:
+    def test_adds_back_to_f_with_the_zygmund_sum(self, n, s):
+        f = random_f(n, s)
+        back = deviation(f, n, s) + zygmund_sum(f, n, s)
+        assert back.a0 == f.a0
+        assert np.max(np.abs(back.a - f.a)) <= 1e-15
+        assert np.max(np.abs(back.b - f.b)) <= 1e-15
+
+    def test_high_harmonics_unchanged_and_constant_dropped(self, n, s):
+        f = random_f(n, s)
+        dev = deviation(f, n, s)
+        assert dev.a0 == 0.0
+        assert dev.degree == f.degree
+        assert np.array_equal(dev.a[n - 1 :], f.a[n - 1 :])
+        assert np.array_equal(dev.b[n - 1 :], f.b[n - 1 :])
+
+    def test_deviation_coeffs_is_deviation_of_the_convolution(self, n, s):
+        phi = random_phi(n, s)
+        kernel = KernelSpec(psi=Power(1.5), beta=0.7, length=max(phi.degree, n))
+        got = deviation_coeffs(phi, kernel, n, s)
+        want = deviation(convolve(kernel, phi), n, s)
+        assert got.a0 == want.a0
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.b, want.b)
+
+    def test_zygmund_factor_is_one_minus_power(self, n, s):
+        f = TrigPoly(0.0, np.ones(80), np.ones(80))
+        out = zygmund_sum(f, n, s)
+        k = np.arange(1, min(n - 1, 80) + 1, dtype=float)
+        assert np.array_equal(out.a, 1 - (k / n) ** s)
+        assert np.array_equal(out.b, 1 - (k / n) ** s)
+
+
+def traced_degrees(monkeypatch, n):
+    """Degrees of the polynomials upper_bound_estimate hands to lq_norm, in order."""
+    degrees = []
+    real = zygmund.rates.lq_norm
+
+    def spy(p, req):
+        degrees.append(p.degree)
+        return real(p, req)
+
+    monkeypatch.setattr(zygmund.rates, "lq_norm", spy)
+    upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=3.0), n)
+    return degrees
+
+
+class TestMajorantCalls:
+    """perfbench/spans.py counts tail doublings as lq_norm calls - (n > 1) - 1."""
+
+    def test_no_head_call_at_n_1(self, monkeypatch):
+        degrees = traced_degrees(monkeypatch, 1)
+        assert degrees == [64 * 2**j for j in range(len(degrees))]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_head_then_doubling_tails(self, monkeypatch, n):
+        degrees = traced_degrees(monkeypatch, n)
+        assert degrees[0] == n - 1
+        assert len(degrees) >= 3
+        start = max(4 * n, 64)
+        assert degrees[1:] == [start * 2**j for j in range(len(degrees) - 1)]
+
+
+def test_power_paths_do_not_import_scipy():
+    code = "\n".join(
+        [
+            "import sys",
+            "from zygmund import MethodParams, Power, ratio_experiment",
+            "from zygmund import unit_ball_deviations, upper_bound_estimate",
+            "upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=3.0), 16)",
+            # a convergent profile, where kernel_poly's tail sum would reach quad
+            "upper_bound_estimate(Power(2.0), MethodParams(s=1.0, q=3.0), 16)",
+            "unit_ball_deviations(Power(1.0), MethodParams(s=1.0, q=3.0), 16, 2, 1)",
+            "ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [8, 16, 32, 64, 128])",
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        ]
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -131,11 +131,16 @@ class TestUpperBound:
         expected = math.sqrt(math.pi * tail_sq) / math.pi
         assert majorant == pytest.approx(expected, rel=2e-3)
 
-    def test_oversample_changes_little_once_stable(self):
+    def test_matches_untruncated_q2_majorant(self):
         m = MethodParams(s=1.0, q=2.0)
-        base = upper_bound_estimate(Power(1.5), m, 16, oversample=1)
-        finer = upper_bound_estimate(Power(1.5), m, 16, oversample=4)
-        assert finer == pytest.approx(base, rel=5e-3)
+        majorant = upper_bound_estimate(Power(1.5), m, 16)
+        # Parseval for the head sum_{k<16} k^-1.5 (k/16) and the tail from 16,
+        # summed to 10^6 in place of infinity
+        k = np.arange(1, 16, dtype=float)
+        head_sq = float(np.sum((k**-1.5 * k / 16) ** 2))
+        tail_sq = float(np.sum(np.arange(16, 1000001, dtype=float) ** -3.0))
+        expected = (math.sqrt(math.pi * head_sq) + math.sqrt(math.pi * tail_sq)) / math.pi
+        assert majorant == pytest.approx(expected, rel=5e-3)
 
     def test_warns_outside_integrability(self):
         # r = 0.4 <= 1/q': the kernel is not q-integrable, so after the

@@ -103,7 +103,7 @@ def random_f(q, n):
 
 def witness_f(q, n):
     cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=q), n=n)
-    return build_witness(cfg, NormRequest(q=q)).f
+    return build_witness(cfg).f
 
 
 def assert_matches_oracle(f, n, q):
