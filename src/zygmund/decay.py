@@ -86,6 +86,12 @@ class PsiFunction:
             return float(out)
         return out
 
+    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
+        """The points of (lo, hi) where log(psi) may fail to be smooth, in
+        increasing order; quadrature panels end there.  Analytic families
+        have none."""
+        return np.empty(0)
+
     def _value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -247,6 +253,13 @@ class Tabulated(PsiFunction):
     @property
     def table_end(self) -> float:
         return float(self.log_values.size)
+
+    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
+        """The table nodes in (lo, hi): log(psi) is linear in t between
+        consecutive nodes and a power of t beyond the last."""
+        first = math.floor(lo) + 1
+        last = min(math.ceil(hi) - 1, self.log_values.size)
+        return np.arange(first, last + 1, dtype=float)
 
     def _log_value(self, t: np.ndarray) -> np.ndarray:
         L = self.log_values.size

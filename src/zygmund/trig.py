@@ -11,15 +11,17 @@ coefficient manipulations on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from .decay import PsiFunction, Tabulated
 from .errors import (
     AliasingError,
+    ConvergenceError,
     DivergenceError,
     IllPosedError,
     ParameterError,
@@ -34,6 +36,7 @@ __all__ = [
     "phased_poly",
     "KernelSpec",
     "kernel_poly",
+    "panel_integral",
     "convolve",
     "psi_beta_derivative",
     "zygmund_sum",
@@ -273,11 +276,21 @@ def kernel_poly(kernel: KernelSpec) -> Tuple[TrigPoly, float]:
 def coefficient_tail_sum(psi: PsiFunction, first: int, power: float = 1.0) -> float:
     """Estimate sum_{k >= first} psi(k)**power.
 
-    Direct summation over an initial block, then a midpoint-corrected
-    integral remainder; accurate to a few digits, which is all the tail
-    control needs.  Divergent cases (power * decay exponent <= 1) return inf
-    for analytic families and raise DivergenceError for tabulated profiles,
-    whose declared decay exponent is the only continuation available.
+    Direct summation of the first 8192 terms, then the midpoint-corrected
+    remainder: for a smooth decreasing summand, sum_{k >= K} h(k) is the
+    midpoint rule for the integral of h from K' = K - 1/2 to infinity.  With
+    a = power * r - 1, r the decay exponent, the remainder is integrated in
+    x = (t/K')**(-a), which maps [K', inf) onto (0, 1] and turns a pure
+    power into the constant K'**(1 - power*r) / a, so its remainder is
+    exact.  panel_integral takes it on panels graded geometrically toward
+    x = 0, down to x_cap = 2**-64 or to log t = 600, whichever comes
+    first, with panel ends at the nodes of a tabulated profile.  On
+    (0, x_cap] the integrand is continued as a quadratic in log x through
+    its values at x_cap, 2 x_cap and 4 x_cap and integrated in closed form;
+    for a pure power this is the exact constant.  Divergent cases
+    (power * decay exponent <= 1) return inf for analytic families and
+    raise DivergenceError for tabulated profiles, whose declared decay
+    exponent is the only continuation available.
     """
     if power * psi.decay_exponent <= 1.0 + 1.0e-12:
         if isinstance(psi, Tabulated):
@@ -287,22 +300,76 @@ def coefficient_tail_sum(psi: PsiFunction, first: int, power: float = 1.0) -> fl
             )
         return math.inf
 
-    from scipy.integrate import quad
-
     k_end = first + 8192
     ks = np.arange(first, k_end, dtype=float)
     direct = float(np.sum(np.exp(power * psi.log_value(ks))))
-    # Midpoint-corrected integral remainder: for a smooth decreasing summand
-    # sum_{k >= K} h(k) is the midpoint rule for the integral from K - 1/2.
-    remainder, _ = quad(
-        lambda t: math.exp(power * psi.log_value(t)),
-        k_end - 0.5,
-        math.inf,
-        epsabs=0.0,
-        epsrel=1.0e-9,
-        limit=200,
+
+    a = power * psi.decay_exponent - 1.0
+    k0 = k_end - 0.5
+    halvings = max(0, min(64, math.floor(a * (_LOG_T_CAP - math.log(k0)) / math.log(2.0))))
+    t_cap = k0 * 2.0 ** (halvings / a)
+
+    def log_integrand(x: np.ndarray) -> np.ndarray:
+        # t = k0 * x**(-1/a), dt = t / (a x) dx
+        log_t = math.log(k0) - np.log(x) / a
+        return power * psi.log_value(np.exp(log_t)) + log_t - math.log(a) - np.log(x)
+
+    edges = np.unique(
+        np.concatenate([2.0 ** -np.arange(halvings + 1), (psi.breakpoints(k0, t_cap) / k0) ** -a])
     )
-    return direct + remainder
+    # int_0^x_cap: with s = log(x_cap/x), dx = x_cap e^-s ds, so a quadratic
+    # h(s) gives x_cap (h + h' + h'') at s = 0, read off the values at x_cap,
+    # 2 x_cap and 4 x_cap.  A pure power makes h constant; below two halvings
+    # it is taken as constant.
+    x_cap = 2.0 ** -halvings
+    if halvings < 2:
+        beyond = x_cap * math.exp(float(log_integrand(np.array([x_cap]))[0]))
+    else:
+        h0, h1, h2 = np.exp(log_integrand(x_cap * np.array([1.0, 2.0, 4.0])))
+        d = math.log(2.0)
+        beyond = x_cap * (h0 + (3.0 * h0 - 4.0 * h1 + h2) / (2.0 * d) + (h0 - 2.0 * h1 + h2) / d**2)
+    return direct + panel_integral(log_integrand, edges) + beyond
+
+
+# Largest log t at which a tail integrand is evaluated; exp stays finite.
+_LOG_T_CAP = 600.0
+
+
+@functools.cache
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point rule on [-1, 1], built on first use:
+    importing numpy.polynomial would add to every command's start-up."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(32)
+
+
+def panel_integral(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
+    """Integral of exp(log_f(x)) over [edges[0], edges[-1]].
+
+    A 32-point Gauss-Legendre rule runs on every panel between consecutive
+    edges, and every panel is halved until two sums agree to 1e-13
+    relative; log_f takes an array of nodes.  Raises ConvergenceError when
+    the sums still differ at 2**15 panels, or after one halving of more
+    edges than that.
+    """
+    nodes, weights = _gauss_legendre()
+    edges = np.asarray(edges, dtype=float)
+    max_panels = 2 * max(edges.size - 1, 2**14)
+    prev = math.nan
+    while edges.size - 1 <= max_panels:
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        values = np.exp(log_f(mid[:, None] + half[:, None] * nodes))
+        value = float(np.sum(half * (values @ weights)))
+        if abs(value - prev) <= 1.0e-13 * abs(value):
+            return value
+        prev = value
+        halved = np.empty(2 * edges.size - 1)
+        halved[0::2] = edges
+        halved[1::2] = mid
+        edges = halved
+    raise ConvergenceError("panel_integral: panel sums did not agree")
 
 
 # ---------------------------------------------------------------------------
