@@ -492,6 +492,14 @@ class SampledFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> SampledFunction:
+        """Wrap, read-only and without a copy, a fresh array that nothing else holds."""
+        values.setflags(write=False)
+        sf = cls.__new__(cls)
+        object.__setattr__(sf, "values", values)
+        return sf
+
     @property
     def m(self) -> int:
         return self.values.size
@@ -515,7 +523,7 @@ def sample(p: TrigPoly, m: int) -> SampledFunction:
     spectrum[0] = 0.5 * p.a0 * m
     if p.degree:
         spectrum[1 : p.degree + 1] = 0.5 * m * (p.a - 1j * p.b)
-    return SampledFunction(np.fft.irfft(spectrum, n=m))
+    return SampledFunction._adopt(np.fft.irfft(spectrum, n=m))
 
 
 def from_samples(sf: SampledFunction, degree: int | None = None) -> TrigPoly:

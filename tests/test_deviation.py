@@ -102,7 +102,7 @@ def test_power_paths_do_not_import_scipy():
             "from zygmund import MethodParams, Power, ratio_experiment",
             "from zygmund import unit_ball_deviations, upper_bound_estimate",
             "upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=3.0), 16)",
-            # a convergent profile, where kernel_poly's tail sum would reach quad
+            # a convergent profile, whose kernel_poly tail sum integrates by panel_integral
             "upper_bound_estimate(Power(2.0), MethodParams(s=1.0, q=3.0), 16)",
             "unit_ball_deviations(Power(1.0), MethodParams(s=1.0, q=3.0), 16, 2, 1)",
             "ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [8, 16, 32, 64, 128])",
