@@ -367,7 +367,7 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
         resid = fvals - sample(unpack(c), m).values
-        return resid, float((TWO_PI / m * np.sum(np.abs(resid) ** q)) ** (1.0 / q))
+        return resid, (TWO_PI / m * _abs_power_sum(resid, q)) ** (1.0 / q)
 
     coef = best_coef = np.concatenate([[truncation.a0], truncation.a, truncation.b])
     step = 1.0 if q < 2.0 else 1.0 / (q - 1.0)

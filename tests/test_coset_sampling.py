@@ -1,0 +1,127 @@
+"""Coset sampling: `sample` fills a large, heavily oversampled grid as r
+interleaved short inverse FFTs instead of one full-length transform.
+
+Every value is checked against a full-length `irfft` built here, the
+transform `sample` ran for every grid before cosets: to rounding where the
+grid is split into r > 1 cosets, and bit for bit where r = 1.  Small r are
+reached by lowering the private size thresholds, which changes when cosets
+are used but not how they are computed.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import zygmund.trig as trig
+from zygmund.trig import TrigPoly, sample
+
+
+def oracle(p, m):
+    spectrum = np.zeros(m // 2 + 1, dtype=complex)
+    spectrum[0] = 0.5 * p.a0 * m
+    spectrum[1 : p.degree + 1] = 0.5 * m * (p.a - 1j * p.b)
+    return np.fft.irfft(spectrum, n=m)
+
+
+def random_poly(degree, seed=0):
+    rng = np.random.default_rng(seed)
+    return TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
+
+
+def pure_sine(degree):
+    b = np.zeros(degree)
+    b[-1] = 1.0
+    return TrigPoly(0.0, np.zeros(degree), b)
+
+
+POLYS = {
+    "degree0": lambda d: TrigPoly.constant(3.0),
+    "random_with_mean": lambda d: random_poly(d, seed=d),
+    "pure_sine": pure_sine,
+}
+
+
+def cosets(degree, m):
+    return m // trig._coset_length(degree, m)
+
+
+@pytest.fixture
+def small_grids(monkeypatch):
+    """Let cosets start at any grid of at least 4 L0 nodes."""
+    monkeypatch.setattr(trig, "_COSET_MIN_NODES", 16)
+    monkeypatch.setattr(trig, "_COSET_MIN_RATIO", 4)
+
+
+class TestAgainstFullTransform:
+    # (degree, m, r): degree 7 has L0 = 16 and L = 32; degree 1023 sits at
+    # the smallest ratio M/L0 = 128 that uses cosets.  The constant, of
+    # degree 0, gets L = 32 and more cosets at the same M.
+    @pytest.mark.parametrize(
+        "degree, m, r", [(7, 1 << 18, 8192), (127, 1 << 17, 256), (1023, 1 << 18, 64)]
+    )
+    @pytest.mark.parametrize("kind", sorted(POLYS))
+    def test_default_thresholds(self, kind, degree, m, r):
+        assert cosets(degree, m) == r
+        self.check(POLYS[kind](degree), m)
+
+    @pytest.mark.parametrize("degree, m, r", [(7, 64, 2), (7, 256, 8), (100, 4096, 8)])
+    @pytest.mark.parametrize("kind", sorted(POLYS))
+    def test_few_cosets(self, small_grids, kind, degree, m, r):
+        assert cosets(degree, m) == r
+        self.check(POLYS[kind](degree), m)
+
+    @staticmethod
+    def check(p, m):
+        assert cosets(p.degree, m) > 1
+        expected = oracle(p, m)
+        got = sample(p, m).values
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+class TestOneTransform:
+    # r = 1: a small grid, a ratio M/L0 below 128, and degrees too large
+    # for cosets at the largest grids the norms sample.  Degree base/2 - 1
+    # has L0 = base.
+    @pytest.mark.parametrize(
+        "degree, m", [(7, 1 << 16), (1023, 1 << 17), (1 << 15, 1 << 21), (1 << 17, 1 << 19), (3, 8)]
+    )
+    @pytest.mark.parametrize("kind", ["random_with_mean", "pure_sine"])
+    def test_bit_identical(self, kind, degree, m):
+        p = POLYS[kind](degree)
+        assert cosets(p.degree, m) == 1
+        np.testing.assert_array_equal(sample(p, m).values, oracle(p, m))
+
+    @pytest.mark.parametrize("ratio", [2, 4, 8, 16, 32, 64])
+    def test_ratio_below_128(self, ratio):
+        m = 1 << 21
+        base = m // ratio
+        assert cosets(base // 2 - 1, m) == 1
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("m", [1 << 10, 1 << 18])
+    def test_read_only_and_unshared(self, m):
+        p = random_poly(127)
+        first, second = sample(p, m).values, sample(p, m).values
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        for arr in (p.a, p.b, second):
+            assert not np.shares_memory(first, arr)
+
+
+def test_peak_memory():
+    # The one 2^21-point transform holds its half spectrum and its output,
+    # 2 x 8 M bytes; cosets hold the output and one batch.
+    m = 1 << 21
+    p = random_poly(127)
+    assert cosets(p.degree, m) > 1
+    tracemalloc.start()
+    try:
+        sample(p, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * m
