@@ -37,7 +37,6 @@ from .rates import (
     best_vs_method_experiment,
     critical_integral,
     loglog_slope,
-    rate_formula,
     ratio_experiment,
     theoretical_rate,
     unit_ball_deviations,
@@ -48,7 +47,6 @@ from .rates import (
 )
 from .trig import (
     KernelSpec,
-    SampledFunction,
     TrigPoly,
     convolve,
     deviation_coeffs,
@@ -100,7 +98,6 @@ __all__ = [
     "best_vs_method_experiment",
     "critical_integral",
     "loglog_slope",
-    "rate_formula",
     "ratio_experiment",
     "theoretical_rate",
     "unit_ball_deviations",
@@ -109,7 +106,6 @@ __all__ = [
     "weyl_nagy_case",
     "weyl_nagy_rate",
     "KernelSpec",
-    "SampledFunction",
     "TrigPoly",
     "convolve",
     "deviation_coeffs",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TrigPoly, sample
+from .trig import TrigPoly, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -85,12 +85,8 @@ class NormRequest:
             raise ParameterError("NormRequest: tolerance must be positive")
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(4, (n - 1).bit_length())
-
-
 def _power_sum(p: TrigPoly, q: float, m: int) -> float:
-    return _abs_power_sum(sample(p, m).values, q)
+    return _abs_power_sum(sample(p, m), q)
 
 
 def _abs_power_sum(v: np.ndarray, q: float) -> float:
@@ -208,7 +204,7 @@ def sign_changes(p: TrigPoly) -> np.ndarray:
     a = w * np.arange(m)
     ends = []
     for f in (p, *(TrigPoly(0.0, *_derivative(p, r)) for r in (1, 2))):
-        closed = sample(f, m).values
+        closed = sample(f, m)
         closed = np.append(closed, closed[0])
         ends.append((closed[:-1], closed[1:]))
     (va, vb), (sa, sb), (ca, cb) = ends
@@ -360,13 +356,13 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
 
     q = req.q
     m = max(req.grid_m, _next_pow2(4 * (max(f.degree, n - 1) + 1)))
-    fvals = sample(f, m).values
+    fvals = sample(f, m)
 
     def unpack(c: np.ndarray) -> TrigPoly:
         return TrigPoly(float(c[0]), c[1:n], c[n:])
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
-        resid = fvals - sample(unpack(c), m).values
+        resid = fvals - sample(unpack(c), m)
         return resid, (TWO_PI / m * _abs_power_sum(resid, q)) ** (1.0 / q)
 
     coef = best_coef = np.concatenate([[truncation.a0], truncation.a, truncation.b])

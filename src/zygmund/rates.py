@@ -6,6 +6,9 @@ polynomial orders n, max(deviation/rate) / min(deviation/rate) must stay
 below a configurable band limit.  The harness brackets the class-level
 deviation from below by the extremal witness and from above by the
 two-norm majorant of the kernel split.
+
+`theoretical_rate` is the one three-regime rate law; both experiments
+tabulate it, through the private `_rate`, after one regime classification.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +44,6 @@ from .trig import (
 from .witness import WitnessConfig, build_witness
 
 __all__ = [
-    "RateFormula",
-    "rate_formula",
     "theoretical_rate",
     "critical_integral",
     "weyl_nagy_case",
@@ -84,52 +85,35 @@ def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
     return panel_integral(log_integrand, edges)
 
 
-@dataclass(frozen=True)
-class RateFormula:
-    """Closed-form rate matched to a growth regime."""
-
-    regime: RegimeResult
-    evaluate: Callable[[int], float]
-
-    def __call__(self, n: int) -> float:
-        return self.evaluate(n)
-
-
-def rate_formula(psi: PsiFunction, method: MethodParams) -> RateFormula:
-    """Build the rate law matching the classified regime of (psi, method)."""
-    result = classify_regime(psi, method)
-    if result.regime is Regime.GROWING:
-        return RateFormula(
-            regime=result,
-            evaluate=lambda n: float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q),
-        )
-    if result.regime is Regime.CRITICAL:
-        return RateFormula(
-            regime=result,
-            evaluate=lambda n: float(n) ** (-method.s)
-            * critical_integral(psi, method, n) ** (1.0 / method.q),
-        )
-    if result.regime is Regime.DECAYING:
-        return RateFormula(
-            regime=result,
-            evaluate=lambda n: float(n) ** (-method.s),
-        )
-    raise RegimeMismatchError("rate_formula: regime could not be determined")
+def _rate(psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int) -> float:
+    """theoretical_rate without its checks: the law of `regime` at order n."""
+    if regime.regime is Regime.GROWING:
+        return float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q)
+    if regime.regime is Regime.CRITICAL:
+        return float(n) ** (-method.s) * critical_integral(psi, method, n) ** (1.0 / method.q)
+    if regime.regime is Regime.DECAYING:
+        return float(n) ** (-method.s)
+    raise RegimeMismatchError("rate law: regime could not be determined")
 
 
 def theoretical_rate(
     psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int
 ) -> float:
-    """Rate law value at order n, guarded against a stale regime tag."""
+    """The rate law at order n, guarded against a stale regime tag.
+
+    This is the library's one three-regime law: psi(n) * n**(1 - 1/q) when
+    growing, n**(-s) * critical_integral(psi, method, n)**(1/q) when
+    critical, and n**(-s) when decaying.
+    """
     if n < 2:
         raise ParameterError("theoretical_rate: requires n >= 2")
-    formula = rate_formula(psi, method)
-    if formula.regime.regime is not regime.regime:
+    current = classify_regime(psi, method)
+    if current.regime is not regime.regime:
         raise RegimeMismatchError(
             f"theoretical_rate: supplied regime {regime.regime.value} but "
-            f"classification gives {formula.regime.regime.value}"
+            f"classification gives {current.regime.value}"
         )
-    return formula(n)
+    return _rate(psi, method, current, n)
 
 
 def weyl_nagy_case(r: float, s: float, q: float) -> Tuple[int, float]:
@@ -271,10 +255,6 @@ class RateReport:
             if len(vals) != len(ns) or any(not (v > 0.0) for v in vals):
                 raise ParameterError(f"RateReport: {name} must be positive, one per n")
 
-    @property
-    def ratios(self) -> Tuple[float, ...]:
-        return tuple(d / u for d, u in zip(self.deviations, self.upper_rates))
-
     def to_csv(self) -> str:
         lines = ["n,deviation,lower_bound,upper_rate,ratio"]
         for n, d, lo, u in zip(self.n_grid, self.deviations, self.lower_bounds, self.upper_rates):
@@ -340,14 +320,14 @@ def ratio_experiment(
 ) -> RateReport:
     """Bounded-ratio certification of the rate law on a grid of orders.
 
-    For each n the witness deviation, its certified Hölder lower bound, and
-    the regime's closed-form rate are tabulated; see _banded_report for the
-    verdict.
+    The regime is classified once.  For each n the witness deviation, its
+    certified Hölder lower bound, and the regime's rate law (that of
+    theoretical_rate) are tabulated; see _banded_report for the verdict.
     """
     ns = _validate_grid(n_grid)
     if not (band_limit > 1.0):
         raise ParameterError("ratio_experiment: band_limit must exceed 1")
-    formula = rate_formula(psi, method)
+    regime = classify_regime(psi, method)
 
     deviations = []
     lowers = []
@@ -356,8 +336,8 @@ def ratio_experiment(
         res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
         deviations.append(res.deviation)
         lowers.append(res.lower_bound)
-        rates.append(formula(n))
-    return _banded_report(ns, formula.regime, deviations, lowers, rates, band_limit)
+        rates.append(_rate(psi, method, regime, n))
+    return _banded_report(ns, regime, deviations, lowers, rates, band_limit)
 
 
 def best_vs_method_experiment(
@@ -372,8 +352,8 @@ def best_vs_method_experiment(
     kernel integrability test for q', and 1/psi must have a definite
     convexity.  The report stores Zygmund deviations as `deviations`, best
     approximation values as `lower_bounds` (the infimum can never exceed a
-    concrete method), and psi(n) * n**(1 - 1/q) as `upper_rates`; see
-    _banded_report for the verdict.
+    concrete method), and the growing rate law psi(n) * n**(1 - 1/q) as
+    `upper_rates`; see _banded_report for the verdict.
     """
     ns = _validate_grid(n_grid)
     regime = classify_regime(psi, method)
@@ -399,5 +379,5 @@ def best_vs_method_experiment(
         res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
         zygmund_devs.append(res.deviation)
         best_values.append(best_approx(res.f, n, req).value)
-        rates.append(float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q))
+        rates.append(_rate(psi, method, regime, n))
     return _banded_report(ns, regime, zygmund_devs, best_values, rates, band_limit)

@@ -8,10 +8,12 @@ which is the universal computational object of the library: convolution
 kernels, Zygmund and Fejér means, and the deviation f - Z(f) are all exact
 coefficient manipulations on it.
 
-`sample` evaluates p on M uniform nodes by inverse FFTs: one M-point
-transform, or, on grids of at least 2^17 nodes that oversample p 128-fold
-or more, r interleaved short transforms of the rotated spectrum (cosets),
-which agree with the one transform to rounding.
+`sample` evaluates p on M uniform nodes by inverse FFTs and returns the
+values as a plain read-only array: one M-point transform, or, on grids of
+at least 2^17 nodes that oversample p 128-fold or more, r interleaved short
+transforms of the rotated spectrum (cosets), which agree with the one
+transform to rounding.  `from_samples` reads such an array back into
+coefficients.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "fejer_sum",
     "deviation",
     "deviation_coeffs",
-    "SampledFunction",
     "sample",
     "from_samples",
 ]
@@ -119,11 +120,6 @@ class TrigPoly:
         """Keep harmonics up to `degree` (the partial Fourier sum)."""
         d = min(degree, self.degree)
         return TrigPoly(self.a0, self.a[:d], self.b[:d])
-
-    def harmonic(self, k: int) -> Tuple[float, float]:
-        if k < 1 or k > self.degree:
-            return (0.0, 0.0)
-        return (float(self.a[k - 1]), float(self.b[k - 1]))
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         d = max(self.degree, other.degree)
@@ -483,39 +479,9 @@ def deviation_coeffs(phi: TrigPoly, kernel: KernelSpec, n: int, s: float) -> Tri
 # Uniform sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
-    """Values of a periodic function at the nodes t_j = 2*pi*j/M, M a power of two."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 2 or v.size & (v.size - 1):
-            raise ParameterError("SampledFunction: length must be a power of two >= 2")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray) -> SampledFunction:
-        """Wrap, read-only and without a copy, a fresh array that nothing else holds."""
-        values.setflags(write=False)
-        sf = cls.__new__(cls)
-        object.__setattr__(sf, "values", values)
-        return sf
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.m) / self.m
-
-
-def sample(p: TrigPoly, m: int) -> SampledFunction:
-    """Evaluate p at the M uniform nodes, exactly, via inverse FFTs.
+def sample(p: TrigPoly, m: int) -> np.ndarray:
+    """Values of p at the M uniform nodes t_j = 2 pi j/M, exactly, via
+    inverse FFTs, as a fresh read-only float64 array.
 
     Requires M >= 2*degree + 2 so every harmonic sits strictly below the
     Nyquist index.  With L0 the smallest power of two >= max(2*degree + 2,
@@ -536,9 +502,9 @@ def sample(p: TrigPoly, m: int) -> SampledFunction:
     spectrum[0] = 0.5 * p.a0 * n
     if p.degree:
         spectrum[1 : p.degree + 1] = 0.5 * n * (p.a - 1j * p.b)
-    if n == m:
-        return SampledFunction._adopt(np.fft.irfft(spectrum, n=m))
-    return SampledFunction._adopt(_coset_irfft(spectrum[: p.degree + 1], n, m))
+    values = np.fft.irfft(spectrum, n=m) if n == m else _coset_irfft(spectrum[: p.degree + 1], n, m)
+    values.setflags(write=False)
+    return values
 
 
 # Cosets replace the one M-point inverse FFT from this many nodes, where its
@@ -554,9 +520,14 @@ _COSET_MIN_RATIO = 128
 _COSET_BATCH = 1 << 16
 
 
+def _next_pow2(n: int) -> int:
+    """Smallest power of two >= max(n, 16)."""
+    return 1 << max(4, (n - 1).bit_length())
+
+
 def _coset_length(degree: int, m: int) -> int:
     """Length L of the inverse FFTs by which sample fills M nodes; L = M is one transform."""
-    base = 1 << max(4, (2 * degree + 1).bit_length())
+    base = _next_pow2(2 * degree + 2)
     if m < _COSET_MIN_NODES or m < _COSET_MIN_RATIO * base:
         return m
     return 2 * base
@@ -588,14 +559,18 @@ def _coset_irfft(half: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def from_samples(sf: SampledFunction, degree: int | None = None) -> TrigPoly:
-    """Recover coefficients from uniform samples (inverse of `sample`)."""
-    m = sf.m
+def from_samples(values: np.ndarray, degree: int | None = None) -> TrigPoly:
+    """Recover coefficients from the values at M uniform nodes, M a power of
+    two >= 2 (inverse of `sample`)."""
+    values = np.asarray(values, dtype=float)
+    m = values.size
+    if values.ndim != 1 or m < 2 or m & (m - 1):
+        raise ParameterError("from_samples: values must be 1-d, of power-of-two length >= 2")
     if degree is None:
         degree = m // 2 - 1
     if degree > m // 2 - 1:
         raise AliasingError("from_samples: degree exceeds what M samples determine")
-    spectrum = np.fft.rfft(sf.values)
+    spectrum = np.fft.rfft(values)
     a0 = 2.0 * spectrum[0].real / m
     a = 2.0 * spectrum[1 : degree + 1].real / m
     b = -2.0 * spectrum[1 : degree + 1].imag / m

@@ -13,14 +13,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .decay import MethodParams, PsiFunction, growth_function
 from .errors import CoefficientMismatchError, ParameterError, ZygmundError
 from .norms import NormRequest, l1_norm, lq_norm
-from .trig import KernelSpec, TrigPoly, convolve, deviation, max_coeff_diff, phased_poly, vallee_poussin
+from .trig import (
+    KernelSpec, TrigPoly, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, vallee_poussin
+)
 
 __all__ = [
     "WitnessConfig",
@@ -162,14 +164,14 @@ def _pairing_closed(cfg: WitnessConfig, alpha0: float) -> float:
     return alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
 
 
-def pairing_integral(cfg: WitnessConfig, grid_m: Optional[int] = None) -> Tuple[float, float]:
+def pairing_integral(cfg: WitnessConfig) -> Tuple[float, float]:
     """The pairing integral I by closed form and by quadrature.
 
     The quadrature form integrates (f - Z(f)) * dual over [-pi, pi] on a
-    uniform grid, which is exact for trigonometric polynomials once the grid
-    exceeds the combined bandwidth.  Both values are returned; disagreement
-    beyond 1e-8 relative indicates broken orthogonality bookkeeping and
-    raises.
+    uniform grid of max(1024, next power of two >= 6n + 2) nodes, which is
+    exact for trigonometric polynomials once the grid exceeds the combined
+    bandwidth.  Both values are returned; disagreement beyond 1e-8 relative
+    indicates broken orthogonality bookkeeping and raises.
     """
     if cfg.n < 2:
         raise ParameterError("pairing_integral: requires n >= 2")
@@ -179,8 +181,7 @@ def pairing_integral(cfg: WitnessConfig, grid_m: Optional[int] = None) -> Tuple[
     f = _witness_direct(cfg, alpha0)
     dev = deviation(f, cfg.n, cfg.method.s)
     dual = dual_test_poly(cfg)
-    if grid_m is None:
-        grid_m = max(1024, 1 << (6 * cfg.n + 1).bit_length())
+    grid_m = max(1024, _next_pow2(6 * cfg.n + 2))
     t = -math.pi + 2.0 * math.pi * np.arange(grid_m) / grid_m
     quadrature = float(2.0 * math.pi / grid_m * np.sum(dev(t) * dual(t)))
 

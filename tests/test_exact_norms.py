@@ -33,7 +33,7 @@ def doubling_lq(p, q, grid_m=512, tolerance=1e-10, sizes=None):
     def rectangle(m):
         if sizes is not None:
             sizes.append(m)
-        v = sample(p, m).values
+        v = sample(p, m)
         return float((TWO_PI / m * np.sum(np.abs(v) ** q)) ** (1.0 / q))
 
     prev = rectangle(m)
@@ -83,7 +83,7 @@ class TestEvenQ:
         p = random_poly(np.random.default_rng(21), 21)
         value = lq_norm(p, NormRequest(q=6.0))
         assert sampled_sizes == [128]
-        v = sample(p, 1024).values
+        v = sample(p, 1024)
         finer = float((TWO_PI / 1024 * np.sum(v**6)) ** (1.0 / 6.0))
         assert value == pytest.approx(finer, rel=1e-13)
         assert value == pytest.approx(doubling_lq(p, 6.0), rel=1e-12)

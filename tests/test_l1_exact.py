@@ -16,7 +16,7 @@ from zygmund.decay import MethodParams, Power
 from zygmund.errors import ConvergenceError
 from zygmund.norms import NormRequest, l1_norm, lq_norm, sign_changes
 from zygmund.rates import unit_ball_sources
-from zygmund.trig import SampledFunction, TrigPoly, from_samples, sample
+from zygmund.trig import TrigPoly, from_samples, sample
 from zygmund.witness import WitnessConfig, build_witness, calibrate_alpha0, vp_pulse
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +27,7 @@ def doubling_l1(p, grid_m=512, tolerance=1e-8):
     m = max(grid_m, 16 * (1 << max(4, (2 * p.degree + 1).bit_length())))
 
     def rectangle(m):
-        return float(TWO_PI / m * np.sum(np.abs(sample(p, m).values)))
+        return float(TWO_PI / m * np.sum(np.abs(sample(p, m))))
 
     prev = rectangle(m)
     for _ in range(12):
@@ -55,8 +55,8 @@ def l1_from_zeros(p, z):
 def square(q):
     """q**2 in coefficient form, via exact sampling."""
     m = 1 << (4 * q.degree + 4).bit_length()
-    v = sample(q, m).values
-    return from_samples(SampledFunction(v * v), 2 * q.degree)
+    v = sample(q, m)
+    return from_samples(v * v, 2 * q.degree)
 
 
 class TestClosedForms:
@@ -117,7 +117,7 @@ class TestPulseZeros:
         assert counts == {16: 6, 64: 14, 256: 30, 1024: 58}
 
     def test_count_at_256_matches_a_dense_scan(self):
-        v = sample(vp_pulse(256), 1 << 20).values
+        v = sample(vp_pulse(256), 1 << 20)
         assert int(np.sum((v < 0.0) != (np.roll(v, -1) < 0.0))) == 30
 
     def test_close_root_pairs_at_256(self):
@@ -133,7 +133,7 @@ class TestPulseZeros:
         assert pairs[1] - pairs[0] == pytest.approx(7.9e-4, abs=0.1e-4)
         assert pairs[3] - pairs[2] == pytest.approx(7.9e-4, abs=0.1e-4)
 
-        coarse = sample(p, 1 << (8 * 512 - 1).bit_length()).values
+        coarse = sample(p, 1 << (8 * 512 - 1).bit_length())
         assert int(np.sum((coarse < 0.0) != (np.roll(coarse, -1) < 0.0))) == 26
 
         exact = l1_norm(p)

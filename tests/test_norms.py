@@ -19,7 +19,7 @@ def random_poly(rng, degree, with_mean=True):
 
 def brute_force_lq(p, q, m=1 << 20):
     """Single-shot high-resolution rectangle rule, independent of lq_norm's doubling."""
-    v = sample(p, m).values
+    v = sample(p, m)
     return float((TWO_PI / m * np.sum(np.abs(v) ** q)) ** (1.0 / q))
 
 

@@ -9,7 +9,6 @@ from zygmund.rates import (
     best_vs_method_experiment,
     critical_integral,
     loglog_slope,
-    rate_formula,
     ratio_experiment,
     theoretical_rate,
     unit_ball_deviations,
@@ -51,8 +50,8 @@ class TestTheoreticalRate:
         for psi, s, q in [(Power(1.0), 1.0, 2.0), (Power(1.5), 1.0, 2.0), (Power(2.5), 1.0, 2.0),
                           (PowerLog(1.0, 1.0, 60.0), 1.0, 2.0), (Power(0.9), 0.5, 4.0)]:
             m = MethodParams(s=s, q=q)
-            formula = rate_formula(psi, m)
-            values = [formula(n) for n in range(4, 200, 7)]
+            regime = classify_regime(psi, m)
+            values = [theoretical_rate(psi, m, regime, n) for n in range(4, 200, 7)]
             assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_formulas_meet_at_the_boundary(self):
@@ -106,8 +105,8 @@ class TestWeylNagyRate:
     @pytest.mark.parametrize("r", [0.75, 1.5, 2.5])
     def test_agrees_with_power_rate_formula(self, r):
         m = MethodParams(s=1.0, q=2.0)
-        formula = rate_formula(Power(r), m)
-        ratios = [weyl_nagy_rate(r, 1.0, 2.0, n) / formula(n) for n in GRID]
+        regime = classify_regime(Power(r), m)
+        ratios = [weyl_nagy_rate(r, 1.0, 2.0, n) / theoretical_rate(Power(r), m, regime, n) for n in GRID]
         assert max(ratios) / min(ratios) < 1.0 + 1e-9  # identical up to rounding
 
 

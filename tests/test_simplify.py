@@ -1,5 +1,5 @@
 """Seams shared across modules: the phase-rotation builder, one regime
-classification per experiment, and the Weyl–Nagy case split."""
+classification per experiment, one rate law, and the Weyl–Nagy case split."""
 
 import math
 
@@ -8,9 +8,15 @@ import pytest
 
 import zygmund.cli
 import zygmund.rates
-from zygmund.decay import MethodParams, Power, PowerLog, classify_regime
+from zygmund.decay import MethodParams, Power, PowerLog, Regime, classify_regime
 from zygmund.errors import ParameterError
-from zygmund.rates import ratio_experiment, theoretical_rate, weyl_nagy_case, weyl_nagy_rate
+from zygmund.rates import (
+    best_vs_method_experiment,
+    ratio_experiment,
+    theoretical_rate,
+    weyl_nagy_case,
+    weyl_nagy_rate,
+)
 from zygmund.trig import KernelSpec, TrigPoly, kernel_poly, phased_poly
 
 
@@ -44,6 +50,23 @@ class TestOneClassification:
         regime = classify_regime(Power(1.5), m)
         theoretical_rate(Power(1.5), m, regime, 16)
         assert len(classify_calls) == 1
+
+    def test_best_vs_method_experiment_classifies_once(self, classify_calls):
+        best_vs_method_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [4, 8, 16, 32, 64])
+        assert len(classify_calls) == 1
+
+
+class TestOneRateLaw:
+    @pytest.mark.parametrize(
+        "r,regime",
+        [(1.0, Regime.GROWING), (1.5, Regime.CRITICAL), (2.5, Regime.DECAYING)],
+    )
+    def test_ratio_experiment_tabulates_theoretical_rate(self, r, regime):
+        m = MethodParams(s=1.0, q=2.0)
+        report = ratio_experiment(Power(r), m, [4, 8, 16, 32, 64])
+        assert report.regime.regime is regime
+        expected = tuple(theoretical_rate(Power(r), m, report.regime, n) for n in report.n_grid)
+        assert report.upper_rates == expected
 
 
 class TestPhasedPoly:

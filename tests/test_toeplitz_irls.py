@@ -36,7 +36,7 @@ def dense_best_approx(f, n, req):
     q = req.q
     d = max(f.degree, n - 1)
     m = max(req.grid_m, _next_pow2(4 * (d + 1)))
-    fvals = sample(f, m).values
+    fvals = sample(f, m)
     nodes = TWO_PI * np.arange(m) / m
 
     ncols = 2 * (n - 1) + 1

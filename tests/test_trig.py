@@ -287,12 +287,12 @@ class TestDeviation:
 
 class TestSampling:
     def test_constant(self):
-        sf = sample(TrigPoly.constant(2.0), 8)
-        assert sf.values == pytest.approx(np.ones(8), abs=1e-15)
+        v = sample(TrigPoly.constant(2.0), 8)
+        assert v == pytest.approx(np.ones(8), abs=1e-15)
 
     def test_cosine_on_four_points(self):
-        sf = sample(TrigPoly(0.0, [1.0], [0.0]), 4)
-        assert sf.values == pytest.approx([1.0, 0.0, -1.0, 0.0], abs=1e-15)
+        v = sample(TrigPoly(0.0, [1.0], [0.0]), 4)
+        assert v == pytest.approx([1.0, 0.0, -1.0, 0.0], abs=1e-15)
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
@@ -306,3 +306,19 @@ class TestSampling:
             sample(p, 16)
         with pytest.raises(ParameterError):
             sample(p, 48)  # not a power of two
+
+    def test_sample_returns_a_float_array(self):
+        v = sample(random_poly(np.random.default_rng(3), 5), 16)
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (16,)
+
+    @pytest.mark.parametrize(
+        "values", [np.zeros((4, 4)), np.zeros(1), np.zeros(48)], ids=["2-d", "length-1", "length-48"]
+    )
+    def test_from_samples_rejects_bad_shapes(self, values):
+        with pytest.raises(ParameterError):
+            from_samples(values)
+
+    def test_from_samples_round_trips_a_plain_list(self):
+        p = random_poly(np.random.default_rng(4), 6, with_mean=True)
+        back = from_samples(sample(p, 16).tolist(), degree=6)
+        assert max_coeff_diff(back, p) < 1e-13

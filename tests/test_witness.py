@@ -121,7 +121,7 @@ class TestPairing:
         assert quadrature == pytest.approx(closed, rel=1e-10)
 
     def test_closed_form_matches_quadrature_at_n16(self):
-        closed, quadrature = pairing_integral(config(n=16), grid_m=1024)
+        closed, quadrature = pairing_integral(config(n=16))
         assert abs(closed - quadrature) <= 1e-8 * max(1.0, abs(closed))
 
     def test_beta_invariance(self):
