@@ -42,8 +42,6 @@ from .rates import (
     unit_ball_deviations,
     unit_ball_sources,
     upper_bound_estimate,
-    weyl_nagy_case,
-    weyl_nagy_rate,
 )
 from .trig import (
     KernelSpec,
@@ -103,8 +101,6 @@ __all__ = [
     "unit_ball_deviations",
     "unit_ball_sources",
     "upper_bound_estimate",
-    "weyl_nagy_case",
-    "weyl_nagy_rate",
     "KernelSpec",
     "TrigPoly",
     "convolve",

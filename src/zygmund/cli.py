@@ -17,13 +17,14 @@ from pathlib import Path
 from .config import ExperimentConfig, parse_config
 from .decay import (
     Power,
+    Regime,
     check_almost_decreasing,
     check_doubling,
     classify_regime,
     reciprocal_convexity,
 )
 from .errors import CoefficientMismatchError, ConfigError, ZygmundError
-from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment, weyl_nagy_case
+from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment
 from .trig import TrigPoly
 from .witness import WitnessConfig, build_witness, dual_test_poly, pairing_integral
 
@@ -128,6 +129,10 @@ def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
     return 0
 
 
+# The Weyl-Nagy cases of psi(t) = t**(-r) are the regimes of Power(r).
+_VNAD_CASE = {Regime.GROWING: 1, Regime.CRITICAL: 2, Regime.DECAYING: 3}
+
+
 def cmd_table_vnad(cfg: ExperimentConfig) -> int:
     ns = cfg.require_n_grid()
     r_values = cfg.require_r_list()
@@ -140,9 +145,9 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
             rows.append((r, "rejected", "", "", "", "requires r>1-1/q"))
             all_ok = False
             continue
-        case, exponent = weyl_nagy_case(r, method.s, method.q)
-        slope_theory = -exponent
         report = ratio_experiment(Power(r), method, ns, band_limit=cfg.band_limit)
+        case = _VNAD_CASE[report.regime.regime]
+        slope_theory = -(r - 1.0 + 1.0 / method.q) if case == 1 else -method.s
         spread = report.ratio_band[1] / report.ratio_band[0]
         slope = loglog_slope(report.n_grid, report.deviations)
         ok = report.verdict

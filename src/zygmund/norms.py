@@ -6,7 +6,8 @@ with no normalizing factor.
 The q = 1 norm is exact.  Between consecutive sign changes of p the integral
 of |p| is the absolute increment of the antiderivative, so ||p||_1 needs only
 the sign changes, which are bracketed on one FFT sample, screened for hidden
-close pairs, and refined by safeguarded Newton iteration.
+close pairs, and refined by safeguarded Newton iteration; exact values off
+the sample grid come from `trig._jet`, the library's one point evaluator.
 
 The q = 2 norm is exact by Parseval, from the coefficients alone.
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TrigPoly, _next_pow2, sample
+from .trig import TrigPoly, _derivative, _jet, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -267,39 +268,6 @@ def _newton(
         done |= (np.abs(step - xa) <= _NEWTON_TOL) | (ha - la <= _NEWTON_TOL)
         active = active[~done]
     return x
-
-
-def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine coefficients of the derivative of p of the given
-    order; order -1 gives those of the antiderivative less a0 t/2."""
-    k = np.arange(1, p.degree + 1, dtype=float) ** order
-    a, b = k * p.a, k * p.b
-    for _ in range(order % 4):
-        a, b = b, -a
-    return a, b
-
-
-def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
-    """Exact values at the points t of derivatives of p, one array per order.
-
-    Order -1 is the antiderivative a0 t/2 + sum (a_k sin kt - b_k cos kt)/k.
-    Each sum is Re sum_k (a_k - i b_k) e^{ikt}, split as k = 1 + j + B l with
-    B about sqrt(degree), so only e^{ijt} and e^{iBlt} are tabulated and the
-    rest is one matrix product.
-    """
-    d = p.degree
-    width = math.isqrt(d) + 1
-    rows = -(-d // width)
-    coef = np.zeros((len(orders) * rows, width), dtype=complex)
-    for i, r in enumerate(orders):
-        a, b = _derivative(p, r)
-        coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
-    inner = np.exp(1j * np.multiply.outer(t, np.arange(width)))
-    outer = np.exp(1j * np.multiply.outer(t, width * np.arange(rows) + 1.0))
-    blocks = (inner @ coef.T).reshape(t.size, len(orders), rows)
-    sums = np.einsum("nrl,nl->rn", blocks, outer).real
-    constant = {-1: 0.5 * p.a0 * t, 0: 0.5 * p.a0}
-    return [sums[j] + constant.get(r, 0.0) for j, r in enumerate(orders)]
 
 
 def l2_norm_coeffs(p: TrigPoly) -> float:

@@ -9,6 +9,9 @@ two-norm majorant of the kernel split.
 
 `theoretical_rate` is the one three-regime rate law; both experiments
 tabulate it, through the private `_rate`, after one regime classification.
+The Weyl–Nagy profiles psi(t) = t**(-r) are `Power(r)`, whose three cases
+are the three regimes, so `table-vnad` reads its case from
+`RateReport.regime`.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ from .witness import WitnessConfig, build_witness
 __all__ = [
     "theoretical_rate",
     "critical_integral",
-    "weyl_nagy_case",
-    "weyl_nagy_rate",
     "upper_bound_estimate",
     "unit_ball_sources",
     "unit_ball_deviations",
@@ -114,42 +115,6 @@ def theoretical_rate(
             f"classification gives {current.regime.value}"
         )
     return _rate(psi, method, current, n)
-
-
-def weyl_nagy_case(r: float, s: float, q: float) -> Tuple[int, float]:
-    """Case and rate exponent of the pure-power profile psi(t) = t**(-r).
-
-    Requires r > 1 - 1/q; the case is selected by comparing r with
-    s + 1 - 1/q (boundary resolved within 1e-12), and the rate is
-    n**(-exponent), times log(n)**(1/q) in case 2:
-
-        case 1, r below the boundary  ->  exponent r - 1 + 1/q
-        case 2, r at the boundary     ->  exponent s
-        case 3, r above the boundary  ->  exponent s
-    """
-    if not (1.0 < q and math.isfinite(q)):
-        raise ParameterError("weyl_nagy_case: requires q in (1, inf)")
-    if not (s > 0.0):
-        raise ParameterError("weyl_nagy_case: requires s > 0")
-    if not (r > 1.0 - 1.0 / q):
-        raise ParameterError("weyl_nagy_case: requires r > 1 - 1/q")
-    boundary = s + 1.0 - 1.0 / q
-    if r < boundary - 1.0e-12:
-        return 1, r - 1.0 + 1.0 / q
-    if r > boundary + 1.0e-12:
-        return 3, s
-    return 2, s
-
-
-def weyl_nagy_rate(r: float, s: float, q: float, n: int) -> float:
-    """Three-case closed rate for psi(t) = t**(-r); see weyl_nagy_case."""
-    case, exponent = weyl_nagy_case(r, s, q)
-    if n < 2:
-        raise ParameterError("weyl_nagy_rate: requires n >= 2")
-    rate = float(n) ** (-exponent)
-    if case == 2:
-        return rate * math.log(n) ** (1.0 / q)
-    return rate
 
 
 def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> float:

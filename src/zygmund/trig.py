@@ -13,7 +13,9 @@ values as a plain read-only array: one M-point transform, or, on grids of
 at least 2^17 nodes that oversample p 128-fold or more, r interleaved short
 transforms of the rotated spectrum (cosets), which agree with the one
 transform to rounding.  `from_samples` reads such an array back into
-coefficients.
+coefficients.  Off that grid there is one evaluator, `_jet`: exact values of
+p and of its derivatives at any points, in O(points * sqrt(degree)) memory;
+`TrigPoly.__call__` is its order 0.
 """
 
 from __future__ import annotations
@@ -95,16 +97,10 @@ class TrigPoly:
         return self.a.size
 
     def __call__(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Exact values at the points t (any shape; a scalar gives a float), by _jet."""
         arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.full(flat.shape, self.a0 / 2.0)
-        if self.degree:
-            k = np.arange(1, self.degree + 1, dtype=float)
-            phase = np.multiply.outer(flat, k)
-            out = out + np.cos(phase) @ self.a + np.sin(phase) @ self.b
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        (values,) = _jet(self, arr.ravel(), (0,))
+        return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
     def padded(self, degree: int) -> "TrigPoly":
         """Same polynomial with zero coefficients appended up to `degree`."""
@@ -136,6 +132,39 @@ class TrigPoly:
 
     def __neg__(self) -> "TrigPoly":
         return self * -1.0
+
+
+def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine coefficients of the derivative of p of the given
+    order; order -1 gives those of the antiderivative less a0 t/2."""
+    k = np.arange(1, p.degree + 1, dtype=float) ** order
+    a, b = k * p.a, k * p.b
+    for _ in range(order % 4):
+        a, b = b, -a
+    return a, b
+
+
+def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """Exact values at the points t (1-d) of derivatives of p, one array per order.
+
+    Order -1 is the antiderivative a0 t/2 + sum (a_k sin kt - b_k cos kt)/k.
+    Each sum is Re sum_k (a_k - i b_k) e^{ikt}, split as k = 1 + j + B l with
+    B about sqrt(degree), so only e^{ijt} and e^{iBlt} are tabulated and the
+    rest is one matrix product.
+    """
+    d = p.degree
+    width = math.isqrt(d) + 1
+    rows = -(-d // width)
+    coef = np.zeros((len(orders) * rows, width), dtype=complex)
+    for i, r in enumerate(orders):
+        a, b = _derivative(p, r)
+        coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
+    inner = np.exp(1j * np.multiply.outer(t, np.arange(width)))
+    outer = np.exp(1j * np.multiply.outer(t, width * np.arange(rows) + 1.0))
+    blocks = (inner @ coef.T).reshape(t.size, len(orders), rows)
+    sums = np.einsum("nrl,nl->rn", blocks, outer).real
+    constant = {-1: 0.5 * p.a0 * t, 0: 0.5 * p.a0}
+    return [sums[j] + constant.get(r, 0.0) for j, r in enumerate(orders)]
 
 
 def max_coeff_diff(p: TrigPoly, q: TrigPoly) -> float:
@@ -171,17 +200,11 @@ def dirichlet_closed(k: int, t: Union[float, np.ndarray]) -> Union[float, np.nda
     if k < 1:
         raise ParameterError("dirichlet_closed: requires k >= 1")
     arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(arr).astype(float)
-    half_sin = np.sin(flat / 2.0)
-    out = np.empty_like(flat)
-    safe = np.abs(half_sin) >= 1.0e-8
-    out[safe] = np.sin((k + 0.5) * flat[safe]) / (2.0 * half_sin[safe])
-    if np.any(~safe):
-        series = dirichlet(k)
-        out[~safe] = np.atleast_1d(series(flat[~safe]))
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    half_sin = np.sin(arr / 2.0)
+    near = np.abs(half_sin) < 1.0e-8
+    out = np.asarray(np.sin((k + 0.5) * arr) / (2.0 * np.where(near, 1.0, half_sin)))
+    out[near] = dirichlet(k)(arr[near])
+    return float(out) if arr.ndim == 0 else out
 
 
 def vallee_poussin(m: int) -> TrigPoly:

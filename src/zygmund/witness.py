@@ -21,7 +21,7 @@ from .decay import MethodParams, PsiFunction, growth_function
 from .errors import CoefficientMismatchError, ParameterError, ZygmundError
 from .norms import NormRequest, l1_norm, lq_norm
 from .trig import (
-    KernelSpec, TrigPoly, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, vallee_poussin
+    KernelSpec, TrigPoly, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, sample, vallee_poussin
 )
 
 __all__ = [
@@ -167,11 +167,11 @@ def _pairing_closed(cfg: WitnessConfig, alpha0: float) -> float:
 def pairing_integral(cfg: WitnessConfig) -> Tuple[float, float]:
     """The pairing integral I by closed form and by quadrature.
 
-    The quadrature form integrates (f - Z(f)) * dual over [-pi, pi] on a
-    uniform grid of max(1024, next power of two >= 6n + 2) nodes, which is
-    exact for trigonometric polynomials once the grid exceeds the combined
-    bandwidth.  Both values are returned; disagreement beyond 1e-8 relative
-    indicates broken orthogonality bookkeeping and raises.
+    The quadrature form is the rectangle rule for (f - Z(f)) * dual on the
+    m = max(1024, next power of two >= 6n + 2) uniform nodes of `sample`,
+    which is exact for trigonometric polynomials once the grid exceeds the
+    combined bandwidth.  Both values are returned; disagreement beyond 1e-8
+    relative indicates broken orthogonality bookkeeping and raises.
     """
     if cfg.n < 2:
         raise ParameterError("pairing_integral: requires n >= 2")
@@ -182,8 +182,7 @@ def pairing_integral(cfg: WitnessConfig) -> Tuple[float, float]:
     dev = deviation(f, cfg.n, cfg.method.s)
     dual = dual_test_poly(cfg)
     grid_m = max(1024, _next_pow2(6 * cfg.n + 2))
-    t = -math.pi + 2.0 * math.pi * np.arange(grid_m) / grid_m
-    quadrature = float(2.0 * math.pi / grid_m * np.sum(dev(t) * dual(t)))
+    quadrature = float(2.0 * math.pi / grid_m * np.sum(sample(dev, grid_m) * sample(dual, grid_m)))
 
     if abs(closed - quadrature) > 1.0e-8 * max(1.0, abs(closed)):
         raise CoefficientMismatchError(

@@ -188,6 +188,17 @@ class TestCli:
         assert main(["table-vnad", "--config", str(bad), "--out", str(tmp_path / "t2")]) == 1
         assert "requires r>1-1/q" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_table_vnad_case_two_at_non_dyadic_boundary(self, tmp_path, capsys, q):
+        # r = s + 1 - 1/q, also written to 15 decimals, reads as the critical case.
+        r = 1.0 + 1.0 - 1.0 / q
+        text = BASE.replace("method.q = 2.0", f"method.q = {q!r}") + f"r_list = {r!r} {r:.15f}\n"
+        path = write_config(tmp_path, text)
+        main(["table-vnad", "--config", str(path), "--out", str(tmp_path / "t")])
+        rows = (tmp_path / "t" / "vnad_table.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["case2", "case2"]
+        assert "case2" in capsys.readouterr().out
+
     def test_best_approx_command(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE.replace("n_grid = 4 8 16 32 64", "n_grid = 8 16 32 64 128"))
         out = tmp_path / "ba"

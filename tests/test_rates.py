@@ -13,7 +13,6 @@ from zygmund.rates import (
     theoretical_rate,
     unit_ball_deviations,
     upper_bound_estimate,
-    weyl_nagy_rate,
 )
 from zygmund.witness import WitnessConfig, build_witness
 
@@ -87,27 +86,36 @@ class TestTheoreticalRate:
 
 
 class TestWeylNagyRate:
+    """The Weyl-Nagy profiles psi(t) = t**(-r) through the one rate law."""
+
+    @staticmethod
+    def rate(r, n, s=1.0, q=2.0):
+        m = MethodParams(s=s, q=q)
+        return theoretical_rate(Power(r), m, classify_regime(Power(r), m), n)
+
     def test_first_case(self):
-        assert weyl_nagy_rate(0.75, 1.0, 2.0, 16) == pytest.approx(16.0**-0.25, rel=1e-14)
-        assert weyl_nagy_rate(0.75, 1.0, 2.0, 16) == pytest.approx(0.5, rel=1e-12)
+        assert self.rate(0.75, 16) == pytest.approx(16.0**-0.25, rel=1e-14)
+        assert self.rate(0.75, 16) == pytest.approx(0.5, rel=1e-12)
 
     def test_boundary_case(self):
         n = 7  # nearest integer to e**2
-        assert weyl_nagy_rate(1.5, 1.0, 2.0, n) == pytest.approx(math.sqrt(math.log(n)) / n, rel=1e-14)
+        assert self.rate(1.5, n) == pytest.approx(math.sqrt(math.log(n)) / n, rel=1e-14)
 
     def test_third_case(self):
-        assert weyl_nagy_rate(3.0, 1.0, 2.0, 10) == pytest.approx(0.1, rel=1e-14)
-
-    def test_hypothesis_guard(self):
-        with pytest.raises(ParameterError):
-            weyl_nagy_rate(0.4, 1.0, 2.0, 16)
+        assert self.rate(3.0, 10) == pytest.approx(0.1, rel=1e-14)
 
     @pytest.mark.parametrize("r", [0.75, 1.5, 2.5])
     def test_agrees_with_power_rate_formula(self, r):
-        m = MethodParams(s=1.0, q=2.0)
-        regime = classify_regime(Power(r), m)
-        ratios = [weyl_nagy_rate(r, 1.0, 2.0, n) / theoretical_rate(Power(r), m, regime, n) for n in GRID]
-        assert max(ratios) / min(ratios) < 1.0 + 1e-9  # identical up to rounding
+        # The three closed forms, split at r = s + 1 - 1/q = 1.5 (s = 1, q = 2).
+        s, q = 1.0, 2.0
+        for n in GRID:
+            if r < 1.5:
+                closed = n ** -(r - 1.0 + 1.0 / q)
+            elif r == 1.5:
+                closed = n**-s * math.log(n) ** (1.0 / q)
+            else:
+                closed = n**-s
+            assert self.rate(r, n, s, q) == pytest.approx(closed, rel=1e-9)
 
 
 class TestUpperBound:

@@ -1,5 +1,6 @@
 """Seams shared across modules: the phase-rotation builder, one regime
-classification per experiment, one rate law, and the Weyl–Nagy case split."""
+classification per experiment, and one rate law, whose regime split is the
+Weyl–Nagy case split of the pure powers."""
 
 import math
 
@@ -14,8 +15,6 @@ from zygmund.rates import (
     best_vs_method_experiment,
     ratio_experiment,
     theoretical_rate,
-    weyl_nagy_case,
-    weyl_nagy_rate,
 )
 from zygmund.trig import KernelSpec, TrigPoly, kernel_poly, phased_poly
 
@@ -113,23 +112,18 @@ class TestPhasedPoly:
 
 
 class TestWeylNagyCase:
+    """classify_regime on Power(r) is the Weyl–Nagy split at r = s + 1 - 1/q."""
+
     S, Q = 1.0, 2.0
     BOUNDARY = S + 1.0 - 1.0 / Q
 
+    def regime(self, r):
+        return classify_regime(Power(r), MethodParams(s=self.S, q=self.Q)).regime
+
     @pytest.mark.parametrize("offset", [-5.0e-13, 0.0, 5.0e-13])
     def test_boundary_tolerance_gives_case_two(self, offset):
-        assert weyl_nagy_case(self.BOUNDARY + offset, self.S, self.Q) == (2, self.S)
+        assert self.regime(self.BOUNDARY + offset) is Regime.CRITICAL
 
     def test_outside_tolerance(self):
-        r = self.BOUNDARY - 1.0e-9
-        assert weyl_nagy_case(r, self.S, self.Q) == (1, r - 1.0 + 1.0 / self.Q)
-        assert weyl_nagy_case(self.BOUNDARY + 1.0e-9, self.S, self.Q) == (3, self.S)
-
-    @pytest.mark.parametrize("r", [0.75, 1.5, 2.5])
-    @pytest.mark.parametrize("n", [2, 16, 100])
-    def test_rate_is_power_of_exponent_bitwise(self, r, n):
-        case, exponent = weyl_nagy_case(r, self.S, self.Q)
-        expected = float(n) ** (-exponent)
-        if case == 2:
-            expected = expected * math.log(n) ** (1.0 / self.Q)
-        assert weyl_nagy_rate(r, self.S, self.Q, n) == expected
+        assert self.regime(self.BOUNDARY - 1.0e-9) is Regime.GROWING
+        assert self.regime(self.BOUNDARY + 1.0e-9) is Regime.DECAYING

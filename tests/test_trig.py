@@ -62,6 +62,45 @@ class TestEvalPoly:
             assert p(t) == pytest.approx(p(t + TWO_PI), abs=1e-12)
 
 
+def dense_values(p: TrigPoly, t) -> np.ndarray:
+    """a0/2 + cos(t k) @ a + sin(t k) @ b over the full (points x degree) phase matrix."""
+    phase = np.multiply.outer(np.asarray(t, dtype=float), np.arange(1, p.degree + 1, dtype=float))
+    return p.a0 / 2.0 + np.cos(phase) @ p.a + np.sin(phase) @ p.b
+
+
+def dense_tolerance(p: TrigPoly) -> float:
+    return 1.0e-13 * (abs(p.a0) / 2.0 + float(np.sum(np.hypot(p.a, p.b))))
+
+
+class TestPointEvaluator:
+    """TrigPoly.__call__ against the dense phase-matrix formula."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 7, 2047])
+    def test_matches_dense_formula(self, degree):
+        rng = np.random.default_rng(degree)
+        p = random_poly(rng, degree, with_mean=True)
+        tol = dense_tolerance(p)
+        scalar = float(rng.uniform(-TWO_PI, TWO_PI))
+        value = p(scalar)
+        assert isinstance(value, float)
+        assert abs(value - dense_values(p, scalar)) <= tol
+        for shape in [(33,), (4, 9)]:
+            t = rng.uniform(-TWO_PI, TWO_PI, size=shape)
+            values = p(t)
+            assert values.shape == shape
+            assert np.max(np.abs(values - dense_values(p, t))) <= tol
+
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_dirichlet_closed_near_the_singularities(self, k):
+        # |sin(t/2)| < 1e-8 falls back to the coefficient series, i.e. __call__.
+        t = np.add.outer(TWO_PI * np.arange(-1, 3), [-1.0e-9, -1.0e-12, 0.0, 1.0e-12, 1.0e-9])
+        values = dirichlet_closed(k, t)
+        assert values.shape == t.shape
+        p = dirichlet(k)
+        assert np.max(np.abs(values - dense_values(p, t))) <= dense_tolerance(p)
+        assert np.max(np.abs(values - (k + 0.5))) <= dense_tolerance(p)
+
+
 class TestKernels:
     def test_dirichlet_closed_at_origin(self):
         assert dirichlet_closed(3, 0.0) == pytest.approx(3.5, abs=1e-15)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ class TestPairing:
     def test_closed_form_matches_quadrature_at_n16(self):
         closed, quadrature = pairing_integral(config(n=16))
         assert abs(closed - quadrature) <= 1e-8 * max(1.0, abs(closed))
+
+    def test_quadrature_at_the_order_cap_is_exact_and_lean(self):
+        cfg = config(n=1024)
+        calibrate_alpha0(cfg.n)  # the cached L_1 calibration is not part of the quadrature
+        tracemalloc.start()
+        try:
+            closed, quadrature = pairing_integral(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(quadrature - closed) <= 1e-14 * abs(closed)
+        assert peak < 8 * 2**20
 
     def test_beta_invariance(self):
         values = [pairing_integral(config(n=8, beta=beta))[0] for beta in (0.0, 0.5, 1.0)]
