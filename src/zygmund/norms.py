@@ -13,12 +13,16 @@ The q = 2 norm is exact by Parseval, from the coefficients alone.
 
 At even integer q, |p|^q = p^q is a trigonometric polynomial of degree
 q * degree, which the rectangle rule on more than q * degree uniform nodes
-integrates exactly, so one sample suffices.
+integrates exactly, so one sample suffices; on exactly q * degree nodes
+(q and the degree both powers of two) only its top harmonic aliases, and
+that is subtracted in closed form.
 
 Other q use the rectangle rule on uniform nodes, which is spectrally accurate
 for smooth periodic integrands; |p|^q is only piecewise smooth, so
-convergence is confirmed by grid doubling rather than assumed.  Each doubling
-samples only the new midpoints and adds their sum to the one already taken.
+convergence is confirmed by grid doubling rather than assumed.  The first
+grid is a fixed multiple of the first power of two >= 2 * degree, and each
+doubling samples only the new midpoints and adds their sum to the one
+already taken.
 The grid and stop tolerance of a NormRequest steer only this doubling; they
 are unused at q = 1, q = 2 and even integer q.
 
@@ -107,8 +111,34 @@ def _abs_power_sum(v: np.ndarray, q: float) -> float:
     return float(sums[0])
 
 
-def _rectangle_lq(p: TrigPoly, q: float, m: int) -> float:
-    return (TWO_PI / m * _power_sum(p, q, m)) ** (1.0 / q)
+def _even_lq(p: TrigPoly, q: float) -> float:
+    """||p||_q at even integer q by the rectangle rule on m = _next_pow2(q d)
+    nodes, d = degree, exact up to rounding.
+
+    p^q has degree q d, and the rule on m nodes sees each harmonic e^{ijt}
+    of p^q with |j| < m as its mean, zero for j != 0.  When m > q d that
+    leaves the mean of p^q alone.  When m = q d, the harmonics e^{+-iqdt}
+    alias onto the mean too; only the q copies of the top harmonic of p
+    reach them, so their coefficients are c^q and conj(c)^q with
+    c = (a_d - i b_d)/2, and the rule's sum is m (mean(p^q) + 2 Re c^q),
+    from which the alias is subtracted.  By Parseval and the power-mean
+    inequality mean(p^q) >= 2^{q/2} |c|^q, so the correction is at most half
+    of the mean and cancels at most a third of the sum.
+    """
+    bandwidth = int(q) * p.degree
+    m = _next_pow2(bandwidth)
+    integral = TWO_PI / m * _power_sum(p, q, m)
+    if m == bandwidth:
+        top = complex(p.a[-1], -p.b[-1]) / 2.0
+        integral -= 2.0 * TWO_PI * (top ** int(q)).real
+    return integral ** (1.0 / q)
+
+
+def _midpoints(p: TrigPoly, coef: np.ndarray, m: int) -> TrigPoly:
+    """p(t + pi/m), whose m uniform nodes are the midpoints of p's; coef is
+    a - ib.  Only the coefficients outlive the call."""
+    shifted = coef * np.exp(1j * math.pi / m * np.arange(1, p.degree + 1))
+    return TrigPoly(p.a0, shifted.real, -shifted.imag)
 
 
 def lq_norm(p: TrigPoly, req: NormRequest) -> float:
@@ -120,17 +150,19 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     P(t) = a0 t/2 + sum (a_k sin kt - b_k cos kt)/k is the exact
     antiderivative; with no sign change it is pi |a0|.  At q = 2 it is
     l2_norm_coeffs(p).  At even integer q it is the rectangle rule on the
-    first power of two above q * degree + 1 nodes, exact up to rounding.
+    first power of two m >= q * degree nodes, with the one aliased harmonic
+    subtracted when m = q * degree (_even_lq), exact up to rounding.
 
-    Otherwise the grid starts at max(req.grid_m, a power of two resolving p)
-    and doubles until two successive values differ by less than
-    req.tolerance.  |p|^q is merely piecewise smooth at the zeros of p, and
-    the lower q the sharper the kink, so the starting grid oversamples the
-    bandwidth more aggressively for small q to leave the doubling budget
-    room to converge.  Doubling an m-node grid adds the m midpoints
-    pi/m + 2 pi j/m, which are the m nodes of p(t + pi/m), whose harmonics
-    are those of p rotated by e^{ik pi/m}; their sum is added to the m-node
-    sum, so no node is sampled twice.
+    Otherwise the grid starts at max(req.grid_m, oversample * L), with L the
+    first power of two >= 2 * degree (at least 16), and doubles until two
+    successive values differ by less than req.tolerance.  |p|^q is merely
+    piecewise smooth at the zeros of p, and the lower q the sharper the
+    kink, so the oversampling is 16 for q < 2 and 4 above, which leaves the
+    doubling budget room to converge; either way the first grid has at
+    least four times the 2 * degree nodes that resolve p.  Doubling an
+    m-node grid adds the m midpoints pi/m + 2 pi j/m, which are the m nodes
+    of p(t + pi/m), whose harmonics are those of p rotated by e^{ik pi/m};
+    their sum is added to the m-node sum, so no node is sampled twice.
     """
     q = req.q
     if q == 1.0:
@@ -138,16 +170,14 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     if q == 2.0:
         return l2_norm_coeffs(p)
     if q % 2.0 == 0.0:
-        return _rectangle_lq(p, q, _next_pow2(int(q) * p.degree + 2))
+        return _even_lq(p, q)
     oversample = 16 if q < 2.0 else 4
-    m = max(req.grid_m, oversample * _next_pow2(2 * p.degree + 2))
+    m = max(req.grid_m, oversample * _next_pow2(2 * p.degree))
     total = _power_sum(p, q, m)
     prev = (TWO_PI / m * total) ** (1.0 / q)
     coef = p.a - 1j * p.b
-    k = np.arange(1, p.degree + 1)
     for _ in range(_MAX_DOUBLINGS):
-        shifted = coef * np.exp(1j * math.pi / m * k)
-        total += _power_sum(TrigPoly(p.a0, shifted.real, -shifted.imag), q, m)
+        total += _power_sum(_midpoints(p, coef, m), q, m)
         m *= 2
         curr = (TWO_PI / m * total) ** (1.0 / q)
         # Absolute stop for O(1) norms; proportional above that, since an

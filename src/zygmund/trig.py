@@ -523,8 +523,9 @@ def sample(p: TrigPoly, m: int) -> np.ndarray:
     n = _coset_length(p.degree, m)
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[0] = 0.5 * p.a0 * n
-    if p.degree:
-        spectrum[1 : p.degree + 1] = 0.5 * n * (p.a - 1j * p.b)
+    body = spectrum[1 : p.degree + 1]
+    np.multiply(p.a, 0.5 * n, out=body.real)
+    np.multiply(p.b, -0.5 * n, out=body.imag)
     values = np.fft.irfft(spectrum, n=m) if n == m else _coset_irfft(spectrum[: p.degree + 1], n, m)
     values.setflags(write=False)
     return values

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import zygmund.norms
 import zygmund.rates
 from zygmund import KernelSpec, MethodParams, Power, TrigPoly, convolve, deviation_coeffs, zygmund_sum
 from zygmund.rates import upper_bound_estimate
@@ -93,6 +94,21 @@ class TestMajorantCalls:
         assert len(degrees) >= 3
         start = max(4 * n, 64)
         assert degrees[1:] == [start * 2**j for j in range(len(degrees) - 1)]
+
+    @pytest.mark.parametrize("n, q", [(64, 3.0), (16, 4.0)])
+    def test_power_of_two_tails_sample_at_most_2_20_nodes(self, monkeypatch, n, q):
+        # The tail degrees d are powers of two: at q = 3 their norms start
+        # on 8d nodes, and at q = 4 they take one sample of 4d nodes.
+        sizes = []
+        real = zygmund.norms.sample
+
+        def spy(p, m):
+            sizes.append(m)
+            return real(p, m)
+
+        monkeypatch.setattr(zygmund.norms, "sample", spy)
+        upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=q), n)
+        assert max(sizes) <= 1 << 20
 
 
 def test_power_paths_do_not_import_scipy():

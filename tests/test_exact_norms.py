@@ -1,11 +1,14 @@
 """Exact L_q norms at q = 2 and even q, and midpoint-only doubling at other q.
 
 lq_norm takes ||p||_2 from the coefficients (Parseval), ||p||_q at even
-integer q from one rectangle rule on more than q * degree nodes (p^q is a
-trigonometric polynomial of degree q * degree, which that rule integrates
-exactly), and ||p||_q at other q by grid doubling that samples only the new
-midpoints.  The oracle below is the doubling loop lq_norm used for every
-q != 1 before: it re-samples the whole grid at each doubling.
+integer q from one rectangle rule on the first power of two m >= q * degree
+nodes (p^q is a trigonometric polynomial of degree q * degree; the rule
+integrates it exactly when m > q * degree, and when m = q * degree the one
+aliased top harmonic is subtracted), and ||p||_q at other q by grid doubling
+that samples only the new midpoints, from a start sized by 2 * degree.  The
+oracle below is the doubling loop lq_norm used for every q != 1 before: it
+re-samples the whole grid at each doubling, and starts from a grid sized by
+2 * degree + 2, twice lq_norm's at power-of-two degrees.
 """
 
 import math
@@ -22,6 +25,12 @@ from zygmund.trig import TrigPoly, sample
 TWO_PI = 2.0 * math.pi
 
 
+def rectangle(p, q, m):
+    """The rectangle rule for ||p||_q on m uniform nodes."""
+    v = sample(p, m)
+    return float((TWO_PI / m * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+
+
 def doubling_lq(p, q, grid_m=512, tolerance=1e-10, sizes=None):
     """Rectangle rule on |p|^q, doubling the whole grid until two values agree.
 
@@ -30,16 +39,15 @@ def doubling_lq(p, q, grid_m=512, tolerance=1e-10, sizes=None):
     oversample = 16 if q < 2.0 else 4
     m = max(grid_m, oversample * (1 << max(4, (2 * p.degree + 1).bit_length())))
 
-    def rectangle(m):
+    def rule(m):
         if sizes is not None:
             sizes.append(m)
-        v = sample(p, m)
-        return float((TWO_PI / m * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+        return rectangle(p, q, m)
 
-    prev = rectangle(m)
+    prev = rule(m)
     for _ in range(12):
         m *= 2
-        curr = rectangle(m)
+        curr = rule(m)
         if abs(curr - prev) < tolerance * max(1.0, abs(curr)):
             return curr
         prev = curr
@@ -90,8 +98,46 @@ class TestEvenQ:
 
     def test_one_sample_at_large_degree(self, sampled_sizes):
         p = random_poly(np.random.default_rng(18), 1 << 18)
-        lq_norm(p, NormRequest(q=4.0))
-        assert sampled_sizes == [1 << 21]
+        value = lq_norm(p, NormRequest(q=4.0))
+        assert sampled_sizes == [1 << 20]
+        assert value == pytest.approx(rectangle(p, 4.0, 1 << 21), rel=1e-13)
+
+
+class TestEvenQAliasedTop:
+    """At d = 2^j and q = 4 or 8 the rule runs on exactly q * d nodes, where
+    the top harmonic of p^q aliases onto the mean and is subtracted."""
+
+    @pytest.mark.parametrize("q, integral", [(4.0, 3.0 * math.pi / 4.0), (8.0, 35.0 * math.pi / 64.0)])
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2.0, 0.3])
+    @pytest.mark.parametrize("j", [2, 5, 10])
+    def test_closed_forms_on_q_times_degree_nodes(self, q, integral, phase, j, sampled_sizes):
+        # cos(dt - phase): cos(dt) at phase 0, sin(dt) at pi/2, a mixed
+        # phase otherwise; all have the L_q norm of cos t.
+        d = 1 << j
+        a, b = np.zeros(d), np.zeros(d)
+        a[-1], b[-1] = math.cos(phase), math.sin(phase)
+        value = lq_norm(TrigPoly(0.0, a, b), NormRequest(q=q))
+        assert sampled_sizes == [int(q) * d]
+        assert value**q == pytest.approx(integral, rel=1e-13)
+
+    @pytest.mark.parametrize("j", [2, 3, 6, 9, 12])
+    def test_random_polys_match_the_rule_on_twice_the_nodes(self, j, sampled_sizes):
+        rng = np.random.default_rng(j)
+        d = 1 << j
+        for _ in range(4):
+            p = random_poly(rng, d)
+            sampled_sizes.clear()
+            value = lq_norm(p, NormRequest(q=4.0))
+            assert sampled_sizes == [4 * d]
+            assert value == pytest.approx(rectangle(p, 4.0, 8 * d), rel=1e-13)
+
+    def test_a_zero_top_pair_subtracts_nothing(self, sampled_sizes):
+        # A zero top pair keeps the degree: the subtraction is 0, and the
+        # rule on 4d nodes is exact for the true degree d - 1.
+        p = random_poly(np.random.default_rng(7), 63).padded(64)
+        value = lq_norm(p, NormRequest(q=4.0))
+        assert sampled_sizes == [256]
+        assert value == pytest.approx(rectangle(p, 4.0, 1024), rel=1e-13)
 
 
 class TestQ2:
@@ -111,7 +157,7 @@ class TestOtherQ:
     @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
     def test_matches_doubling_oracle(self, q):
         rng = np.random.default_rng(int(10 * q))
-        for degree in (1, 3, 17, 64, 200):
+        for degree in (1, 3, 17, 64, 128, 200, 1024):
             p = random_poly(rng, degree)
             assert lq_norm(p, NormRequest(q=q)) == pytest.approx(doubling_lq(p, q), rel=1e-12)
 

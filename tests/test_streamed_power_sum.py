@@ -53,8 +53,8 @@ class TestSampleOwnership:
 
 @pytest.mark.parametrize("q", [1.5, 3.0, 4.0])
 def test_lq_norm_peak_memory(q, monkeypatch):
-    # A cosine polynomial of degree 2^15: q = 1.5 samples 2^21 nodes, q = 3
-    # 2^19 and q = 4 (one even-q rule) 2^18.  Sampling needs the half
+    # A cosine polynomial of degree 2^15: q = 1.5 samples 2^20 nodes, q = 3
+    # 2^18 and q = 4 (one even-q rule) 2^17.  Sampling needs the half
     # spectrum and the output, 2 x 8 m bytes; the rest is O(degree) and the
     # sum's scratch.
     degree = 1 << 15
