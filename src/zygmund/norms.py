@@ -22,7 +22,9 @@ for smooth periodic integrands; |p|^q is only piecewise smooth, so
 convergence is confirmed by grid doubling rather than assumed.  The first
 grid is a fixed multiple of the first power of two >= 2 * degree, and each
 doubling samples only the new midpoints and adds their sum to the one
-already taken.
+already taken.  A grid that `trig.sample` would fill by cosets is streamed
+instead: |p|^q is summed over each coset batch while it is in cache and the
+batch is dropped, so such a grid is never held whole.
 The grid and stop tolerance of a NormRequest steer only this doubling; they
 are unused at q = 1, q = 2 and even integer q.
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TrigPoly, _derivative, _jet, _next_pow2, sample
+from .trig import TrigPoly, _coset_batches, _coset_length, _derivative, _jet, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -91,7 +93,22 @@ class NormRequest:
 
 
 def _power_sum(p: TrigPoly, q: float, m: int) -> float:
-    return _abs_power_sum(sample(p, m), q)
+    """sum |p(t_j)|^q over the m uniform nodes t_j = 2 pi j/m.
+
+    A grid that sample fills by cosets is never held whole: each batch of
+    trig._coset_batches is raised to |.|^q in place while it is still in
+    cache and summed, and the batch sums are added pairwise in batch order.
+    Every other grid is one sample, summed by _abs_power_sum.
+    """
+    n = _coset_length(p.degree, m)
+    if n == m:
+        return _abs_power_sum(sample(p, m), q)
+    sums = []
+    for _, batch in _coset_batches(p, n, m):
+        np.abs(batch, out=batch)
+        np.power(batch, q, out=batch)
+        sums.append(np.sum(batch))
+    return _pairwise_total(np.array(sums))
 
 
 def _abs_power_sum(v: np.ndarray, q: float) -> float:
@@ -106,6 +123,11 @@ def _abs_power_sum(v: np.ndarray, q: float) -> float:
         np.abs(v[i * _BLOCK : (i + 1) * _BLOCK], out=block)
         np.power(block, q, out=block)
         sums[i] = np.sum(block)
+    return _pairwise_total(sums)
+
+
+def _pairwise_total(sums: np.ndarray) -> float:
+    """Total of a power-of-two count of partial sums, added pairwise."""
     while sums.size > 1:
         sums = sums[0::2] + sums[1::2]
     return float(sums[0])
@@ -162,7 +184,10 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     least four times the 2 * degree nodes that resolve p.  Doubling an
     m-node grid adds the m midpoints pi/m + 2 pi j/m, which are the m nodes
     of p(t + pi/m), whose harmonics are those of p rotated by e^{ik pi/m};
-    their sum is added to the m-node sum, so no node is sampled twice.
+    their sum is added to the m-node sum, so no node is sampled twice.  A
+    grid that sample would fill by cosets is summed batch by batch
+    (_power_sum), which moves the value by rounding only and holds a few
+    batch-sized arrays, not the grid.
     """
     q = req.q
     if q == 1.0:

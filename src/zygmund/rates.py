@@ -16,6 +16,7 @@ are the three regimes, so `table-vnad` reads its case from
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -167,13 +168,22 @@ UNIT_BALL_DEGREE = 64
 
 def unit_ball_sources(count: int, seed: int) -> list[TrigPoly]:
     """Seeded random zero-mean polynomials of degree UNIT_BALL_DEGREE, each
-    scaled to unit L_1 norm (exact up to rounding)."""
+    scaled to unit L_1 norm (exact up to rounding).
+
+    Each call returns a fresh list; the immutable sources are built once per
+    (count, seed) and cached, since unit_ball_deviations asks for the same
+    sources at every order n."""
+    return list(_unit_ball_sources(count, seed))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_ball_sources(count: int, seed: int) -> tuple[TrigPoly, ...]:
     rng = np.random.default_rng(seed)
     sources = []
     for _ in range(count):
         phi = TrigPoly(0.0, rng.standard_normal(UNIT_BALL_DEGREE), rng.standard_normal(UNIT_BALL_DEGREE))
         sources.append((1.0 / l1_norm(phi)) * phi)
-    return sources
+    return tuple(sources)
 
 
 def unit_ball_deviations(

@@ -12,9 +12,12 @@ coefficient manipulations on it.
 values as a plain read-only array: one M-point transform, or, on grids of
 at least 2^17 nodes that oversample p 128-fold or more, r interleaved short
 transforms of the rotated spectrum (cosets), which agree with the one
-transform to rounding.  `from_samples` reads such an array back into
-coefficients.  Off that grid there is one evaluator, `_jet`: exact values of
-p and of its derivatives at any points, in O(points * sqrt(degree)) memory;
+transform to rounding.  The cosets come in batches from one engine,
+`_coset_batches`, which has a second consumer: the rectangle rule of
+`norms`, which reduces each batch as it is made and never holds such a grid
+whole.  `from_samples` reads such an array back into coefficients.  Off
+that grid there is one evaluator, `_jet`: exact values of p and of its
+derivatives at any points, in O(points * sqrt(degree)) memory;
 `TrigPoly.__call__` is its order 0.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -510,23 +513,24 @@ def sample(p: TrigPoly, m: int) -> np.ndarray:
     Nyquist index.  With L0 the smallest power of two >= max(2*degree + 2,
     16), a grid of M >= 2^17 nodes and M >= 128 L0 is filled as r = M/L
     interleaved cosets of L = 2 L0 nodes: node j = l r + c is node l of
-    coset c, the L-point inverse FFT of the spectrum rotated by
-    e^{2 pi i k c/M} (_coset_irfft).  Those values differ from the one
-    M-point transform by rounding only, a few units in the last place of
-    max |p(t_j)|.  Every other grid is that one M-point transform (r = 1),
-    bit for bit.
+    coset c, and each batch of cosets from _coset_batches is written into
+    its columns of the (L, r) view of the output.  Those values differ from
+    the one M-point transform by rounding only, a few units in the last
+    place of max |p(t_j)|.  Every other grid is that one M-point transform
+    (r = 1) of the (degree + 1)-entry half spectrum, which irfft zero-pads.
     """
     if m < 2 or m & (m - 1):
         raise ParameterError("sample: M must be a power of two >= 2")
     if m < 2 * p.degree + 2:
         raise AliasingError("sample: M must be at least 2*degree + 2")
     n = _coset_length(p.degree, m)
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[0] = 0.5 * p.a0 * n
-    body = spectrum[1 : p.degree + 1]
-    np.multiply(p.a, 0.5 * n, out=body.real)
-    np.multiply(p.b, -0.5 * n, out=body.imag)
-    values = np.fft.irfft(spectrum, n=m) if n == m else _coset_irfft(spectrum[: p.degree + 1], n, m)
+    if n == m:
+        values = np.fft.irfft(_half_spectrum(p, m), n=m)
+    else:
+        values = np.empty(m)
+        cosets = values.reshape(n, m // n)
+        for c0, batch in _coset_batches(p, n, m):
+            cosets[:, c0 : c0 + len(batch)] = batch.T
     values.setflags(write=False)
     return values
 
@@ -557,30 +561,37 @@ def _coset_length(degree: int, m: int) -> int:
     return 2 * base
 
 
-def _coset_irfft(half: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Values on m uniform nodes of the polynomial whose half spectrum,
-    scaled for n-point transforms, is `half` and zero past len(half) <= n/2,
-    by r = m/n interleaved n-point inverse FFTs.
+def _half_spectrum(p: TrigPoly, n: int) -> np.ndarray:
+    """Harmonics 0..degree of p's half spectrum, scaled for n-point inverse FFTs."""
+    half = np.empty(p.degree + 1, dtype=complex)
+    half[0] = 0.5 * p.a0 * n
+    np.multiply(p.a, 0.5 * n, out=half[1:].real)
+    np.multiply(p.b, -0.5 * n, out=half[1:].imag)
+    return half
+
+
+def _coset_batches(p: TrigPoly, n: int, m: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """The values of p on m uniform nodes as r = m/n interleaved n-point
+    cosets, yielded batch by batch as (c0, v) with v[b, l] = p(t_{l r + c0 + b}).
 
     Coset c holds the nodes j = l r + c, which are the n nodes of
-    p(t + 2 pi c/m), so its half spectrum is half_k e^{2 pi i k c/m}.  A
+    p(t + 2 pi c/m), so its half spectrum is p's times e^{2 pi i k c/m}.  A
     batch of cosets c0 + b takes the twiddles e^{2 pi i k b/m}, tabulated
-    once, times e^{2 pi i k c0/m}, with k c0 reduced mod m so that no angle
-    exceeds 2 pi, and writes its transforms into their columns of the (n, r)
-    view of the output.
+    once, times e^{2 pi i k c0/m}, whose angle stays below pi/2 since
+    k < n/4 and c0 < m/n; irfft zero-pads each row past the degree.  Each v
+    is a fresh array of at most max(n, _COSET_BATCH) values, so a caller
+    that reduces the batches as they come never holds the whole grid.
     """
     r = m // n
     width = max(1, min(_COSET_BATCH, m // 16) // n)
+    half = _half_spectrum(p, n)
     k = np.arange(half.size)
     unit = TWO_PI / m
     twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
-    batch = np.zeros((width, n // 2 + 1), dtype=complex)
-    out = np.empty(m)
-    cosets = out.reshape(n, r)
+    batch = np.empty_like(twiddle)
     for c0 in range(0, r, width):
-        np.multiply(twiddle, half * np.exp(1j * unit * (k * c0 % m)), out=batch[:, : half.size])
-        cosets[:, c0 : c0 + width] = np.fft.irfft(batch, n=n, axis=1).T
-    return out
+        np.multiply(twiddle, half * np.exp(1j * unit * (k * c0)), out=batch)
+        yield c0, np.fft.irfft(batch, n=n, axis=1)
 
 
 def from_samples(values: np.ndarray, degree: int | None = None) -> TrigPoly:

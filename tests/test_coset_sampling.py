@@ -46,13 +46,6 @@ def cosets(degree, m):
     return m // trig._coset_length(degree, m)
 
 
-@pytest.fixture
-def small_grids(monkeypatch):
-    """Let cosets start at any grid of at least 4 L0 nodes."""
-    monkeypatch.setattr(trig, "_COSET_MIN_NODES", 16)
-    monkeypatch.setattr(trig, "_COSET_MIN_RATIO", 4)
-
-
 class TestAgainstFullTransform:
     # (degree, m, r): degree 7 has L0 = 16 and L = 32; degree 1023 sits at
     # the smallest ratio M/L0 = 128 that uses cosets.  The constant, of

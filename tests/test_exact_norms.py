@@ -60,14 +60,18 @@ def random_poly(rng, degree):
 
 @pytest.fixture
 def sampled_sizes(monkeypatch):
-    """The node count of every sample call lq_norm makes, in order."""
+    """The node count of every rectangle-rule grid lq_norm sums, in order.
+
+    Every such grid passes through norms._power_sum, whether it is sampled
+    whole or streamed in coset batches."""
     sizes = []
+    power_sum = zygmund.norms._power_sum
 
-    def recording(p, m):
+    def recording(p, q, m):
         sizes.append(m)
-        return sample(p, m)
+        return power_sum(p, q, m)
 
-    monkeypatch.setattr(zygmund.norms, "sample", recording)
+    monkeypatch.setattr(zygmund.norms, "_power_sum", recording)
     return sizes
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from zygmund import witness
+from zygmund import rates, witness
 from zygmund.decay import MethodParams, Power
 from zygmund.errors import ConvergenceError
 from zygmund.norms import NormRequest, l1_norm, lq_norm, sign_changes
@@ -174,3 +174,14 @@ class TestUnitBallSources:
         again = unit_ball_sources(5, seed=5)[:3]
         for p, q in zip(first, again):
             assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
+
+    def test_sources_are_normalized_once_per_count_and_seed(self, monkeypatch):
+        # unit_ball_deviations asks for the same sources at every order n.
+        calls = []
+        monkeypatch.setattr(rates, "l1_norm", lambda p: calls.append(p) or l1_norm(p))
+        rates._unit_ball_sources.cache_clear()
+        first = unit_ball_sources(3, seed=77)
+        first.clear()
+        again = unit_ball_sources(3, seed=77)
+        assert len(calls) == 3 and len(again) == 3
+        assert rates._unit_ball_sources.cache_info().maxsize == 16

@@ -1,8 +1,11 @@
-"""Copy-free sampling and the streamed power sum behind the rectangle rule.
+"""Copy-free sampling and the streamed power sums behind the rectangle rule.
 
 `sample` hands out its own inverse-FFT output, read-only, without a copy.
 `norms._power_sum` sums |p(t_j)|^q block by block through one small scratch
-buffer, so lq_norm holds one full-size sample at a time and no full-size
+buffer on a grid that one transform fills.  A grid that `sample` would fill
+by cosets is never held whole: the power sum takes |.|^q of each coset
+batch as it is made and adds the batch sums pairwise, so lq_norm holds at
+most one full-size one-transform sample at a time and no full-size
 temporaries.
 """
 
@@ -12,8 +15,11 @@ import numpy as np
 import pytest
 
 import zygmund.norms
+import zygmund.trig
+from zygmund.decay import MethodParams, Power
 from zygmund.norms import NormRequest, lq_norm
 from zygmund.trig import TrigPoly, sample
+from zygmund.witness import WitnessConfig, dual_test_poly
 
 BLOCK = zygmund.norms._BLOCK
 
@@ -41,6 +47,65 @@ class TestPowerSum:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * BLOCK + 4096
+
+
+def pure_sine(degree):
+    b = np.zeros(degree)
+    b[-1] = 1.0
+    return TrigPoly(0.0, np.zeros(degree), b)
+
+
+POLYS = {
+    "constant": lambda d: TrigPoly.constant(-3.0),
+    "random_with_mean": lambda d: random_poly(np.random.default_rng(d), d),
+    "pure_sine": pure_sine,
+}
+
+
+class TestStreamedGrids:
+    """On a coset grid the power sum streams the batches and never calls
+    sample; it agrees with the sum over the whole sample to rounding."""
+
+    @pytest.mark.parametrize("q", [1.2, 4.0 / 3.0, 1.5, 3.0])
+    @pytest.mark.parametrize("kind", sorted(POLYS))
+    @pytest.mark.parametrize("degree, m", [(7, 1 << 18), (127, 1 << 17), (1023, 1 << 18)])
+    def test_default_thresholds(self, degree, m, kind, q, monkeypatch):
+        self.check(POLYS[kind](degree), m, q, monkeypatch)
+
+    @pytest.mark.parametrize("q", [1.2, 4.0 / 3.0, 1.5, 3.0])
+    @pytest.mark.parametrize("kind", sorted(POLYS))
+    @pytest.mark.parametrize("degree, m", [(7, 64), (7, 256), (100, 4096)])
+    def test_few_cosets(self, small_grids, degree, m, kind, q, monkeypatch):
+        self.check(POLYS[kind](degree), m, q, monkeypatch)
+
+    @staticmethod
+    def check(p, m, q, monkeypatch):
+        assert zygmund.trig._coset_length(p.degree, m) < m
+        expected = zygmund.norms._abs_power_sum(sample(p, m), q)
+
+        def no_sample(p, m):
+            raise AssertionError("a streamed grid was sampled whole")
+
+        monkeypatch.setattr(zygmund.norms, "sample", no_sample)
+        got = zygmund.norms._power_sum(p, q, m)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_streamed_dual_norm_peak_memory():
+    # The rate_q4 witness dual at n = 256, degree 255, at q' = 4/3: the
+    # doubling reaches a 2^21-node grid, whose last midpoint sample alone
+    # would take 8 MiB, and every sample from 2^17 nodes on is streamed in
+    # coset batches.
+    cfg = WitnessConfig(Power(1.0), MethodParams(s=1.0, q=4.0), 256)
+    dual = dual_test_poly(cfg)
+    req = NormRequest(q=cfg.method.q_prime)
+    tracemalloc.start()
+    try:
+        lq_norm(dual, req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestSampleOwnership:
