@@ -22,11 +22,13 @@ for smooth periodic integrands; |p|^q is only piecewise smooth, so
 convergence is confirmed by grid doubling rather than assumed.  The first
 grid is a fixed multiple of the first power of two >= 2 * degree, and each
 doubling samples only the new midpoints and adds their sum to the one
-already taken.  A grid that `trig.sample` would fill by cosets is streamed
-instead: |p|^q is summed over each coset batch while it is in cache and the
-batch is dropped, so such a grid is never held whole.
-The grid and stop tolerance of a NormRequest steer only this doubling; they
-are unused at q = 1, q = 2 and even integer q.
+already taken.  Every grid of the rule is summed by one reduction,
+`_power_sum`: a large, heavily oversampled grid is covered by interleaved
+short inverse FFTs (cosets), whose batches are reduced as they are made, so
+such a grid is never held whole; any other grid is one `trig.sample`.
+lq_norm reads the grid and stop tolerance of a NormRequest only in this
+doubling, so they are unused at q = 1, q = 2 and even integer q;
+best_approx also floors its IRLS grid at the request's grid.
 
 Best approximation at q != 2 is reweighted least squares, each step solving
 the Hermitian Toeplitz normal equations built from one FFT of the weights.
@@ -36,11 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TrigPoly, _coset_batches, _coset_length, _derivative, _jet, _next_pow2, sample
+from .trig import TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -56,11 +59,17 @@ TWO_PI = 2.0 * math.pi
 
 _MAX_DOUBLINGS = 12
 
-# Nodes per block of a streamed power sum, a power of two.  The block's
-# scratch (512 KiB) stays in a per-core L2 cache; on a 2^21-node sample and a
-# 2 MiB-L2 Xeon, blocks of 2^14 to 2^17 nodes took 31-37% less time than
-# full-size temporaries.
-_BLOCK = 1 << 16
+# The power sum covers a grid by cosets instead of one M-point inverse FFT
+# from this many nodes, where its spectrum and output (16 M bytes) outgrow a
+# 2 MiB L2 cache, and only at M >= 128 L0, so that at least 64 cosets share
+# the twiddle table.  On a 2-vCPU Xeon, at degree 0-8191, they took 0.15-0.9
+# of the one transform's time there; on grids of 2^13-2^16 nodes they took
+# 1.2-4 times it, and at M = 64 L0 up to 1.4 times.
+_COSET_MIN_NODES = 1 << 17
+_COSET_MIN_RATIO = 128
+# Nodes per batch of cosets, at most M/16, so a batch's scratch of about 20
+# bytes per node stays a small share of the grid.
+_COSET_BATCH = 1 << 16
 
 # q = 1: sign changes are bracketed on about this many nodes per harmonic.
 _ROOT_OVERSAMPLE = 64
@@ -77,7 +86,8 @@ _NEWTON_TOL = 4.0 * np.finfo(float).eps * TWO_PI
 class NormRequest:
     """Metric exponent, and the starting grid and stop tolerance of the
     grid doubling, which lq_norm uses only when q is neither 1 nor an even
-    integer."""
+    integer.  best_approx at q != 2 also reads grid_m, as the floor of its
+    IRLS grid."""
 
     q: float = 2.0
     grid_m: int = 512
@@ -95,35 +105,58 @@ class NormRequest:
 def _power_sum(p: TrigPoly, q: float, m: int) -> float:
     """sum |p(t_j)|^q over the m uniform nodes t_j = 2 pi j/m.
 
-    A grid that sample fills by cosets is never held whole: each batch of
-    trig._coset_batches is raised to |.|^q in place while it is still in
-    cache and summed, and the batch sums are added pairwise in batch order.
-    Every other grid is one sample, summed by _abs_power_sum.
+    The grid comes in pieces: one sample, or the batches of _coset_batches
+    where _coset_length splits it.  Each piece is raised to |.|^q in place
+    while it is still in cache and summed, and the piece sums are added
+    pairwise in order, so a coset grid is never held whole.  On one sample
+    the value is np.sum(np.abs(v) ** q), bit for bit.
     """
     n = _coset_length(p.degree, m)
-    if n == m:
-        return _abs_power_sum(sample(p, m), q)
+    pieces = [sample(p, m)] if n == m else _coset_batches(p, n, m)
     sums = []
-    for _, batch in _coset_batches(p, n, m):
-        np.abs(batch, out=batch)
-        np.power(batch, q, out=batch)
-        sums.append(np.sum(batch))
+    for piece in pieces:
+        np.abs(piece, out=piece)
+        np.power(piece, q, out=piece)
+        sums.append(np.sum(piece))
     return _pairwise_total(np.array(sums))
 
 
-def _abs_power_sum(v: np.ndarray, q: float) -> float:
-    """sum |v|^q over a power-of-two-length v, streamed through one block-sized
-    scratch buffer.  The block sums are added pairwise, in the tree that
-    numpy's pairwise summation builds over a power-of-two length, so the total
-    agrees with np.sum(np.abs(v) ** q); on numpy 2 it is the same double."""
-    buf = np.empty(min(v.size, _BLOCK))
-    sums = np.empty(-(-v.size // _BLOCK))
-    for i in range(sums.size):
-        block = buf[: v.size - i * _BLOCK]
-        np.abs(v[i * _BLOCK : (i + 1) * _BLOCK], out=block)
-        np.power(block, q, out=block)
-        sums[i] = np.sum(block)
-    return _pairwise_total(sums)
+def _coset_length(degree: int, m: int) -> int:
+    """Length L of the inverse FFTs by which _power_sum covers m nodes: m
+    itself (one sample), or 2 L0 past both thresholds above, with L0 the
+    smallest power of two >= max(2*degree + 2, 16)."""
+    base = _next_pow2(2 * degree + 2)
+    if m < _COSET_MIN_NODES or m < _COSET_MIN_RATIO * base:
+        return m
+    return 2 * base
+
+
+def _coset_batches(p: TrigPoly, n: int, m: int) -> Iterator[np.ndarray]:
+    """The values of p on m uniform nodes as r = m/n interleaved n-point
+    cosets, yielded batch by batch: the batch of cosets c0 .. c0 + B - 1 is
+    an array v with v[b, l] = p(t_{l r + c0 + b}), and the batches come in
+    order of c0.
+
+    Coset c holds the nodes j = l r + c, which are the n nodes of
+    p(t + 2 pi c/m), so its half spectrum is p's times e^{2 pi i k c/m}.  A
+    batch takes the twiddles e^{2 pi i k b/m}, tabulated once, times
+    e^{2 pi i k c0/m}, whose angle stays below pi/2 since k < n/4 and
+    c0 < m/n; irfft zero-pads each row past the degree.  The values differ
+    from the one m-point transform by rounding only, a few units in the
+    last place of max |p(t_j)|.  Each v is a fresh array of at most
+    max(n, _COSET_BATCH) values, so a caller that reduces the batches as
+    they come never holds the whole grid.
+    """
+    r = m // n
+    width = max(1, min(_COSET_BATCH, m // 16) // n)
+    half = _half_spectrum(p, n)
+    k = np.arange(half.size)
+    unit = TWO_PI / m
+    twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
+    batch = np.empty_like(twiddle)
+    for c0 in range(0, r, width):
+        np.multiply(twiddle, half * np.exp(1j * unit * (k * c0)), out=batch)
+        yield np.fft.irfft(batch, n=n, axis=1)
 
 
 def _pairwise_total(sums: np.ndarray) -> float:
@@ -185,7 +218,7 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     m-node grid adds the m midpoints pi/m + 2 pi j/m, which are the m nodes
     of p(t + pi/m), whose harmonics are those of p rotated by e^{ik pi/m};
     their sum is added to the m-node sum, so no node is sampled twice.  A
-    grid that sample would fill by cosets is summed batch by batch
+    large, heavily oversampled grid is summed coset batch by batch
     (_power_sum), which moves the value by rounding only and holds a few
     batch-sized arrays, not the grid.
     """
@@ -385,18 +418,18 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
         return TrigPoly(float(c[0]), c[1:n], c[n:])
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, float]:
-        resid = fvals - sample(unpack(c), m)
-        return resid, (TWO_PI / m * _abs_power_sum(resid, q)) ** (1.0 / q)
+        gap = np.abs(fvals - sample(unpack(c), m))
+        return gap, (TWO_PI / m * np.sum(gap**q)) ** (1.0 / q)
 
     coef = best_coef = np.concatenate([[truncation.a0], truncation.a, truncation.b])
     step = 1.0 if q < 2.0 else 1.0 / (q - 1.0)
-    resid, best_obj = evaluate(coef)
+    gap, best_obj = evaluate(coef)
     prev_obj = best_obj
     flat_count = 0
     for iterations in range(1, 501):
-        w = np.clip(np.clip(np.abs(resid), 1.0e-10, None) ** (q - 2.0), 1.0e-10, None)
+        w = np.clip(np.clip(gap, 1.0e-10, None) ** (q - 2.0), 1.0e-10, None)
         coef = coef + step * (_weighted_fit(w, fvals, n) - coef)
-        resid, obj = evaluate(coef)
+        gap, obj = evaluate(coef)
         if obj < best_obj:
             best_obj, best_coef = obj, coef
         flat = abs(obj - prev_obj) <= 1.0e-9 * max(obj, 1.0e-300)

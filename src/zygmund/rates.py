@@ -166,18 +166,13 @@ def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> floa
 UNIT_BALL_DEGREE = 64
 
 
-def unit_ball_sources(count: int, seed: int) -> list[TrigPoly]:
+@functools.lru_cache(maxsize=16)
+def unit_ball_sources(count: int, seed: int) -> tuple[TrigPoly, ...]:
     """Seeded random zero-mean polynomials of degree UNIT_BALL_DEGREE, each
     scaled to unit L_1 norm (exact up to rounding).
 
-    Each call returns a fresh list; the immutable sources are built once per
-    (count, seed) and cached, since unit_ball_deviations asks for the same
-    sources at every order n."""
-    return list(_unit_ball_sources(count, seed))
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_ball_sources(count: int, seed: int) -> tuple[TrigPoly, ...]:
+    The immutable sources are built once per (count, seed) and cached, since
+    unit_ball_deviations asks for the same sources at every order n."""
     rng = np.random.default_rng(seed)
     sources = []
     for _ in range(count):

@@ -8,17 +8,11 @@ which is the universal computational object of the library: convolution
 kernels, Zygmund and Fejér means, and the deviation f - Z(f) are all exact
 coefficient manipulations on it.
 
-`sample` evaluates p on M uniform nodes by inverse FFTs and returns the
-values as a plain read-only array: one M-point transform, or, on grids of
-at least 2^17 nodes that oversample p 128-fold or more, r interleaved short
-transforms of the rotated spectrum (cosets), which agree with the one
-transform to rounding.  The cosets come in batches from one engine,
-`_coset_batches`, which has a second consumer: the rectangle rule of
-`norms`, which reduces each batch as it is made and never holds such a grid
-whole.  `from_samples` reads such an array back into coefficients.  Off
-that grid there is one evaluator, `_jet`: exact values of p and of its
-derivatives at any points, in O(points * sqrt(degree)) memory;
-`TrigPoly.__call__` is its order 0.
+`sample` evaluates p on M uniform nodes by one inverse FFT and returns a
+fresh array that the caller owns; `from_samples` reads such an array back
+into coefficients.  Off that grid there is one evaluator, `_jet`: exact
+values of p and of its derivatives at any points, in
+O(points * sqrt(degree)) memory; `TrigPoly.__call__` is its order 0.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -506,59 +500,23 @@ def deviation_coeffs(phi: TrigPoly, kernel: KernelSpec, n: int, s: float) -> Tri
 # ---------------------------------------------------------------------------
 
 def sample(p: TrigPoly, m: int) -> np.ndarray:
-    """Values of p at the M uniform nodes t_j = 2 pi j/M, exactly, via
-    inverse FFTs, as a fresh read-only float64 array.
+    """Values of p at the M uniform nodes t_j = 2 pi j/M, exactly, as a fresh
+    float64 array: one M-point inverse FFT of the (degree + 1)-entry half
+    spectrum, which irfft zero-pads.
 
     Requires M >= 2*degree + 2 so every harmonic sits strictly below the
-    Nyquist index.  With L0 the smallest power of two >= max(2*degree + 2,
-    16), a grid of M >= 2^17 nodes and M >= 128 L0 is filled as r = M/L
-    interleaved cosets of L = 2 L0 nodes: node j = l r + c is node l of
-    coset c, and each batch of cosets from _coset_batches is written into
-    its columns of the (L, r) view of the output.  Those values differ from
-    the one M-point transform by rounding only, a few units in the last
-    place of max |p(t_j)|.  Every other grid is that one M-point transform
-    (r = 1) of the (degree + 1)-entry half spectrum, which irfft zero-pads.
+    Nyquist index.
     """
     if m < 2 or m & (m - 1):
         raise ParameterError("sample: M must be a power of two >= 2")
     if m < 2 * p.degree + 2:
         raise AliasingError("sample: M must be at least 2*degree + 2")
-    n = _coset_length(p.degree, m)
-    if n == m:
-        values = np.fft.irfft(_half_spectrum(p, m), n=m)
-    else:
-        values = np.empty(m)
-        cosets = values.reshape(n, m // n)
-        for c0, batch in _coset_batches(p, n, m):
-            cosets[:, c0 : c0 + len(batch)] = batch.T
-    values.setflags(write=False)
-    return values
-
-
-# Cosets replace the one M-point inverse FFT from this many nodes, where its
-# spectrum and output (16 M bytes) outgrow a 2 MiB L2 cache, and only at
-# M >= 128 L0, so that at least 64 cosets share the twiddle table.  On a
-# 2-vCPU Xeon, at degree 0-8191, they took 0.15-0.9 of the one transform's
-# time there; on grids of 2^13-2^16 nodes they took 1.2-4 times it, and at
-# M = 64 L0 up to 1.4 times.
-_COSET_MIN_NODES = 1 << 17
-_COSET_MIN_RATIO = 128
-# Nodes per batch of cosets, at most M/16: a batch holds about 20 bytes of
-# scratch per node, so the output stays most of the peak.
-_COSET_BATCH = 1 << 16
+    return np.fft.irfft(_half_spectrum(p, m), n=m)
 
 
 def _next_pow2(n: int) -> int:
     """Smallest power of two >= max(n, 16)."""
     return 1 << max(4, (n - 1).bit_length())
-
-
-def _coset_length(degree: int, m: int) -> int:
-    """Length L of the inverse FFTs by which sample fills M nodes; L = M is one transform."""
-    base = _next_pow2(2 * degree + 2)
-    if m < _COSET_MIN_NODES or m < _COSET_MIN_RATIO * base:
-        return m
-    return 2 * base
 
 
 def _half_spectrum(p: TrigPoly, n: int) -> np.ndarray:
@@ -568,30 +526,6 @@ def _half_spectrum(p: TrigPoly, n: int) -> np.ndarray:
     np.multiply(p.a, 0.5 * n, out=half[1:].real)
     np.multiply(p.b, -0.5 * n, out=half[1:].imag)
     return half
-
-
-def _coset_batches(p: TrigPoly, n: int, m: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """The values of p on m uniform nodes as r = m/n interleaved n-point
-    cosets, yielded batch by batch as (c0, v) with v[b, l] = p(t_{l r + c0 + b}).
-
-    Coset c holds the nodes j = l r + c, which are the n nodes of
-    p(t + 2 pi c/m), so its half spectrum is p's times e^{2 pi i k c/m}.  A
-    batch of cosets c0 + b takes the twiddles e^{2 pi i k b/m}, tabulated
-    once, times e^{2 pi i k c0/m}, whose angle stays below pi/2 since
-    k < n/4 and c0 < m/n; irfft zero-pads each row past the degree.  Each v
-    is a fresh array of at most max(n, _COSET_BATCH) values, so a caller
-    that reduces the batches as they come never holds the whole grid.
-    """
-    r = m // n
-    width = max(1, min(_COSET_BATCH, m // 16) // n)
-    half = _half_spectrum(p, n)
-    k = np.arange(half.size)
-    unit = TWO_PI / m
-    twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
-    batch = np.empty_like(twiddle)
-    for c0 in range(0, r, width):
-        np.multiply(twiddle, half * np.exp(1j * unit * (k * c0)), out=batch)
-        yield c0, np.fft.irfft(batch, n=n, axis=1)
 
 
 def from_samples(values: np.ndarray, degree: int | None = None) -> TrigPoly:

@@ -179,9 +179,9 @@ class TestUnitBallSources:
         # unit_ball_deviations asks for the same sources at every order n.
         calls = []
         monkeypatch.setattr(rates, "l1_norm", lambda p: calls.append(p) or l1_norm(p))
-        rates._unit_ball_sources.cache_clear()
+        unit_ball_sources.cache_clear()
         first = unit_ball_sources(3, seed=77)
-        first.clear()
         again = unit_ball_sources(3, seed=77)
+        assert again is first
         assert len(calls) == 3 and len(again) == 3
-        assert rates._unit_ball_sources.cache_info().maxsize == 16
+        assert unit_ball_sources.cache_info().maxsize == 16
