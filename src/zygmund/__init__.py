@@ -23,7 +23,6 @@ from .decay import (
     PsiFunction,
     Regime,
     RegimeResult,
-    Tabulated,
     check_almost_decreasing,
     check_doubling,
     classify_regime,
@@ -79,7 +78,6 @@ __all__ = [
     "PsiFunction",
     "Regime",
     "RegimeResult",
-    "Tabulated",
     "check_almost_decreasing",
     "check_doubling",
     "classify_regime",

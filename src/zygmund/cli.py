@@ -75,14 +75,11 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     convexity = reciprocal_convexity(cfg.psi, 64)
 
     eps = f" (epsilon={regime.epsilon!r})" if regime.epsilon is not None else ""
-    theta_verdict = {True: "true", False: "false", None: "indeterminate"}[theta.member]
-    cert = ""
-    if theta.member:
-        cert = f" alpha={theta.alpha!r} K={theta.bound:.6g}"
+    cert = f" alpha={theta.alpha!r} K={theta.bound:.6g}" if theta.member else ""
     print(f"psi        : {cfg.psi_family} {cfg.psi}")
     print(f"method     : s={method.s!r} q={method.q!r} beta={method.beta!r} q'={method.q_prime!r}")
     print(f"regime     : {regime.regime.value}{eps}")
-    print(f"theta(q'={method.q_prime:g}) : {theta_verdict}{cert}")
+    print(f"theta(q'={method.q_prime:g}) : {str(theta.member).lower()}{cert}")
     print(f"doubling   : bounded={str(doubling.bounded).lower()} K={doubling.bound:.6g}")
     print(f"1/psi      : {convexity.value}")
     return 0

@@ -3,9 +3,8 @@
 The convolution kernels treated by this library have cosine series with
 positive nonincreasing coefficients psi(1), psi(2), ...  This module defines
 the supported analytic families of such profiles (pure powers and three
-log-perturbed variants), tabulated data profiles, the method parameters
-(smoothing exponent s, target metric exponent q, kernel phase beta), and the
-classification of the composite growth function
+log-perturbed variants), the method parameters (smoothing exponent s, target
+metric exponent q, kernel phase beta), and the classification of the composite growth function
 
     g(t) = psi(t) * t**(s + 1/q'),   1/q + 1/q' = 1,
 
@@ -30,7 +29,6 @@ __all__ = [
     "PowerLog",
     "PowerInvLog",
     "PowerLogLog",
-    "Tabulated",
     "MethodParams",
     "growth_function",
     "Regime",
@@ -85,12 +83,6 @@ class PsiFunction:
         if arr.ndim == 0:
             return float(out)
         return out
-
-    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
-        """The points of (lo, hi) where log(psi) may fail to be smooth, in
-        increasing order; quadrature panels end there.  Analytic families
-        have none."""
-        return np.empty(0)
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -216,62 +208,6 @@ class PowerLogLog(PsiFunction):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Tabulated(PsiFunction):
-    """Profile given by values at the integer nodes 1, 2, ..., len(table).
-
-    Stored and interpolated in log space (linear in t between integer nodes),
-    which preserves positivity and monotonicity of the data.  Beyond the last
-    node the profile continues as a pure power with the declared decay
-    exponent.
-    """
-
-    log_values: np.ndarray
-    decay_exponent: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.log_values, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ParameterError("Tabulated: needs at least two nodes")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("Tabulated: log values must be finite")
-        if np.any(np.diff(arr) > 1.0e-12):
-            raise ParameterError("Tabulated: values must be nonincreasing")
-        if not (self.decay_exponent >= 0.0):
-            raise ParameterError("Tabulated: declared decay exponent must be >= 0")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "log_values", arr)
-
-    @classmethod
-    def from_values(cls, values, decay_exponent: float) -> "Tabulated":
-        values = np.asarray(values, dtype=float)
-        if np.any(values <= 0.0):
-            raise ParameterError("Tabulated: values must be positive")
-        return cls(log_values=np.log(values), decay_exponent=decay_exponent)
-
-    @property
-    def table_end(self) -> float:
-        return float(self.log_values.size)
-
-    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
-        """The table nodes in (lo, hi): log(psi) is linear in t between
-        consecutive nodes and a power of t beyond the last."""
-        first = math.floor(lo) + 1
-        last = min(math.ceil(hi) - 1, self.log_values.size)
-        return np.arange(first, last + 1, dtype=float)
-
-    def _log_value(self, t: np.ndarray) -> np.ndarray:
-        L = self.log_values.size
-        nodes = np.arange(1, L + 1, dtype=float)
-        inside = np.interp(t, nodes, self.log_values)
-        beyond = self.log_values[-1] - self.decay_exponent * (np.log(t) - math.log(L))
-        return np.where(t <= L, inside, beyond)
-
-    def _value(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(self._log_value(t))
-
-
 @dataclass(frozen=True)
 class MethodParams:
     """Parameters of the summation method and target metric.
@@ -327,7 +263,6 @@ class Regime(Enum):
     GROWING = "growing"        # g(t) * t**(-eps) increases for some eps > 0
     CRITICAL = "critical"      # g slowly oscillating: any power swamps it
     DECAYING = "decaying"      # g(t) * t**(+eps) decreases for some eps > 0
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -346,105 +281,45 @@ class RegimeResult:
 def classify_regime(psi: PsiFunction, method: MethodParams) -> RegimeResult:
     """Classify the growth function g(t) = psi(t) * t**(s + 1/q').
 
-    Analytic families are decided from the net power exponent
-    e = (s + 1/q') - r alone: logarithmic factors are slowly oscillating and
-    never flip the verdict when e != 0.  The boundary e = 0 is resolved as
-    CRITICAL (pure powers give g constant there; log perturbations oscillate
-    slowly by definition).  Tabulated profiles get a numeric monotonicity
-    test on their integer nodes and may come back UNDETERMINED.
+    The verdict follows from the net power exponent e = (s + 1/q') - r
+    alone: logarithmic factors are slowly oscillating and never flip the
+    verdict when e != 0.  The boundary e = 0 is resolved as CRITICAL (pure
+    powers give g constant there; log perturbations oscillate slowly by
+    definition).
     """
     e = method.growth_exponent - psi.decay_exponent
-    if not isinstance(psi, Tabulated):
-        if e > _EXPONENT_TOL:
-            return RegimeResult(Regime.GROWING, epsilon=e / 2.0)
-        if e < -_EXPONENT_TOL:
-            return RegimeResult(Regime.DECAYING, epsilon=-e / 2.0)
-        return RegimeResult(Regime.CRITICAL)
-
-    # Tabulated: probe at integer nodes (the actual data; between nodes the
-    # log-linear interpolant wiggles around any power trend) plus a short
-    # declared-decay continuation, and certify by monotonicity in log space.
-    grid = _tabulated_probe_grid(psi)
-    top = float(grid[-1])
-    log_g = psi.log_value(grid) + method.growth_exponent * np.log(grid)
-    slack = 1.0e-9
-
-    def nondecreasing(x: np.ndarray) -> bool:
-        return bool(np.all(np.diff(x) >= -slack))
-
-    def nonincreasing(x: np.ndarray) -> bool:
-        return bool(np.all(np.diff(x) <= slack))
-
-    log_t = np.log(grid)
     if e > _EXPONENT_TOL:
-        eps = e / 2.0
-        if nondecreasing(log_g - eps * log_t):
-            return RegimeResult(Regime.GROWING, epsilon=eps)
-        return RegimeResult(Regime.UNDETERMINED)
+        return RegimeResult(Regime.GROWING, epsilon=e / 2.0)
     if e < -_EXPONENT_TOL:
-        eps = -e / 2.0
-        if nonincreasing(log_g + eps * log_t):
-            return RegimeResult(Regime.DECAYING, epsilon=eps)
-        return RegimeResult(Regime.UNDETERMINED)
-    # Boundary case: require both small-power conditions on the upper half of
-    # the window, where "eventual" behaviour is visible.
-    delta = 0.05
-    upper = grid >= math.sqrt(top)
-    if nondecreasing((log_g + delta * log_t)[upper]) and nonincreasing(
-        (log_g - delta * log_t)[upper]
-    ):
-        return RegimeResult(Regime.CRITICAL)
-    return RegimeResult(Regime.UNDETERMINED)
-
-
-def _tabulated_probe_grid(psi: Tabulated, continuation: float = 2.0) -> np.ndarray:
-    """Integer probe points covering the table and a short extrapolated reach."""
-    end = int(psi.table_end)
-    if end <= 2048:
-        base = np.arange(1, end + 1)
-    else:
-        base = np.unique(np.round(np.geomspace(1, end, 1025)).astype(np.int64))
-    beyond = np.unique(np.round(np.geomspace(end, max(continuation * end, 64), 65)).astype(np.int64))
-    return np.unique(np.concatenate([base, beyond])).astype(float)
+        return RegimeResult(Regime.DECAYING, epsilon=-e / 2.0)
+    return RegimeResult(Regime.CRITICAL)
 
 
 @dataclass(frozen=True)
 class AlmostDecreasingResult:
     """Verdict of the weighted almost-decreasing test.
 
-    member is True/False for analytic families; None means the tabulated
-    grid test could not certify either way.  alpha is the certifying weight
-    exponent and bound the measured constant K with
-    t1**alpha * psi(t1) <= K * t2**alpha * psi(t2) for t1 > t2 on the grid.
+    When member is True, alpha is the certifying weight exponent and bound
+    the measured constant K with t1**alpha * psi(t1) <= K * t2**alpha *
+    psi(t2) for t1 > t2 on the grid.
     """
 
-    member: Optional[bool]
+    member: bool
     alpha: Optional[float] = None
     bound: Optional[float] = None
-
-
-def _measured_almost_decreasing_bound(psi: PsiFunction, alpha: float, grid: np.ndarray) -> float:
-    """sup over grid pairs t' >= t of (t'**a psi(t')) / (t**a psi(t))."""
-    log_h = psi.log_value(grid) + alpha * np.log(grid)
-    suffix_max = np.maximum.accumulate(log_h[::-1])[::-1]
-    return float(np.exp(np.max(suffix_max - log_h)))
 
 
 def check_almost_decreasing(psi: PsiFunction, rho: float) -> AlmostDecreasingResult:
     """Test whether t**alpha * psi(t) is almost decreasing for some alpha > 1/rho.
 
     This is the integrability condition guaranteeing that the associated
-    kernel lies in L_q when rho is the conjugate exponent q'.  Analytic
-    families are decided from their parameters; the certificate (alpha, K)
-    is measured on a geometric grid.
+    kernel lies in L_q when rho is the conjugate exponent q'.  Membership is
+    decided from the parameters; the certificate (alpha, K) is measured on a
+    geometric grid.
     """
     if not (rho >= 1.0):
         raise ParameterError("check_almost_decreasing: requires rho >= 1")
     inv = 1.0 / rho
-
-    if isinstance(psi, Tabulated):
-        return _tabulated_almost_decreasing(psi, inv)
-
     r = psi.decay_exponent
     if isinstance(psi, (PowerLog, PowerLogLog)):
         # The log growth in the numerator must be paid for by the shift c.
@@ -454,28 +329,11 @@ def check_almost_decreasing(psi: PsiFunction, rho: float) -> AlmostDecreasingRes
     if not member:
         return AlmostDecreasingResult(member=False)
     alpha = 0.5 * (inv + r)
-    bound = _measured_almost_decreasing_bound(psi, alpha, _PROBE_GRID)
+    # K = sup over grid pairs t' >= t of (t'**alpha psi(t')) / (t**alpha psi(t))
+    log_h = psi.log_value(_PROBE_GRID) + alpha * np.log(_PROBE_GRID)
+    suffix_max = np.maximum.accumulate(log_h[::-1])[::-1]
+    bound = float(np.exp(np.max(suffix_max - log_h)))
     return AlmostDecreasingResult(member=True, alpha=alpha, bound=bound)
-
-
-def _tabulated_almost_decreasing(psi: Tabulated, inv: float) -> AlmostDecreasingResult:
-    grid = _tabulated_probe_grid(psi)
-    if psi.decay_exponent > inv + _EXPONENT_TOL:
-        alpha = 0.5 * (inv + psi.decay_exponent)
-        candidates = [alpha]
-    else:
-        candidates = list(inv + np.linspace(0.01, 1.0, 8))
-    log_t = np.log(grid)
-    for alpha in candidates:
-        log_h = psi.log_value(grid) + alpha * log_t
-        bound = _measured_almost_decreasing_bound(psi, alpha, grid)
-        # Certify only when the weighted profile shows no growth trend at the
-        # top of the window; a finite grid cannot refute membership, so
-        # anything else stays undetermined.
-        slope = np.polyfit(log_t, log_h, 1)[0]
-        if slope <= 1.0e-6 and bound <= 1.0e6:
-            return AlmostDecreasingResult(member=True, alpha=float(alpha), bound=bound)
-    return AlmostDecreasingResult(member=None)
 
 
 @dataclass(frozen=True)
@@ -490,20 +348,14 @@ def check_doubling(psi: PsiFunction, t_max: float) -> DoublingResult:
     """Measure sup of psi(t)/psi(2t) over a geometric grid in [1, t_max].
 
     All four analytic families are doubling-regular; the returned bound is
-    the measured supremum.  Tabulated profiles are declared unbounded when
-    the ratio overflows or keeps growing across the top half of the window.
+    the measured supremum.
     """
     if not (t_max >= 2.0):
         raise ParameterError("check_doubling: requires t_max >= 2")
     grid = np.geomspace(1.0, t_max, 257)
     log_ratio = psi.log_value(grid) - psi.log_value(2.0 * grid)
     top = float(np.max(log_ratio))
-    bound = math.exp(top) if top < 700.0 else math.inf
-    if not isinstance(psi, Tabulated):
-        return DoublingResult(bounded=True, bound=bound)
-    half = grid.size // 2
-    growing = np.max(log_ratio[half:]) > np.max(log_ratio[:half]) + math.log(2.0)
-    return DoublingResult(bounded=math.isfinite(bound) and not growing, bound=bound)
+    return DoublingResult(bounded=True, bound=math.exp(top) if top < 700.0 else math.inf)
 
 
 class Convexity(Enum):

@@ -30,10 +30,6 @@ class AliasingError(ZygmundError, ValueError):
     """A sampling grid is too coarse to represent a polynomial exactly."""
 
 
-class DivergenceError(ZygmundError, ArithmeticError):
-    """A required series or integral does not converge."""
-
-
 class ConvergenceError(ZygmundError, RuntimeError):
     """An iterative refinement failed to stabilize within its budget."""
 

@@ -66,10 +66,9 @@ def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
     Pure powers are integrated analytically (the boundary case is exactly
     log n).  Other profiles are integrated in u = log t, where the integrand
     is exp(q*log(psi(e**u)) + q*gamma*u), gamma = s + 1/q', by
-    panel_integral: a 32-point Gauss-Legendre rule on panels halved until
-    two sums agree to 1e-13 relative, else ConvergenceError.  The panels
-    start as [0, log n] alone, or, for a tabulated profile, end at every
-    table node below n, between which log(psi) is linear in t.
+    panel_integral: a 32-point Gauss-Legendre rule on panels halved, from
+    the one panel [0, log n], until two sums agree to 1e-13 relative, else
+    ConvergenceError.
     """
     if n < 2:
         raise ParameterError("critical_integral: requires n >= 2")
@@ -83,8 +82,7 @@ def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
     def log_integrand(u: np.ndarray) -> np.ndarray:
         return q * psi.log_value(np.exp(u)) + q * method.growth_exponent * u
 
-    edges = np.log(np.concatenate([[1.0], psi.breakpoints(1.0, n), [float(n)]]))
-    return panel_integral(log_integrand, edges)
+    return panel_integral(log_integrand, np.log([1.0, float(n)]))
 
 
 def _rate(psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int) -> float:
@@ -93,9 +91,7 @@ def _rate(psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int) 
         return float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q)
     if regime.regime is Regime.CRITICAL:
         return float(n) ** (-method.s) * critical_integral(psi, method, n) ** (1.0 / method.q)
-    if regime.regime is Regime.DECAYING:
-        return float(n) ** (-method.s)
-    raise RegimeMismatchError("rate law: regime could not be determined")
+    return float(n) ** (-method.s)
 
 
 def theoretical_rate(
@@ -135,7 +131,7 @@ def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> floa
     if n < 1:
         raise ParameterError("upper_bound_estimate: requires n >= 1")
     theta = check_almost_decreasing(psi, method.q_prime)
-    if theta.member is not True:
+    if not theta.member:
         warnings.warn(
             "upper_bound_estimate: psi failed the kernel integrability test for q'",
             stacklevel=2,
@@ -332,7 +328,7 @@ def best_vs_method_experiment(
             f"best_vs_method_experiment: requires the growing regime, got {regime.regime.value}"
         )
     theta = check_almost_decreasing(psi, method.q_prime)
-    if theta.member is not True:
+    if not theta.member:
         raise ParameterError(
             "best_vs_method_experiment: psi fails the kernel integrability test for q'"
         )

@@ -24,14 +24,8 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .decay import PsiFunction, Tabulated
-from .errors import (
-    AliasingError,
-    ConvergenceError,
-    DivergenceError,
-    IllPosedError,
-    ParameterError,
-)
+from .decay import PsiFunction
+from .errors import AliasingError, ConvergenceError, IllPosedError, ParameterError
 
 __all__ = [
     "TrigPoly",
@@ -287,8 +281,7 @@ def kernel_poly(kernel: KernelSpec) -> Tuple[TrigPoly, float]:
     a_k = psi(k) cos(beta*pi/2), b_k = psi(k) sin(beta*pi/2) for k up to the
     truncation, and tail_sup estimates sum_{k > length} psi(k) by direct
     summation plus an integral remainder.  The sup estimate is infinite when
-    the coefficient series diverges (decay exponent <= 1); tabulated profiles
-    with no convergent continuation raise instead.
+    the coefficient series diverges (decay exponent <= 1).
     """
     poly = phased_poly(kernel.coefficients(kernel.length), kernel.beta)
     return poly, coefficient_tail_sum(kernel.psi, kernel.length + 1)
@@ -305,20 +298,12 @@ def coefficient_tail_sum(psi: PsiFunction, first: int, power: float = 1.0) -> fl
     power into the constant K'**(1 - power*r) / a, so its remainder is
     exact.  panel_integral takes it on panels graded geometrically toward
     x = 0, down to x_cap = 2**-64 or to log t = 600, whichever comes
-    first, with panel ends at the nodes of a tabulated profile.  On
-    (0, x_cap] the integrand is continued as a quadratic in log x through
-    its values at x_cap, 2 x_cap and 4 x_cap and integrated in closed form;
-    for a pure power this is the exact constant.  Divergent cases
-    (power * decay exponent <= 1) return inf for analytic families and
-    raise DivergenceError for tabulated profiles, whose declared decay
-    exponent is the only continuation available.
+    first.  On (0, x_cap] the integrand is continued as a quadratic in log x
+    through its values at x_cap, 2 x_cap and 4 x_cap and integrated in
+    closed form; for a pure power this is the exact constant.  Divergent cases
+    (power * decay exponent <= 1) return inf.
     """
     if power * psi.decay_exponent <= 1.0 + 1.0e-12:
-        if isinstance(psi, Tabulated):
-            raise DivergenceError(
-                "coefficient_tail_sum: tabulated profile with declared decay "
-                f"exponent {psi.decay_exponent} has no convergent tail at power {power}"
-            )
         return math.inf
 
     k_end = first + 8192
@@ -328,16 +313,13 @@ def coefficient_tail_sum(psi: PsiFunction, first: int, power: float = 1.0) -> fl
     a = power * psi.decay_exponent - 1.0
     k0 = k_end - 0.5
     halvings = max(0, min(64, math.floor(a * (_LOG_T_CAP - math.log(k0)) / math.log(2.0))))
-    t_cap = k0 * 2.0 ** (halvings / a)
 
     def log_integrand(x: np.ndarray) -> np.ndarray:
         # t = k0 * x**(-1/a), dt = t / (a x) dx
         log_t = math.log(k0) - np.log(x) / a
         return power * psi.log_value(np.exp(log_t)) + log_t - math.log(a) - np.log(x)
 
-    edges = np.unique(
-        np.concatenate([2.0 ** -np.arange(halvings + 1), (psi.breakpoints(k0, t_cap) / k0) ** -a])
-    )
+    edges = 2.0 ** -np.arange(halvings, -1, -1)
     # int_0^x_cap: with s = log(x_cap/x), dx = x_cap e^-s ds, so a quadratic
     # h(s) gives x_cap (h + h' + h'') at s = 0, read off the values at x_cap,
     # 2 x_cap and 4 x_cap.  A pure power makes h constant; below two halvings
@@ -371,14 +353,12 @@ def panel_integral(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray)
     A 32-point Gauss-Legendre rule runs on every panel between consecutive
     edges, and every panel is halved until two sums agree to 1e-13
     relative; log_f takes an array of nodes.  Raises ConvergenceError when
-    the sums still differ at 2**15 panels, or after one halving of more
-    edges than that.
+    the sums still differ at 2**15 panels.
     """
     nodes, weights = _gauss_legendre()
     edges = np.asarray(edges, dtype=float)
-    max_panels = 2 * max(edges.size - 1, 2**14)
     prev = math.nan
-    while edges.size - 1 <= max_panels:
+    while edges.size - 1 <= 2**15:
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[1:] + edges[:-1])
         values = np.exp(log_f(mid[:, None] + half[:, None] * nodes))

@@ -13,7 +13,6 @@ from zygmund.decay import (
     PowerLog,
     PowerLogLog,
     Regime,
-    Tabulated,
     check_almost_decreasing,
     check_doubling,
     classify_regime,
@@ -84,27 +83,6 @@ class TestEval:
         for psi in [Power(1.5), PowerLog(1.0, 1.0, 60.0), PowerInvLog(2.0, 0.5, 3.0)]:
             grid = np.geomspace(1.0, 1.0e4, 50)
             assert psi.log_value(grid) == pytest.approx(np.log(psi(grid)), abs=1e-12)
-
-
-class TestTabulated:
-    def test_interpolation_hits_nodes_and_stays_monotone(self):
-        values = [1.0, 0.5, 0.25, 0.125]
-        psi = Tabulated.from_values(values, decay_exponent=3.0)
-        assert psi(2.0) == pytest.approx(0.5, rel=1e-15)
-        # log-linear between nodes: halfway between 1 and 2 in log space
-        assert psi(1.5) == pytest.approx(math.sqrt(1.0 * 0.5), rel=1e-12)
-        grid = np.linspace(1.0, 8.0, 60)
-        v = psi(grid)
-        assert np.all(np.diff(v) <= 1e-15)
-
-    def test_declared_decay_extrapolation(self):
-        psi = Tabulated.from_values([1.0, 0.25], decay_exponent=2.0)
-        # Beyond the table: psi(t) = psi(2) * (t/2)**-2
-        assert psi(4.0) == pytest.approx(0.25 * (4.0 / 2.0) ** -2.0, rel=1e-12)
-
-    def test_rejects_increasing_data(self):
-        with pytest.raises(ParameterError):
-            Tabulated.from_values([1.0, 2.0], decay_exponent=1.0)
 
 
 class TestGrowthFunction:
@@ -183,21 +161,6 @@ class TestClassify:
         assert classify_regime(PowerInvLog(2.5, 1.0, 1.0), m).regime is Regime.DECAYING
         assert classify_regime(PowerLog(1.5, 1.0, 200.0), m).regime is Regime.CRITICAL
 
-    def test_tabulated_classification(self):
-        m = MethodParams(s=1.0, q=2.0)
-        k = np.arange(1, 129, dtype=float)
-        psi = Tabulated.from_values(1.0 / k, decay_exponent=1.0)
-        assert classify_regime(psi, m).regime is Regime.GROWING
-
-    def test_tabulated_inconsistent_declaration_undetermined(self):
-        m = MethodParams(s=1.0, q=2.0)
-        k = np.arange(1, 129, dtype=float)
-        # Table decays like 1/k but the declared exponent says much faster:
-        # the certifying monotonicity test cannot pass inside the table.
-        psi = Tabulated.from_values(1.0 / k, decay_exponent=4.0)
-        assert classify_regime(psi, m).regime is Regime.UNDETERMINED
-
-
 class TestAlmostDecreasing:
     def test_power_membership_examples(self):
         res = check_almost_decreasing(Power(1.0), 2.0)
@@ -223,14 +186,6 @@ class TestAlmostDecreasing:
         with pytest.raises(ParameterError):
             check_almost_decreasing(Power(1.0), 0.5)
 
-    def test_tabulated_certified_and_indeterminate(self):
-        k = np.arange(1, 257, dtype=float)
-        good = Tabulated.from_values(1.0 / k**2, decay_exponent=2.0)
-        assert check_almost_decreasing(good, 2.0).member is True
-        flat = Tabulated.from_values(np.ones(256), decay_exponent=0.0)
-        assert check_almost_decreasing(flat, 2.0).member is None
-
-
 class TestDoubling:
     def test_power_certificates(self):
         res = check_doubling(Power(1.0), 1.0e6)
@@ -245,13 +200,6 @@ class TestDoubling:
             PowerLogLog(1.0, 1.0, 60.0),
         ]:
             assert check_doubling(psi, 1.0e6).bounded
-
-    def test_geometric_decay_unbounded(self):
-        n = 1 << 21
-        log_values = -math.log(2.0) * np.arange(1, n + 1, dtype=float)
-        psi = Tabulated(log_values=log_values, decay_exponent=30.0)
-        res = check_doubling(psi, float(1 << 20))
-        assert res.bounded is False
 
     def test_t_max_validation(self):
         with pytest.raises(ParameterError):
@@ -269,10 +217,10 @@ class TestReciprocalConvexity:
         # 1/psi = sqrt(t) has negative second derivative.
         assert reciprocal_convexity(Power(0.5), 64) is Convexity.CONVEX_UP
 
-    def test_mixed_tabulated_is_neither(self):
-        h = np.array([1.0, 2.0, 4.0, 5.0, 7.0, 10.0])
-        psi = Tabulated.from_values(1.0 / h, decay_exponent=1.0)
-        assert reciprocal_convexity(psi, 4) is Convexity.NEITHER
+    def test_mixed_power_log_is_neither(self):
+        # The second differences of 1/psi = t**1.05 / log(t + 60) are
+        # positive at nodes 2..7 and negative at nodes 8..64.
+        assert reciprocal_convexity(PowerLog(1.05, 1.0, 60.0), 64) is Convexity.NEITHER
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):

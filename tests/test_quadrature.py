@@ -13,16 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zygmund import MethodParams, Power, PowerInvLog, PowerLog, PowerLogLog, Tabulated
+from zygmund import MethodParams, Power, PowerInvLog, PowerLog, PowerLogLog
 from zygmund.errors import ConvergenceError
 from zygmund.rates import critical_integral
 from zygmund.trig import coefficient_tail_sum, panel_integral
 
 ROOT = Path(__file__).resolve().parents[1]
 ANALYTIC = (PowerLog(1.5, 1.0, 60.0), PowerInvLog(1.5, 1.0, 1.0), PowerLogLog(1.5, 1.0, 60.0))
-TABLE = Tabulated.from_values(np.arange(1.0, 300.0) ** -1.5, decay_exponent=1.5)
-# A table reaching past the first remainder point, so tail panels end at nodes.
-LONG_TABLE = Tabulated.from_values(np.arange(1.0, 9001.0) ** -1.5 * (1.0 + 0.5 / np.arange(1.0, 9001.0)), 1.5)
 # First remainder point K' = first + 8192 - 1/2 of coefficient_tail_sum.
 DIRECT_TERMS = 8192
 
@@ -37,29 +34,18 @@ def quad_pieces(f, edges):
 
 
 def critical_oracle(psi, method, n):
-    """quad of g(t)**q / t in t, one call per table node interval."""
+    """quad of g(t)**q / t in t."""
     q, gamma = method.q, method.growth_exponent
 
     def integrand(t):
         return math.exp(q * psi.log_value(t) + (q * gamma - 1.0) * math.log(t))
 
-    nodes = [1.0]
-    if isinstance(psi, Tabulated):
-        nodes += [float(k) for k in range(2, min(n - 1, int(psi.table_end)) + 1)]
-    return quad_pieces(integrand, nodes + [float(n)])
+    return quad_pieces(integrand, [1.0, float(n)])
 
 
 def direct_part(psi, first, power):
     ks = np.arange(first, first + DIRECT_TERMS, dtype=float)
     return float(np.sum(np.exp(power * psi.log_value(ks))))
-
-
-@pytest.mark.parametrize("n", [8, 64, 256, 1024])
-def test_tabulated_critical_integral_matches_per_node_quad(n):
-    method = MethodParams(s=1.0, q=2.0)
-    value = critical_integral(TABLE, method, n)
-    reference = critical_oracle(TABLE, method, n)
-    assert value == pytest.approx(reference, rel=1.0e-12)
 
 
 @pytest.mark.parametrize("psi", ANALYTIC, ids=lambda p: type(p).__name__)
@@ -102,8 +88,8 @@ def test_power_tail_is_the_closed_form(r, power, first):
 
 @pytest.mark.parametrize(
     "psi",
-    [PowerLog(1.5, 1.0, 60.0), PowerLog(2.0, 2.0, 60.0), PowerLogLog(1.5, 1.0, 60.0), TABLE, LONG_TABLE],
-    ids=["PowerLog1.5", "PowerLog2", "PowerLogLog", "Tabulated299", "Tabulated9000"],
+    [PowerLog(1.5, 1.0, 60.0), PowerLog(2.0, 2.0, 60.0), PowerLogLog(1.5, 1.0, 60.0)],
+    ids=["PowerLog1.5", "PowerLog2", "PowerLogLog"],
 )
 @pytest.mark.parametrize("power", [1.0, 2.0])
 @pytest.mark.parametrize("first", [1, 40])
@@ -113,10 +99,7 @@ def test_tail_matches_quad(psi, power, first):
     def integrand(t):
         return math.exp(power * psi.log_value(t))
 
-    edges = [k0]
-    if isinstance(psi, Tabulated):
-        edges += [float(k) for k in range(math.ceil(k0), int(psi.table_end) + 1)]
-    reference = direct_part(psi, first, power) + quad_pieces(integrand, edges + [math.inf])
+    reference = direct_part(psi, first, power) + quad_pieces(integrand, [k0, math.inf])
     assert coefficient_tail_sum(psi, first, power) == pytest.approx(reference, rel=1.0e-10)
 
 
@@ -156,13 +139,6 @@ def test_panel_integral_raises_when_sums_never_agree():
     # |x|**-1/2 on [-1, 1]: the panel sums converge like h**(1/2)
     with pytest.raises(ConvergenceError):
         panel_integral(lambda x: -0.5 * np.log(np.abs(x)), np.array([-1.0, 1.0]))
-
-
-def test_breakpoints_are_the_table_nodes():
-    assert TABLE.breakpoints(1.0, 8.0).tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-    assert TABLE.breakpoints(296.5, 1.0e300).tolist() == [297.0, 298.0, 299.0]
-    assert TABLE.breakpoints(8192.5, 1.0e300).size == 0
-    assert PowerLog(1.5, 1.0, 60.0).breakpoints(1.0, 1.0e6).size == 0
 
 
 def test_runtime_needs_no_scipy(tmp_path):

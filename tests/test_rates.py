@@ -247,6 +247,19 @@ class TestBestVsMethod:
         with pytest.raises(ParameterError):
             best_vs_method_experiment(Power(0.4), MethodParams(s=1.0, q=2.0), [8, 16, 32, 64, 128])
 
+    def test_convexity_precondition(self, monkeypatch):
+        # Growing and integrable, but 1/psi is convex at nodes 2..7 and
+        # concave beyond: rejected before any witness is built.
+        def no_witness(config):
+            raise AssertionError("build_witness called")
+
+        monkeypatch.setattr("zygmund.rates.build_witness", no_witness)
+        psi = PowerLog(1.05, 1.0, 60.0)
+        m = MethodParams(s=1.0, q=2.0)
+        assert classify_regime(psi, m).regime is Regime.GROWING
+        with pytest.raises(ParameterError, match="no definite convexity"):
+            best_vs_method_experiment(psi, m, [8, 16, 32, 64, 128])
+
 
 class TestLogFamilyExperiment:
     def test_powerlog_growing_band(self):
