@@ -9,31 +9,28 @@ by (k/n)**s, everything above passes through.
 import numpy as np
 
 from zygmund import (
-    KernelSpec,
     Power,
     TrigPoly,
     convolve,
-    deviation_coeffs,
     fejer_sum,
-    kernel_poly,
     psi_beta_derivative,
     zygmund_sum,
 )
+from zygmund.trig import deviation, phased_poly
 
-kernel = KernelSpec(psi=Power(2.0), beta=0.0, length=16)
-poly, tail = kernel_poly(kernel)
-print(f"kernel with psi(k) = k**-2, truncated at {kernel.length}:")
-print(f"  first coefficients: {np.round(poly.a[:5], 5)}")
-print(f"  dropped-tail estimate sum_k>16 psi(k) = {tail:.6f}\n")
+psi, beta = Power(2.0), 0.0
+poly = phased_poly(psi(np.arange(1.0, 6.0)), beta)
+print("kernel Psi_beta with psi(k) = k**-2 and beta = 0:")
+print(f"  first coefficients: {np.round(poly.a[:5], 5)}\n")
 
 rng = np.random.default_rng(42)
 phi = TrigPoly(0.0, rng.standard_normal(8), rng.standard_normal(8))
-f = convolve(kernel, phi)
+f = convolve(psi, beta, phi)
 print("convolution maps the k-th harmonic to itself, scaled and rotated:")
 print(f"  phi harmonic 3: ({phi.a[2]:+.5f}, {phi.b[2]:+.5f})")
 print(f"  f   harmonic 3: ({f.a[2]:+.5f}, {f.b[2]:+.5f})   (factor psi(3) = {1/9:.5f})\n")
 
-back = psi_beta_derivative(f, kernel)
+back = psi_beta_derivative(f, psi, beta)
 print(f"the derivative map inverts it: max coefficient error "
       f"{max(np.max(np.abs(back.a - phi.a)), np.max(np.abs(back.b - phi.b))):.2e}\n")
 
@@ -48,7 +45,7 @@ print("Fejér is the s = 1 case:")
 print(f"  max |fejer - zygmund(s=1)| coefficient gap: "
       f"{np.max(np.abs(fejer_sum(f, n).a - zygmund_sum(f, n, 1.0).a)):.1e}\n")
 
-dev = deviation_coeffs(phi, kernel, n, s)
+dev = deviation(f, n, s)
 direct = f - zf
 t = 2.0 * np.pi * np.arange(8) / 8
 print("deviation representation: coefficient form vs direct f - Z(f) on a grid")

@@ -43,15 +43,12 @@ from .rates import (
     upper_bound_estimate,
 )
 from .trig import (
-    KernelSpec,
     TrigPoly,
     convolve,
-    deviation_coeffs,
     dirichlet,
     dirichlet_closed,
     fejer_sum,
     from_samples,
-    kernel_poly,
     psi_beta_derivative,
     sample,
     vallee_poussin,
@@ -99,15 +96,12 @@ __all__ = [
     "unit_ball_deviations",
     "unit_ball_sources",
     "upper_bound_estimate",
-    "KernelSpec",
     "TrigPoly",
     "convolve",
-    "deviation_coeffs",
     "dirichlet",
     "dirichlet_closed",
     "fejer_sum",
     "from_samples",
-    "kernel_poly",
     "psi_beta_derivative",
     "sample",
     "vallee_poussin",

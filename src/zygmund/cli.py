@@ -26,7 +26,7 @@ from .decay import (
 from .errors import CoefficientMismatchError, ConfigError, ZygmundError
 from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment
 from .trig import TrigPoly
-from .witness import WitnessConfig, build_witness, dual_test_poly, pairing_integral
+from .witness import WitnessConfig, build_witness, pairing_integral
 
 __all__ = ["main"]
 
@@ -120,7 +120,7 @@ def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
     _write(cfg.output_dir / "witness.csv", header + "\n" + row + "\n")
     _write(cfg.output_dir / "witness_phi.csv", trig_poly_csv(result.phi))
     _write(cfg.output_dir / "witness_f.csv", trig_poly_csv(result.f))
-    _write(cfg.output_dir / "witness_dual.csv", trig_poly_csv(dual_test_poly(wcfg)))
+    _write(cfg.output_dir / "witness_dual.csv", trig_poly_csv(result.dual))
     print(header)
     print(row)
     return 0

@@ -11,7 +11,8 @@ two-norm majorant of the kernel split.
 tabulate it, through the private `_rate`, after one regime classification.
 The Weyl–Nagy profiles psi(t) = t**(-r) are `Power(r)`, whose three cases
 are the three regimes, so `table-vnad` reads its case from
-`RateReport.regime`.
+`RateReport.regime`.  The critical law's integral is taken by
+`panel_integral`, the library's one profile quadrature.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -37,18 +38,12 @@ from .decay import (
 )
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
 from .norms import NormRequest, best_approx, l1_norm, lq_norm
-from .trig import (
-    KernelSpec,
-    TrigPoly,
-    deviation,
-    deviation_coeffs,
-    panel_integral,
-    phased_poly,
-)
+from .trig import TrigPoly, convolve, deviation, phased_poly
 from .witness import WitnessConfig, build_witness
 
 __all__ = [
     "theoretical_rate",
+    "panel_integral",
     "critical_integral",
     "upper_bound_estimate",
     "unit_ball_sources",
@@ -58,6 +53,41 @@ __all__ = [
     "ratio_experiment",
     "best_vs_method_experiment",
 ]
+
+
+@functools.cache
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point rule on [-1, 1], built on first use:
+    importing numpy.polynomial would add to every command's start-up."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(32)
+
+
+def panel_integral(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
+    """Integral of exp(log_f(x)) over [edges[0], edges[-1]].
+
+    A 32-point Gauss-Legendre rule runs on every panel between consecutive
+    edges, and every panel is halved until two sums agree to 1e-13
+    relative; log_f takes an array of nodes.  Raises ConvergenceError when
+    the sums still differ at 2**15 panels.
+    """
+    nodes, weights = _gauss_legendre()
+    edges = np.asarray(edges, dtype=float)
+    prev = math.nan
+    while edges.size - 1 <= 2**15:
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        values = np.exp(log_f(mid[:, None] + half[:, None] * nodes))
+        value = float(np.sum(half * (values @ weights)))
+        if abs(value - prev) <= 1.0e-13 * abs(value):
+            return value
+        prev = value
+        halved = np.empty(2 * edges.size - 1)
+        halved[0::2] = edges
+        halved[1::2] = mid
+        edges = halved
+    raise ConvergenceError("panel_integral: panel sums did not agree")
 
 
 def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
@@ -186,9 +216,8 @@ def unit_ball_deviations(
     method, n), whose tail truncation is at least 64.
     """
     req = NormRequest(q=method.q)
-    kernel = KernelSpec(psi=psi, beta=method.beta, length=max(UNIT_BALL_DEGREE, n))
     return [
-        lq_norm(deviation_coeffs(phi, kernel, n, method.s), req)
+        lq_norm(deviation(convolve(psi, method.beta, phi), n, method.s), req)
         for phi in unit_ball_sources(count, seed)
     ]
 

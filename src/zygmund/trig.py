@@ -6,7 +6,10 @@ Everything here works on the finite cosine/sine coefficient form
 
 which is the universal computational object of the library: convolution
 kernels, Zygmund and Fejér means, and the deviation f - Z(f) are all exact
-coefficient manipulations on it.
+coefficient manipulations on it.  Convolving a polynomial phi with the
+kernel Psi_beta of a profile psi reads psi(1..degree of phi) and the phase
+beta*pi/2 and nothing else, so `convolve` and its inverse
+`psi_beta_derivative` take (psi, beta) and need no kernel length.
 
 `sample` evaluates p on M uniform nodes by one inverse FFT and returns a
 fresh array that the caller owns; `from_samples` reads such an array back
@@ -17,15 +20,14 @@ O(points * sqrt(degree)) memory; `TrigPoly.__call__` is its order 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from .decay import PsiFunction
-from .errors import AliasingError, ConvergenceError, IllPosedError, ParameterError
+from .errors import AliasingError, IllPosedError, ParameterError
 
 __all__ = [
     "TrigPoly",
@@ -34,15 +36,11 @@ __all__ = [
     "vallee_poussin",
     "vallee_poussin_by_averaging",
     "phased_poly",
-    "KernelSpec",
-    "kernel_poly",
-    "panel_integral",
     "convolve",
     "psi_beta_derivative",
     "zygmund_sum",
     "fejer_sum",
     "deviation",
-    "deviation_coeffs",
     "sample",
     "from_samples",
 ]
@@ -226,7 +224,7 @@ def vallee_poussin_by_averaging(m: int) -> TrigPoly:
 
 
 # ---------------------------------------------------------------------------
-# Convolution kernels built from a decay profile
+# The kernel Psi_beta of a decay profile, and convolution with it
 # ---------------------------------------------------------------------------
 
 def phased_poly(amp: np.ndarray, beta: float, first_k: int = 1) -> TrigPoly:
@@ -248,137 +246,16 @@ def phased_poly(amp: np.ndarray, beta: float, first_k: int = 1) -> TrigPoly:
     return TrigPoly(0.0, a, b)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Truncated convolution kernel sum_{k=1}^{length} psi(k) cos(kt - beta*pi/2)."""
-
-    psi: PsiFunction
-    beta: float
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ParameterError("KernelSpec: requires length >= 1")
-        if not math.isfinite(self.beta):
-            raise ParameterError("KernelSpec: beta must be finite")
-
-    @property
-    def phase(self) -> float:
-        return self.beta * math.pi / 2.0
-
-    def coefficients(self, upto: int) -> np.ndarray:
-        """psi(k) for k = 1..upto (upto may not exceed the truncation)."""
-        if upto > self.length:
-            raise ParameterError("KernelSpec: requested harmonics beyond truncation")
-        k = np.arange(1, upto + 1, dtype=float)
-        return np.asarray(self.psi(k), dtype=float)
+def _kernel_harmonics(psi: PsiFunction, beta: float, degree: int) -> tuple[np.ndarray, float, float]:
+    """psi(k) for k = 1..degree, and the cosine and sine of the phase beta*pi/2."""
+    k = np.arange(1, degree + 1, dtype=float)
+    phase = beta * math.pi / 2.0
+    return np.asarray(psi(k), dtype=float), math.cos(phase), math.sin(phase)
 
 
-def kernel_poly(kernel: KernelSpec) -> Tuple[TrigPoly, float]:
-    """Realize the truncated kernel and estimate the dropped tail.
-
-    Returns (poly, tail_sup) where poly has coefficients
-    a_k = psi(k) cos(beta*pi/2), b_k = psi(k) sin(beta*pi/2) for k up to the
-    truncation, and tail_sup estimates sum_{k > length} psi(k) by direct
-    summation plus an integral remainder.  The sup estimate is infinite when
-    the coefficient series diverges (decay exponent <= 1).
-    """
-    poly = phased_poly(kernel.coefficients(kernel.length), kernel.beta)
-    return poly, coefficient_tail_sum(kernel.psi, kernel.length + 1)
-
-
-def coefficient_tail_sum(psi: PsiFunction, first: int, power: float = 1.0) -> float:
-    """Estimate sum_{k >= first} psi(k)**power.
-
-    Direct summation of the first 8192 terms, then the midpoint-corrected
-    remainder: for a smooth decreasing summand, sum_{k >= K} h(k) is the
-    midpoint rule for the integral of h from K' = K - 1/2 to infinity.  With
-    a = power * r - 1, r the decay exponent, the remainder is integrated in
-    x = (t/K')**(-a), which maps [K', inf) onto (0, 1] and turns a pure
-    power into the constant K'**(1 - power*r) / a, so its remainder is
-    exact.  panel_integral takes it on panels graded geometrically toward
-    x = 0, down to x_cap = 2**-64 or to log t = 600, whichever comes
-    first.  On (0, x_cap] the integrand is continued as a quadratic in log x
-    through its values at x_cap, 2 x_cap and 4 x_cap and integrated in
-    closed form; for a pure power this is the exact constant.  Divergent cases
-    (power * decay exponent <= 1) return inf.
-    """
-    if power * psi.decay_exponent <= 1.0 + 1.0e-12:
-        return math.inf
-
-    k_end = first + 8192
-    ks = np.arange(first, k_end, dtype=float)
-    direct = float(np.sum(np.exp(power * psi.log_value(ks))))
-
-    a = power * psi.decay_exponent - 1.0
-    k0 = k_end - 0.5
-    halvings = max(0, min(64, math.floor(a * (_LOG_T_CAP - math.log(k0)) / math.log(2.0))))
-
-    def log_integrand(x: np.ndarray) -> np.ndarray:
-        # t = k0 * x**(-1/a), dt = t / (a x) dx
-        log_t = math.log(k0) - np.log(x) / a
-        return power * psi.log_value(np.exp(log_t)) + log_t - math.log(a) - np.log(x)
-
-    edges = 2.0 ** -np.arange(halvings, -1, -1)
-    # int_0^x_cap: with s = log(x_cap/x), dx = x_cap e^-s ds, so a quadratic
-    # h(s) gives x_cap (h + h' + h'') at s = 0, read off the values at x_cap,
-    # 2 x_cap and 4 x_cap.  A pure power makes h constant; below two halvings
-    # it is taken as constant.
-    x_cap = 2.0 ** -halvings
-    if halvings < 2:
-        beyond = x_cap * math.exp(float(log_integrand(np.array([x_cap]))[0]))
-    else:
-        h0, h1, h2 = np.exp(log_integrand(x_cap * np.array([1.0, 2.0, 4.0])))
-        d = math.log(2.0)
-        beyond = x_cap * (h0 + (3.0 * h0 - 4.0 * h1 + h2) / (2.0 * d) + (h0 - 2.0 * h1 + h2) / d**2)
-    return direct + panel_integral(log_integrand, edges) + beyond
-
-
-# Largest log t at which a tail integrand is evaluated; exp stays finite.
-_LOG_T_CAP = 600.0
-
-
-@functools.cache
-def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 32-point rule on [-1, 1], built on first use:
-    importing numpy.polynomial would add to every command's start-up."""
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(32)
-
-
-def panel_integral(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
-    """Integral of exp(log_f(x)) over [edges[0], edges[-1]].
-
-    A 32-point Gauss-Legendre rule runs on every panel between consecutive
-    edges, and every panel is halved until two sums agree to 1e-13
-    relative; log_f takes an array of nodes.  Raises ConvergenceError when
-    the sums still differ at 2**15 panels.
-    """
-    nodes, weights = _gauss_legendre()
-    edges = np.asarray(edges, dtype=float)
-    prev = math.nan
-    while edges.size - 1 <= 2**15:
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        values = np.exp(log_f(mid[:, None] + half[:, None] * nodes))
-        value = float(np.sum(half * (values @ weights)))
-        if abs(value - prev) <= 1.0e-13 * abs(value):
-            return value
-        prev = value
-        halved = np.empty(2 * edges.size - 1)
-        halved[0::2] = edges
-        halved[1::2] = mid
-        edges = halved
-    raise ConvergenceError("panel_integral: panel sums did not agree")
-
-
-# ---------------------------------------------------------------------------
-# Convolution and its inverse
-# ---------------------------------------------------------------------------
-
-def convolve(kernel: KernelSpec, phi: TrigPoly) -> TrigPoly:
-    """Periodic convolution (1/pi) * integral of kernel(x - t) * phi(t) dt.
+def convolve(psi: PsiFunction, beta: float, phi: TrigPoly) -> TrigPoly:
+    """Periodic convolution (1/pi) * integral of Psi_beta(x - t) * phi(t) dt
+    with the kernel Psi_beta(t) = sum_k psi(k) cos(kt - beta*pi/2).
 
     By orthogonality the k-th harmonic of phi, written (alpha_k, gamma_k),
     maps to psi(k) times the pair rotated by +beta*pi/2:
@@ -386,40 +263,29 @@ def convolve(kernel: KernelSpec, phi: TrigPoly) -> TrigPoly:
         a_k = psi(k) * (alpha_k cos(beta*pi/2) - gamma_k sin(beta*pi/2))
         b_k = psi(k) * (alpha_k sin(beta*pi/2) + gamma_k cos(beta*pi/2))
 
-    The sign convention is frozen by the quadrature oracle in the test suite
-    (a grid evaluation of the defining integral), so the rotation direction
-    cannot silently flip.
+    so psi(k) is read only for k up to the degree of phi, and no kernel tail
+    enters.  The sign convention is frozen by the quadrature oracle in the
+    test suite (a grid evaluation of the defining integral), so the rotation
+    direction cannot silently flip.
     """
     if phi.a0 != 0.0:
         raise ParameterError("convolve: phi must have zero mean (a0 = 0)")
-    d = phi.degree
-    if kernel.length < d:
-        raise ParameterError("convolve: kernel truncation below phi degree")
-    if d == 0:
-        return TrigPoly.zero()
-    psi_k = kernel.coefficients(d)
-    c, s = math.cos(kernel.phase), math.sin(kernel.phase)
+    psi_k, c, s = _kernel_harmonics(psi, beta, phi.degree)
     a = psi_k * (phi.a * c - phi.b * s)
     b = psi_k * (phi.a * s + phi.b * c)
     return TrigPoly(0.0, a, b)
 
 
-def psi_beta_derivative(f: TrigPoly, kernel: KernelSpec) -> TrigPoly:
+def psi_beta_derivative(f: TrigPoly, psi: PsiFunction, beta: float) -> TrigPoly:
     """Inverse of `convolve` on the zero-mean part of f.
 
     Divides each harmonic by psi(k) and rotates the phase back; the constant
     term of f is not part of the convolution and is dropped (callers carry
     a0 separately).  Raises when a needed psi(k) underflows.
     """
-    d = f.degree
-    if kernel.length < d:
-        raise ParameterError("psi_beta_derivative: kernel truncation below f degree")
-    if d == 0:
-        return TrigPoly.zero()
-    psi_k = kernel.coefficients(d)
+    psi_k, c, s = _kernel_harmonics(psi, beta, f.degree)
     if np.any(psi_k < 1.0e-300):
         raise IllPosedError("psi_beta_derivative: psi(k) underflow, inversion ill-posed")
-    c, s = math.cos(kernel.phase), math.sin(kernel.phase)
     alpha = (f.a * c + f.b * s) / psi_k
     gamma = (-f.a * s + f.b * c) / psi_k
     return TrigPoly(0.0, alpha, gamma)
@@ -463,16 +329,6 @@ def deviation(f: TrigPoly, n: int, s: float) -> TrigPoly:
     """
     lam = _deviation_factor(n, s, f.degree)
     return TrigPoly(0.0, f.a * lam, f.b * lam)
-
-
-def deviation_coeffs(phi: TrigPoly, kernel: KernelSpec, n: int, s: float) -> TrigPoly:
-    """Exact coefficient form of f - Z(f) for f = convolve(kernel, phi).
-
-    Because phi is a polynomial this is exact: no kernel tail is involved.
-    """
-    if kernel.length < max(phi.degree, n):
-        raise ParameterError("deviation_coeffs: kernel truncation below max(degree, n)")
-    return deviation(convolve(kernel, phi), n, s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .decay import MethodParams, PsiFunction, growth_function
 from .errors import CoefficientMismatchError, ParameterError, ZygmundError
 from .norms import NormRequest, l1_norm, lq_norm
 from .trig import (
-    KernelSpec, TrigPoly, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, sample, vallee_poussin
+    TrigPoly, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, sample, vallee_poussin
 )
 
 __all__ = [
@@ -54,12 +54,14 @@ class WitnessResult:
 
     lower_bound is the Hölder quotient I / ||dual||_{q'}, which never exceeds
     the measured deviation ||f - Z(f)||_q; pairing is the closed-form value
-    of the pairing integral I.
+    of the pairing integral I, and dual is the test polynomial paired
+    against (None at n = 1, where the bound is 0).
     """
 
     alpha0: float
     phi: TrigPoly
     f: TrigPoly
+    dual: TrigPoly | None
     pairing: float
     lower_bound: float
     deviation: float
@@ -103,7 +105,7 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     """Assemble the calibrated witness and certify its internal consistency.
 
     The witness f is written directly from the expanded coefficient form and
-    cross-checked against convolve(kernel, phi); disagreement beyond 1e-10
+    cross-checked against convolve(psi, beta, phi); disagreement beyond 1e-10
     signals a sign-convention bug and raises.  The measured deviation is
     ||f - Z(f)||_q, and the certified Hölder lower bound is checked against
     it before returning.
@@ -112,9 +114,7 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     phi = alpha0 * vp_pulse(cfg.n)
     f = _witness_direct(cfg, alpha0)
 
-    kernel = KernelSpec(psi=cfg.psi, beta=cfg.method.beta, length=2 * cfg.n - 1)
-    f_conv = convolve(kernel, phi)
-    gap = max_coeff_diff(f, f_conv)
+    gap = max_coeff_diff(f, convolve(cfg.psi, cfg.method.beta, phi))
     if gap > 1.0e-10:
         raise CoefficientMismatchError(
             f"build_witness: direct expansion and convolution disagree by {gap:.3e}"
@@ -123,11 +123,8 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     dev = lq_norm(deviation(f, cfg.n, cfg.method.s), NormRequest(q=cfg.method.q))
 
     pairing = _pairing_closed(cfg, alpha0)
-    if cfg.n >= 2:
-        dual = dual_test_poly(cfg)
-        raw_lower = pairing / lq_norm(dual, NormRequest(q=cfg.method.q_prime))
-    else:
-        raw_lower = 0.0
+    dual = dual_test_poly(cfg) if cfg.n >= 2 else None
+    raw_lower = 0.0 if dual is None else pairing / lq_norm(dual, NormRequest(q=cfg.method.q_prime))
 
     if raw_lower > dev + 1.0e-9:
         raise ZygmundError(f"build_witness: Hölder lower bound {raw_lower} exceeds deviation {dev}")
@@ -135,6 +132,7 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
         alpha0=alpha0,
         phi=phi,
         f=f,
+        dual=dual,
         pairing=pairing,
         lower_bound=raw_lower,
         deviation=dev,

@@ -19,10 +19,9 @@ from zygmund.rates import (
     theoretical_rate,
 )
 from zygmund.trig import (
-    KernelSpec,
     TrigPoly,
     convolve,
-    deviation_coeffs,
+    deviation,
     fejer_sum,
     max_coeff_diff,
     zygmund_sum,
@@ -104,10 +103,9 @@ def test_criterion_03_deviation_representation():
     for n in (8, 16):
         for s in (0.5, 1.0, 2.0):
             for beta in (0.0, 0.3, 1.0):
-                kernel = KernelSpec(psi=Power(1.0), beta=beta, length=24)
                 for phi in sources:
-                    dev = deviation_coeffs(phi, kernel, n, s)
-                    f = convolve(kernel, phi)
+                    f = convolve(Power(1.0), beta, phi)
+                    dev = deviation(f, n, s)
                     direct = f - zygmund_sum(f, n, s)
                     worst = max(worst, float(np.max(np.abs(dev(t) - direct(t)))))
     report(3, f"coefficient deviation equals direct f - Z(f) (worst {worst:.2e})", worst < 1e-11)
@@ -119,8 +117,7 @@ def test_criterion_04_witness_expansion_consistency():
         for beta in (0.0, 0.3, 1.0):
             cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0, beta=beta), n=n)
             res = build_witness(cfg)
-            kernel = KernelSpec(psi=cfg.psi, beta=beta, length=2 * n - 1)
-            worst = max(worst, max_coeff_diff(res.f, convolve(kernel, res.phi)))
+            worst = max(worst, max_coeff_diff(res.f, convolve(cfg.psi, beta, res.phi)))
     report(4, f"witness expansion vs convolution (worst {worst:.2e})", worst < 1e-10)
 
 

@@ -164,8 +164,9 @@ class TestCli:
         assert float(row[5]) == pytest.approx(res.deviation, rel=1e-12)
         phi = read_trig_poly_csv((out / "witness_phi.csv").read_text())
         assert max_coeff_diff(phi, res.phi) == 0.0
-        for name in ("witness_f.csv", "witness_dual.csv"):
-            assert (out / name).exists()
+        assert (out / "witness_f.csv").exists()
+        dual = read_trig_poly_csv((out / "witness_dual.csv").read_text())
+        assert max_coeff_diff(dual, res.dual) == 0.0
 
     def test_witness_below_order_two_rejected_up_front(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

@@ -1,7 +1,6 @@
-"""Panelled Gauss-Legendre quadrature behind critical_integral and
-coefficient_tail_sum, checked against scipy's quad where quad is reliable
-and against independent references where it is not, and the scipy-free
-runtime."""
+"""Panelled Gauss-Legendre quadrature behind critical_integral, checked
+against scipy's quad where quad is reliable and against independent
+references where it is not, and the scipy-free runtime."""
 
 import math
 import os
@@ -13,15 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zygmund import MethodParams, Power, PowerInvLog, PowerLog, PowerLogLog
+from zygmund import MethodParams, PowerInvLog, PowerLog, PowerLogLog
 from zygmund.errors import ConvergenceError
-from zygmund.rates import critical_integral
-from zygmund.trig import coefficient_tail_sum, panel_integral
+from zygmund.rates import critical_integral, panel_integral
 
 ROOT = Path(__file__).resolve().parents[1]
 ANALYTIC = (PowerLog(1.5, 1.0, 60.0), PowerInvLog(1.5, 1.0, 1.0), PowerLogLog(1.5, 1.0, 60.0))
-# First remainder point K' = first + 8192 - 1/2 of coefficient_tail_sum.
-DIRECT_TERMS = 8192
 
 
 def quad_pieces(f, edges):
@@ -41,11 +37,6 @@ def critical_oracle(psi, method, n):
         return math.exp(q * psi.log_value(t) + (q * gamma - 1.0) * math.log(t))
 
     return quad_pieces(integrand, [1.0, float(n)])
-
-
-def direct_part(psi, first, power):
-    ks = np.arange(first, first + DIRECT_TERMS, dtype=float)
-    return float(np.sum(np.exp(power * psi.log_value(ks))))
 
 
 @pytest.mark.parametrize("psi", ANALYTIC, ids=lambda p: type(p).__name__)
@@ -73,68 +64,6 @@ def test_critical_integral_near_a_log_pole(c, q, n, reference):
     assert critical_integral(psi, method, n) == pytest.approx(reference, rel=1.0e-12)
 
 
-# p*r = 1.0005 and 1.002 stop the graded panels after 0 and 1 halvings
-@pytest.mark.parametrize(
-    "r, power",
-    [(1.02, 1.0), (4.0 / 3.0, 1.0), (0.75, 2.0), (2.0, 1.0), (1.0, 2.0), (1.0005, 1.0), (1.002, 1.0)],
-)
-@pytest.mark.parametrize("first", [1, 17])
-def test_power_tail_is_the_closed_form(r, power, first):
-    pr = power * r
-    k0 = first + DIRECT_TERMS - 0.5
-    expected = direct_part(Power(r), first, power) + k0 ** (1.0 - pr) / (pr - 1.0)
-    assert coefficient_tail_sum(Power(r), first, power) == pytest.approx(expected, rel=1.0e-13)
-
-
-@pytest.mark.parametrize(
-    "psi",
-    [PowerLog(1.5, 1.0, 60.0), PowerLog(2.0, 2.0, 60.0), PowerLogLog(1.5, 1.0, 60.0)],
-    ids=["PowerLog1.5", "PowerLog2", "PowerLogLog"],
-)
-@pytest.mark.parametrize("power", [1.0, 2.0])
-@pytest.mark.parametrize("first", [1, 40])
-def test_tail_matches_quad(psi, power, first):
-    k0 = first + DIRECT_TERMS - 0.5
-
-    def integrand(t):
-        return math.exp(power * psi.log_value(t))
-
-    reference = direct_part(psi, first, power) + quad_pieces(integrand, [k0, math.inf])
-    assert coefficient_tail_sum(psi, first, power) == pytest.approx(reference, rel=1.0e-10)
-
-
-def power_log_tail_beyond(a, m, u):
-    """int_u^inf v**m e**(-a v) dv, which is int_{e**u}^inf psi(t) dt for
-    psi = log(t + c)**m / t**(1 + a) once c / t is below rounding."""
-    return math.exp(-a * u) * sum(
-        math.factorial(m) / math.factorial(m - j) * u ** (m - j) / a ** (j + 1) for j in range(m + 1)
-    )
-
-
-@pytest.mark.parametrize(
-    "psi, beyond",
-    [
-        # below e**(-35)/35 of the remainder
-        (PowerInvLog(1.05, 1.0, 1.0), 0.0),
-        (PowerLog(1.02, 1.0, 60.0), power_log_tail_beyond(0.02, 1, 700.0)),
-        (PowerLog(1.02, 2.0, 200.0), power_log_tail_beyond(0.02, 2, 700.0)),
-    ],
-    ids=["PowerInvLog1.05", "PowerLog1.02", "PowerLog1.02-alpha2"],
-)
-@pytest.mark.parametrize("first", [1, 11, 100])
-def test_near_divergent_tail_matches_a_log_variable_reference(psi, beyond, first):
-    # The reference integrates psi(e**u) e**u du by a 20-point rule on panels
-    # of width 1/4 up to u = 700, where t = e**u still is a float, and adds
-    # the rest in closed form.
-    x, w = np.polynomial.legendre.leggauss(20)
-    edges = np.append(np.arange(math.log(first + DIRECT_TERMS - 0.5), 700.0, 0.25), 700.0)
-    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
-    u = mid[:, None] + half[:, None] * x
-    reference = float(np.sum(half * (np.exp(psi.log_value(np.exp(u)) + u) @ w))) + beyond
-    direct = direct_part(psi, first, 1.0)
-    assert coefficient_tail_sum(psi, first) - direct == pytest.approx(reference, rel=1.0e-12)
-
-
 def test_panel_integral_raises_when_sums_never_agree():
     # |x|**-1/2 on [-1, 1]: the panel sums converge like h**(1/2)
     with pytest.raises(ConvergenceError):
@@ -146,12 +75,14 @@ def test_runtime_needs_no_scipy(tmp_path):
         [
             "import sys",
             "sys.modules['scipy'] = None",
-            "from zygmund import KernelSpec, PowerLog, cli, kernel_poly",
+            "import numpy as np",
+            "from zygmund import PowerLog, TrigPoly, cli, convolve, psi_beta_derivative",
             "argv = ['rate-check', '--config', 'perfbench/configs/wide_critical_log.cfg',",
             f"        '--out', {str(tmp_path)!r}]",
             "assert cli.main(argv) == 0",
-            "_, tail = kernel_poly(KernelSpec(psi=PowerLog(1.5, 1.0, 60.0), beta=0.0, length=64))",
-            "assert 0.0 < tail < float('inf'), tail",
+            "psi, phi = PowerLog(1.5, 1.0, 60.0), TrigPoly(0.0, np.ones(64), np.ones(64))",
+            "back = psi_beta_derivative(convolve(psi, 0.3, phi), psi, 0.3)",
+            "assert np.allclose(back.a, 1.0, atol=1e-13) and np.allclose(back.b, 1.0, atol=1e-13)",
         ]
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))

@@ -1,7 +1,8 @@
 """Seams shared across modules: the phase-rotation builder, one regime
-classification per experiment, and one rate law, whose regime split is the
-Weyl–Nagy case split of the pure powers."""
+classification per experiment, one rate law, whose regime split is the
+Weyl–Nagy case split of the pure powers, and public names that resolve."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,14 +10,14 @@ import pytest
 
 import zygmund.cli
 import zygmund.rates
-from zygmund.decay import MethodParams, Power, PowerLog, Regime, classify_regime
+from zygmund.decay import MethodParams, Power, Regime, classify_regime
 from zygmund.errors import ParameterError
 from zygmund.rates import (
     best_vs_method_experiment,
     ratio_experiment,
     theoretical_rate,
 )
-from zygmund.trig import KernelSpec, TrigPoly, kernel_poly, phased_poly
+from zygmund.trig import TrigPoly, phased_poly
 
 
 @pytest.fixture
@@ -85,14 +86,6 @@ class TestPhasedPoly:
         expected = sum(a * np.cos(k * t - beta * math.pi / 2.0) for a, k in zip(amp, ks))
         np.testing.assert_allclose(p(t), expected, rtol=0.0, atol=1.0e-13)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.3])
-    def test_kernel_poly_bitwise(self, beta):
-        spec = KernelSpec(psi=PowerLog(1.5, 1.0, 60.0), beta=beta, length=40)
-        poly, _ = kernel_poly(spec)
-        psi_k = spec.coefficients(spec.length)
-        assert np.array_equal(poly.a, psi_k * math.cos(spec.phase))
-        assert np.array_equal(poly.b, psi_k * math.sin(spec.phase))
-
     @pytest.mark.parametrize("lo,hi,weight_s", [(1, 15, 1.0), (16, 64, 0.0), (5, 5, 2.0)])
     def test_matches_band_construction_bitwise(self, lo, hi, weight_s):
         # the band form the majorant's head and tail were once built with
@@ -127,3 +120,12 @@ class TestWeylNagyCase:
     def test_outside_tolerance(self):
         assert self.regime(self.BOUNDARY - 1.0e-9) is Regime.GROWING
         assert self.regime(self.BOUNDARY + 1.0e-9) is Regime.DECAYING
+
+
+@pytest.mark.parametrize(
+    "module", ["zygmund", "zygmund.trig", "zygmund.rates", "zygmund.witness", "zygmund.norms", "zygmund.decay"]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)

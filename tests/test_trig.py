@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zygmund.decay import Power
+from zygmund.decay import Power, PowerLog
 from zygmund.errors import AliasingError, IllPosedError, ParameterError
 from zygmund.trig import (
-    KernelSpec,
     TrigPoly,
     convolve,
-    deviation_coeffs,
+    deviation,
     dirichlet,
     dirichlet_closed,
     fejer_sum,
     from_samples,
-    kernel_poly,
     max_coeff_diff,
+    phased_poly,
     psi_beta_derivative,
     sample,
     vallee_poussin,
@@ -33,9 +32,18 @@ def random_poly(rng, degree, with_mean=False):
     return TrigPoly(a0, rng.standard_normal(degree), rng.standard_normal(degree))
 
 
-def convolution_oracle(kernel: KernelSpec, phi: TrigPoly, x: np.ndarray, m: int = 512) -> np.ndarray:
-    """(1/pi) * integral of kernel(x - t) * phi(t) dt by the rectangle rule."""
-    poly, _ = kernel_poly(kernel)
+def kernel(psi, beta, length):
+    """Psi_beta truncated at `length` harmonics."""
+    return phased_poly(psi(np.arange(1, length + 1, dtype=float)), beta)
+
+
+def convolution_oracle(psi, beta, phi: TrigPoly, x: np.ndarray, m: int = 512) -> np.ndarray:
+    """(1/pi) * integral of Psi_beta(x - t) * phi(t) dt by the rectangle rule.
+
+    The kernel is realized to twice the degree of phi, so its harmonics past
+    that degree enter the sum and must integrate to zero; m must exceed
+    three times the degree for the rule to be exact."""
+    poly = kernel(psi, beta, 2 * phi.degree)
     t = TWO_PI * np.arange(m) / m
     phi_t = phi(t)
     return np.array(
@@ -129,78 +137,71 @@ class TestKernels:
         assert explicit(t) == pytest.approx(averaged(t), abs=1e-12)
 
     def test_kernel_poly_beta_zero(self):
-        poly, _ = kernel_poly(KernelSpec(psi=Power(1.0), beta=0.0, length=2))
+        poly = kernel(Power(1.0), 0.0, 2)
         assert poly.a == pytest.approx([1.0, 0.5], abs=1e-15)
         assert poly.b == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_kernel_poly_beta_one_turns_cosine_into_sine(self):
-        poly, _ = kernel_poly(KernelSpec(psi=Power(1.0), beta=1.0, length=1))
+        poly = kernel(Power(1.0), 1.0, 1)
         assert poly.a[0] == pytest.approx(0.0, abs=1e-15)
         assert poly.b[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_kernel_tail_bracketed_by_integrals(self):
-        _, tail = kernel_poly(KernelSpec(psi=Power(2.0), beta=0.0, length=10))
-        assert 1.0 / 11.0 <= tail <= 1.0 / 10.0
-
-    def test_slow_analytic_tail_is_infinite(self):
-        _, tail = kernel_poly(KernelSpec(psi=Power(1.0), beta=0.0, length=8))
-        assert math.isinf(tail)
 
 
 class TestConvolve:
     def test_identity_harmonic(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=4)
         phi = TrigPoly(0.0, [1.0], [0.0])
-        out = convolve(kernel, phi)
+        out = convolve(Power(1.0), 0.0, phi)
         assert out.a[0] == pytest.approx(1.0, abs=1e-15)
         assert out.b[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_beta_one_shifts_phase(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=1.0, length=4)
         phi = TrigPoly(0.0, [1.0], [0.0])
-        out = convolve(kernel, phi)
+        out = convolve(Power(1.0), 1.0, phi)
         # cos x maps to cos(x - pi/2) = sin x; frozen against the quadrature oracle.
         xs = np.array([0.0, 0.4, 1.1, 2.8])
-        oracle = convolution_oracle(kernel, phi, xs)
+        oracle = convolution_oracle(Power(1.0), 1.0, phi, xs)
         assert out(xs) == pytest.approx(oracle, abs=1e-12)
         assert out(xs) == pytest.approx(np.sin(xs), abs=1e-12)
 
     def test_power_two_second_harmonic(self):
-        kernel = KernelSpec(psi=Power(2.0), beta=0.0, length=4)
         phi = TrigPoly(0.0, [0.0, 1.0], [0.0, 1.0])  # cos 2t + sin 2t
-        out = convolve(kernel, phi)
+        out = convolve(Power(2.0), 0.0, phi)
         xs = np.array([0.3, 1.7, 4.0])
-        assert out(xs) == pytest.approx(convolution_oracle(kernel, phi, xs), abs=1e-12)
+        assert out(xs) == pytest.approx(convolution_oracle(Power(2.0), 0.0, phi, xs), abs=1e-12)
         assert out.a == pytest.approx([0.0, 0.25], abs=1e-15)
         assert out.b == pytest.approx([0.0, 0.25], abs=1e-15)
 
     def test_oracle_on_general_beta(self):
-        kernel = KernelSpec(psi=Power(1.5), beta=0.7, length=6)
         rng = np.random.default_rng(11)
         phi = random_poly(rng, 6)
         xs = np.linspace(0.0, TWO_PI, 9)
-        assert convolve(kernel, phi)(xs) == pytest.approx(
-            convolution_oracle(kernel, phi, xs, m=1024), abs=1e-11
+        assert convolve(Power(1.5), 0.7, phi)(xs) == pytest.approx(
+            convolution_oracle(Power(1.5), 0.7, phi, xs, m=1024), abs=1e-11
+        )
+
+    def test_any_degree_matches_the_oracle(self):
+        # Degree 200 exceeds the unit-ball source degree (64) and the witness
+        # degree 2n - 1 at n = 64.
+        rng = np.random.default_rng(13)
+        phi = random_poly(rng, 200)
+        out = convolve(PowerLog(1.5, 1.0, 60.0), 0.3, phi)
+        assert out.degree == 200
+        xs = np.linspace(0.0, TWO_PI, 11)
+        assert out(xs) == pytest.approx(
+            convolution_oracle(PowerLog(1.5, 1.0, 60.0), 0.3, phi, xs, m=1024), abs=1e-11
         )
 
     def test_nonzero_mean_rejected(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=4)
         with pytest.raises(ParameterError):
-            convolve(kernel, TrigPoly(1.0, [1.0], [0.0]))
-
-    def test_short_kernel_rejected(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=2)
-        with pytest.raises(ParameterError):
-            convolve(kernel, TrigPoly(0.0, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]))
+            convolve(Power(1.0), 0.0, TrigPoly(1.0, [1.0], [0.0]))
 
     def test_preserves_harmonic_subspaces(self):
-        kernel = KernelSpec(psi=Power(1.3), beta=0.4, length=8)
         rng = np.random.default_rng(3)
         phi = random_poly(rng, 8)
-        total = convolve(kernel, phi)
+        total = convolve(Power(1.3), 0.4, phi)
         for k in range(1, 9):
             single = TrigPoly(0.0, np.eye(8)[k - 1] * phi.a[k - 1], np.eye(8)[k - 1] * phi.b[k - 1])
-            image = convolve(kernel, single).padded(8)
+            image = convolve(Power(1.3), 0.4, single).padded(8)
             mask = np.ones(8, dtype=bool)
             mask[k - 1] = False
             assert np.max(np.abs(image.a[mask])) < 1e-14
@@ -210,29 +211,25 @@ class TestConvolve:
 
 class TestDerivative:
     def test_identity_at_first_harmonic(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=2)
         f = TrigPoly(0.0, [1.0], [0.0])
-        out = psi_beta_derivative(f, kernel)
+        out = psi_beta_derivative(f, Power(1.0), 0.0)
         assert out.a[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_inverts_the_convolution_example(self):
-        kernel = KernelSpec(psi=Power(2.0), beta=0.0, length=2)
         f = TrigPoly(0.0, [0.0, 0.25], [0.0, 0.0])
-        out = psi_beta_derivative(f, kernel)
+        out = psi_beta_derivative(f, Power(2.0), 0.0)
         assert out.a == pytest.approx([0.0, 1.0], abs=1e-15)
 
     def test_round_trip_random(self):
-        kernel = KernelSpec(psi=Power(1.2), beta=0.7, length=16)
         rng = np.random.default_rng(5)
         phi = random_poly(rng, 16)
-        back = psi_beta_derivative(convolve(kernel, phi), kernel)
+        back = psi_beta_derivative(convolve(Power(1.2), 0.7, phi), Power(1.2), 0.7)
         assert max_coeff_diff(back, phi) < 1e-12
 
     def test_underflow_raises(self):
         # psi(2) = 2**-1100 underflows to 0.0
-        kernel = KernelSpec(psi=Power(1100.0), beta=0.0, length=2)
         with pytest.raises(IllPosedError):
-            psi_beta_derivative(TrigPoly(0.0, [1.0, 1.0], [0.0, 0.0]), kernel)
+            psi_beta_derivative(TrigPoly(0.0, [1.0, 1.0], [0.0, 0.0]), Power(1100.0), 0.0)
 
 
 class TestSummation:
@@ -291,32 +288,32 @@ class TestSummation:
 
 class TestDeviation:
     def test_head_scaling(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=2)
         phi = TrigPoly(0.0, [1.0], [0.0])
-        out = deviation_coeffs(phi, kernel, 2, 1.0)
+        out = deviation(convolve(Power(1.0), 0.0, phi), 2, 1.0)
         assert out.a[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_tail_passthrough(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=3)
         phi = TrigPoly(0.0, [0.0, 0.0, 1.0], [0.0] * 3)
-        out = deviation_coeffs(phi, kernel, 2, 1.0)
+        out = deviation(convolve(Power(1.0), 0.0, phi), 2, 1.0)
         assert out.a[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_direct_evaluation(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.3, length=12)
         rng = np.random.default_rng(12)
         phi = random_poly(rng, 12)
-        dev = deviation_coeffs(phi, kernel, 8, 1.5)
-        f = convolve(kernel, phi)
+        f = convolve(Power(1.0), 0.3, phi)
+        dev = deviation(f, 8, 1.5)
         direct = f - zygmund_sum(f, 8, 1.5)
         t = TWO_PI * np.arange(256) / 256
         assert dev(t) == pytest.approx(direct(t), abs=1e-12)
         assert max_coeff_diff(dev, direct) < 1e-13
 
     def test_truncation_precondition(self):
-        kernel = KernelSpec(psi=Power(1.0), beta=0.0, length=4)
+        # The Zygmund mean truncates below the order n, which must be at
+        # least 1; an order past the source degree needs nothing more.
+        f = convolve(Power(1.0), 0.0, TrigPoly(0.0, [1.0], [0.0]))
         with pytest.raises(ParameterError):
-            deviation_coeffs(TrigPoly(0.0, [1.0], [0.0]), kernel, 8, 1.0)
+            deviation(f, 0, 1.0)
+        assert deviation(f, 8, 1.0).a[0] == pytest.approx(1.0 / 8.0, abs=1e-15)
 
 
 class TestSampling:

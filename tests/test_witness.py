@@ -7,7 +7,7 @@ import pytest
 from zygmund.decay import MethodParams, Power, PowerLog, growth_function
 from zygmund.errors import ParameterError
 from zygmund.norms import NormRequest, l1_norm, lq_norm
-from zygmund.trig import KernelSpec, convolve, max_coeff_diff, vallee_poussin
+from zygmund.trig import convolve, max_coeff_diff, vallee_poussin
 from zygmund.witness import (
     WitnessConfig,
     build_witness,
@@ -56,6 +56,7 @@ class TestBuildWitness:
         assert res.f.b[0] == pytest.approx(0.0, abs=1e-15)
         assert res.lower_bound == 0.0
         assert res.deviation > 0.0
+        assert res.dual is None
 
     def test_harmonic_n_comes_from_the_first_block(self):
         n = 8
@@ -72,8 +73,7 @@ class TestBuildWitness:
     def test_direct_expansion_matches_convolution(self, n, beta):
         cfg = config(beta=beta, n=n)
         res = build_witness(cfg)
-        kernel = KernelSpec(psi=cfg.psi, beta=beta, length=2 * n - 1)
-        assert max_coeff_diff(res.f, convolve(kernel, res.phi)) < 1e-10
+        assert max_coeff_diff(res.f, convolve(cfg.psi, beta, res.phi)) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_source_is_unit_ball_member(self, n):
@@ -83,8 +83,12 @@ class TestBuildWitness:
 
     def test_holder_chain(self):
         for n in (4, 8, 16, 32):
-            res = build_witness(config(n=n))
+            cfg = config(n=n)
+            res = build_witness(cfg)
             assert res.lower_bound <= res.deviation + 1e-9
+            # the carried dual is the one the Hölder quotient divides by
+            dual_norm = lq_norm(res.dual, NormRequest(q=cfg.method.q_prime))
+            assert res.lower_bound == res.pairing / dual_norm
 
 
 class TestDualPoly:
