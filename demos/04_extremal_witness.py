@@ -17,10 +17,8 @@ from zygmund import (
     WitnessConfig,
     build_witness,
     calibrate_alpha0,
-    dual_test_poly,
     l1_norm,
     lq_norm,
-    pairing_integral,
 )
 
 n = 16
@@ -33,15 +31,13 @@ res = build_witness(cfg)
 print(f"witness degree: {res.f.degree} (= 2n - 1)")
 print(f"||phi||_1 recomputed: {l1_norm(res.phi):.10f}\n")
 
-closed, quadrature = pairing_integral(cfg)
 print("pairing integral I of (f - Z(f)) against the dual polynomial:")
-print(f"  closed form (orthogonality): {closed:.12f}")
-print(f"  grid quadrature:             {quadrature:.12f}\n")
+print(f"  closed form (orthogonality): {res.pairing:.12f}")
+print(f"  grid quadrature:             {res.pairing_quadrature:.12f}\n")
 
-dual = dual_test_poly(cfg)
-dual_norm = lq_norm(dual, NormRequest(q=cfg.method.q_prime))
+dual_norm = lq_norm(res.dual, NormRequest(q=cfg.method.q_prime))
 print("the Hölder chain, numerically:")
-print(f"  I / ||dual||_q'      = {closed / dual_norm:.8f}   (certified lower bound)")
+print(f"  I / ||dual||_q'      = {res.pairing / dual_norm:.8f}   (certified lower bound)")
 print(f"  measured ||f - Zf||_q = {res.deviation:.8f}")
 print(f"  certified <= measured: {res.lower_bound <= res.deviation}\n")
 
@@ -53,8 +49,8 @@ print(f"  ratio                  = {res.lower_bound / rate:.4f}")
 
 print("\nbeta only rotates phases; the pairing is invariant:")
 for beta in (0.0, 0.5, 1.0):
-    c, _ = pairing_integral(
+    c = build_witness(
         WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0, beta=beta), n=n)
-    )
+    ).pairing
     print(f"  beta={beta}: I = {c:.12f}")
-assert math.isclose(closed, c, rel_tol=1e-12)
+assert math.isclose(res.pairing, c, rel_tol=1e-12)

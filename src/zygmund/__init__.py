@@ -60,7 +60,6 @@ from .witness import (
     build_witness,
     calibrate_alpha0,
     dual_test_poly,
-    pairing_integral,
 )
 
 __version__ = "0.1.0"
@@ -111,6 +110,5 @@ __all__ = [
     "build_witness",
     "calibrate_alpha0",
     "dual_test_poly",
-    "pairing_integral",
     "__version__",
 ]

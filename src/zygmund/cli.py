@@ -23,10 +23,10 @@ from .decay import (
     classify_regime,
     reciprocal_convexity,
 )
-from .errors import CoefficientMismatchError, ConfigError, ZygmundError
+from .errors import ConfigError, ZygmundError
 from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment
 from .trig import TrigPoly
-from .witness import WitnessConfig, build_witness, pairing_integral
+from .witness import WitnessConfig, build_witness
 
 __all__ = ["main"]
 
@@ -104,17 +104,11 @@ def cmd_rate_check(cfg: ExperimentConfig) -> int:
 def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
     if n < 2:
         raise ConfigError("n", "the witness pairing requires n >= 2")
-    wcfg = WitnessConfig(psi=cfg.psi, method=cfg.method, n=n)
-    result = build_witness(wcfg)
-    try:
-        closed, quadrature = pairing_integral(wcfg)
-    except CoefficientMismatchError as exc:
-        print(f"pairing mismatch: {exc}", file=sys.stderr)
-        return 1
+    result = build_witness(WitnessConfig(psi=cfg.psi, method=cfg.method, n=n))
 
     header = "n,alpha0,I_closed,I_quadrature,lower_bound,deviation"
     row = (
-        f"{n},{result.alpha0!r},{closed!r},{quadrature!r},"
+        f"{n},{result.alpha0!r},{result.pairing!r},{result.pairing_quadrature!r},"
         f"{result.lower_bound!r},{result.deviation!r}"
     )
     _write(cfg.output_dir / "witness.csv", header + "\n" + row + "\n")

@@ -54,12 +54,16 @@ _EXPONENT_TOL = 1.0e-12
 class PsiFunction:
     """Positive nonincreasing coefficient profile on [1, inf).
 
-    Subclasses implement ``_value`` (vectorized) and expose
-    ``decay_exponent``, the power-law exponent governing the profile's decay
-    up to slowly varying factors.
+    Subclasses implement ``_value`` (vectorized) and carry ``r``, the
+    power-law exponent governing the profile's decay up to slowly varying
+    factors, which ``decay_exponent`` reports.
     """
 
-    decay_exponent: float
+    r: float
+
+    @property
+    def decay_exponent(self) -> float:
+        return self.r
 
     def __call__(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         arr = np.asarray(t, dtype=float)
@@ -114,10 +118,6 @@ class Power(PsiFunction):
         if not (self.r > 0.0):
             raise ParameterError("Power: requires r > 0")
 
-    @property
-    def decay_exponent(self) -> float:
-        return self.r
-
     def _value(self, t: np.ndarray) -> np.ndarray:
         return t ** (-self.r)
 
@@ -143,10 +143,6 @@ class PowerLog(PsiFunction):
             raise ParameterError("PowerLog: requires r > 0, alpha > 0, c > 0")
         self._validate_shape()
 
-    @property
-    def decay_exponent(self) -> float:
-        return self.r
-
     def _value(self, t: np.ndarray) -> np.ndarray:
         return np.log(t + self.c) ** self.alpha / t ** self.r
 
@@ -165,10 +161,6 @@ class PowerInvLog(PsiFunction):
     def __post_init__(self) -> None:
         if not (self.r > 0.0 and self.alpha > 0.0 and self.c > 0.0):
             raise ParameterError("PowerInvLog: requires r > 0, alpha > 0, c > 0")
-
-    @property
-    def decay_exponent(self) -> float:
-        return self.r
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         return 1.0 / (t ** self.r * np.log(t + self.c) ** self.alpha)
@@ -194,10 +186,6 @@ class PowerLogLog(PsiFunction):
         if not (self.c > math.e - 1.0):
             raise ParameterError("PowerLogLog: requires c > e - 1 for positivity")
         self._validate_shape()
-
-    @property
-    def decay_exponent(self) -> float:
-        return self.r
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         return self.alpha * np.log(np.log(t + self.c)) / t ** self.r

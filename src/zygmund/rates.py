@@ -3,9 +3,11 @@
 An order equality between the measured deviation and a closed-form rate is
 operationalized at desk scale as a bounded ratio: over a geometric grid of
 polynomial orders n, max(deviation/rate) / min(deviation/rate) must stay
-below a configurable band limit.  The harness brackets the class-level
-deviation from below by the extremal witness and from above by the
-two-norm majorant of the kernel split.
+below a configurable band limit.  Both experiments bound the class-level
+deviation from below only, through the deviation of one extremal witness
+per order.  The two-norm majorant of the kernel split,
+`upper_bound_estimate`, is a separate library function that neither
+experiment calls.
 
 `theoretical_rate` is the one three-regime rate law; both experiments
 tabulate it, through the private `_rate`, after one regime classification.

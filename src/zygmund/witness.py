@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "calibrate_alpha0",
     "build_witness",
     "dual_test_poly",
-    "pairing_integral",
 ]
 
 
@@ -50,12 +48,13 @@ class WitnessConfig:
 
 @dataclass(frozen=True, eq=False)
 class WitnessResult:
-    """Calibrated witness with its pairing value and certified lower bound.
+    """Calibrated witness with both values of its pairing and a certified lower bound.
 
     lower_bound is the Hölder quotient I / ||dual||_{q'}, which never exceeds
-    the measured deviation ||f - Z(f)||_q; pairing is the closed-form value
-    of the pairing integral I, and dual is the test polynomial paired
-    against (None at n = 1, where the bound is 0).
+    the measured deviation ||f - Z(f)||_q.  pairing is the closed-form value
+    of the pairing integral I, and pairing_quadrature the rectangle-rule value
+    it was checked against.  dual is the test polynomial paired against.  At
+    n = 1 there is no dual: dual is None, and both pairings and the bound are 0.
     """
 
     alpha0: float
@@ -63,6 +62,7 @@ class WitnessResult:
     f: TrigPoly
     dual: TrigPoly | None
     pairing: float
+    pairing_quadrature: float
     lower_bound: float
     deviation: float
 
@@ -107,8 +107,14 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     The witness f is written directly from the expanded coefficient form and
     cross-checked against convolve(psi, beta, phi); disagreement beyond 1e-10
     signals a sign-convention bug and raises.  The measured deviation is
-    ||f - Z(f)||_q, and the certified Hölder lower bound is checked against
-    it before returning.
+    ||f - Z(f)||_q.  For n >= 2 the pairing I of f - Z(f) against the dual
+    is taken twice: in closed form by cosine orthogonality,
+    alpha0 * pi / n**s * sum_{k<n} g(k)**q / k, and by the rectangle rule on
+    the m = max(1024, next power of two >= 6n + 2) nodes of `sample`, which
+    is exact once the grid exceeds the combined bandwidth.  The two values
+    must agree to 1e-8 relative, or the orthogonality bookkeeping is broken
+    and CoefficientMismatchError is raised.  The certified Hölder lower bound
+    is checked against the deviation before returning.
     """
     alpha0 = calibrate_alpha0(cfg.n)
     phi = alpha0 * vp_pulse(cfg.n)
@@ -120,21 +126,36 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
             f"build_witness: direct expansion and convolution disagree by {gap:.3e}"
         )
 
-    dev = lq_norm(deviation(f, cfg.n, cfg.method.s), NormRequest(q=cfg.method.q))
+    dev_poly = deviation(f, cfg.n, cfg.method.s)
+    dev = lq_norm(dev_poly, NormRequest(q=cfg.method.q))
+    if cfg.n < 2:
+        return WitnessResult(
+            alpha0=alpha0, phi=phi, f=f, dual=None, pairing=0.0,
+            pairing_quadrature=0.0, lower_bound=0.0, deviation=dev,
+        )
 
-    pairing = _pairing_closed(cfg, alpha0)
-    dual = dual_test_poly(cfg) if cfg.n >= 2 else None
-    raw_lower = 0.0 if dual is None else pairing / lq_norm(dual, NormRequest(q=cfg.method.q_prime))
+    k = np.arange(1, cfg.n, dtype=float)
+    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
+    pairing = alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
+    dual = dual_test_poly(cfg)
+    grid_m = max(1024, _next_pow2(6 * cfg.n + 2))
+    quadrature = float(2.0 * math.pi / grid_m * np.sum(sample(dev_poly, grid_m) * sample(dual, grid_m)))
+    if abs(pairing - quadrature) > 1.0e-8 * max(1.0, abs(pairing)):
+        raise CoefficientMismatchError(
+            f"build_witness: pairing closed form {pairing} vs quadrature {quadrature}"
+        )
 
-    if raw_lower > dev + 1.0e-9:
-        raise ZygmundError(f"build_witness: Hölder lower bound {raw_lower} exceeds deviation {dev}")
+    lower = pairing / lq_norm(dual, NormRequest(q=cfg.method.q_prime))
+    if lower > dev + 1.0e-9:
+        raise ZygmundError(f"build_witness: Hölder lower bound {lower} exceeds deviation {dev}")
     return WitnessResult(
         alpha0=alpha0,
         phi=phi,
         f=f,
         dual=dual,
         pairing=pairing,
-        lower_bound=raw_lower,
+        pairing_quadrature=quadrature,
+        lower_bound=lower,
         deviation=dev,
     )
 
@@ -150,41 +171,3 @@ def dual_test_poly(cfg: WitnessConfig) -> TrigPoly:
     k = np.arange(1, cfg.n, dtype=float)
     g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
     return phased_poly(g ** (cfg.method.q - 1.0) / k ** (1.0 / cfg.method.q), cfg.method.beta)
-
-
-def _pairing_closed(cfg: WitnessConfig, alpha0: float) -> float:
-    """Closed form of the pairing integral via the cosine orthogonality
-    relation: alpha0 * pi / n**s * sum_{k<n} g(k)**q / k."""
-    if cfg.n < 2:
-        return 0.0
-    k = np.arange(1, cfg.n, dtype=float)
-    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    return alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
-
-
-def pairing_integral(cfg: WitnessConfig) -> Tuple[float, float]:
-    """The pairing integral I by closed form and by quadrature.
-
-    The quadrature form is the rectangle rule for (f - Z(f)) * dual on the
-    m = max(1024, next power of two >= 6n + 2) uniform nodes of `sample`,
-    which is exact for trigonometric polynomials once the grid exceeds the
-    combined bandwidth.  Both values are returned; disagreement beyond 1e-8
-    relative indicates broken orthogonality bookkeeping and raises.
-    """
-    if cfg.n < 2:
-        raise ParameterError("pairing_integral: requires n >= 2")
-    alpha0 = calibrate_alpha0(cfg.n)
-    closed = _pairing_closed(cfg, alpha0)
-
-    f = _witness_direct(cfg, alpha0)
-    dev = deviation(f, cfg.n, cfg.method.s)
-    dual = dual_test_poly(cfg)
-    grid_m = max(1024, _next_pow2(6 * cfg.n + 2))
-    quadrature = float(2.0 * math.pi / grid_m * np.sum(sample(dev, grid_m) * sample(dual, grid_m)))
-
-    if abs(closed - quadrature) > 1.0e-8 * max(1.0, abs(closed)):
-        raise CoefficientMismatchError(
-            f"pairing_integral: closed form {closed} vs quadrature {quadrature}"
-        )
-    return closed, quadrature
-

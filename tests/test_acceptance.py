@@ -26,7 +26,7 @@ from zygmund.trig import (
     max_coeff_diff,
     zygmund_sum,
 )
-from zygmund.witness import WitnessConfig, build_witness, pairing_integral
+from zygmund.witness import WitnessConfig, build_witness
 
 GRID = (8, 16, 32, 64, 128, 256)
 TWO_PI = 2.0 * math.pi
@@ -129,9 +129,9 @@ def test_criterion_05_pairing_orthogonality():
         per_beta = []
         for beta in (0.0, 0.5, 1.0):
             cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0, beta=beta), n=n)
-            closed, quadrature = pairing_integral(cfg)
-            worst_rel = max(worst_rel, abs(closed - quadrature) / max(1.0, abs(closed)))
-            per_beta.append(quadrature)
+            res = build_witness(cfg)
+            worst_rel = max(worst_rel, abs(res.pairing - res.pairing_quadrature) / max(1.0, abs(res.pairing)))
+            per_beta.append(res.pairing_quadrature)
         worst_beta = max(worst_beta, max(per_beta) - min(per_beta))
     ok = worst_rel < 1e-8 and worst_beta < 1e-10
     report(5, f"pairing closed vs quadrature ({worst_rel:.2e}), beta-invariance ({worst_beta:.2e})", ok)

@@ -1,5 +1,6 @@
 import pytest
 
+from zygmund import witness
 from zygmund.cli import main, read_trig_poly_csv, trig_poly_csv
 from zygmund.config import build_psi, parse_config
 from zygmund.decay import Power, PowerLog
@@ -161,12 +162,40 @@ class TestCli:
         row = lines[1].split(",")
         res = build_witness(WitnessConfig(psi=Power(1.0), method=parse_config(path).method, n=8))
         assert float(row[1]) == pytest.approx(res.alpha0, rel=1e-12)
+        assert row[2:4] == [repr(res.pairing), repr(res.pairing_quadrature)]
         assert float(row[5]) == pytest.approx(res.deviation, rel=1e-12)
         phi = read_trig_poly_csv((out / "witness_phi.csv").read_text())
         assert max_coeff_diff(phi, res.phi) == 0.0
         assert (out / "witness_f.csv").exists()
         dual = read_trig_poly_csv((out / "witness_dual.csv").read_text())
         assert max_coeff_diff(dual, res.dual) == 0.0
+
+    def test_witness_builds_each_part_once(self, tmp_path, capsys, monkeypatch):
+        calls = {}
+
+        def spy(name):
+            original = getattr(witness, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(witness, name, counted)
+
+        for name in ("calibrate_alpha0", "_witness_direct", "dual_test_poly"):
+            spy(name)
+        path = write_config(tmp_path, BASE)
+        assert main(["witness", "--config", str(path), "--out", str(tmp_path / "w"), "--n", "64"]) == 0
+        assert calls == {"calibrate_alpha0": 1, "_witness_direct": 1, "dual_test_poly": 1}
+
+    def test_witness_pairing_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        original = witness.dual_test_poly
+        monkeypatch.setattr(witness, "dual_test_poly", lambda cfg: 2.0 * original(cfg))
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "w"
+        assert main(["witness", "--config", str(path), "--out", str(out), "--n", "8"]) == 1
+        assert "closed form" in capsys.readouterr().err
+        assert not (out / "witness.csv").exists()
 
     def test_witness_below_order_two_rejected_up_front(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

@@ -1,13 +1,17 @@
 """Seams shared across modules: the phase-rotation builder, one regime
 classification per experiment, one rate law, whose regime split is the
-Weyl–Nagy case split of the pure powers, and public names that resolve."""
+Weyl–Nagy case split of the pure powers, public names that resolve, and
+no module-level import that its module never reads."""
 
+import ast
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zygmund
 import zygmund.cli
 import zygmund.rates
 from zygmund.decay import MethodParams, Power, Regime, classify_regime
@@ -18,6 +22,8 @@ from zygmund.rates import (
     theoretical_rate,
 )
 from zygmund.trig import TrigPoly, phased_poly
+
+SRC = Path(zygmund.__file__).parent
 
 
 @pytest.fixture
@@ -129,3 +135,35 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def unused_imports(source):
+    """Names bound by module-level imports that the module never reads.
+
+    A name counts as read when it appears as a name anywhere in the module
+    (attribute roots included) or is listed in a literal `__all__`.
+    """
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - read - exported)
+
+
+def test_unused_import_check_sees_unread_names():
+    source = "import os\nimport numpy.linalg\nfrom typing import Tuple, List as L\n__all__ = ['L']\nprint(numpy)\n"
+    assert unused_imports(source) == ["Tuple", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zygmund import witness
 from zygmund.decay import MethodParams, Power, PowerLog, growth_function
-from zygmund.errors import ParameterError
+from zygmund.errors import CoefficientMismatchError, ParameterError
 from zygmund.norms import NormRequest, l1_norm, lq_norm
 from zygmund.trig import convolve, max_coeff_diff, vallee_poussin
 from zygmund.witness import (
@@ -13,7 +14,6 @@ from zygmund.witness import (
     build_witness,
     calibrate_alpha0,
     dual_test_poly,
-    pairing_integral,
     vp_pulse,
 )
 
@@ -55,6 +55,8 @@ class TestBuildWitness:
         assert res.f.a[0] == pytest.approx(0.25, abs=1e-6)
         assert res.f.b[0] == pytest.approx(0.0, abs=1e-15)
         assert res.lower_bound == 0.0
+        assert res.pairing == 0.0
+        assert res.pairing_quadrature == 0.0
         assert res.deviation > 0.0
         assert res.dual is None
 
@@ -119,33 +121,43 @@ class TestDualPoly:
 
 class TestPairing:
     def test_single_term_closed_form(self):
-        cfg = config(n=2)
-        closed, quadrature = pairing_integral(cfg)
+        res = build_witness(config(n=2))
         alpha0 = calibrate_alpha0(2)
-        assert closed == pytest.approx(alpha0 * math.pi / 2.0, rel=1e-12)
-        assert quadrature == pytest.approx(closed, rel=1e-10)
+        assert res.pairing == pytest.approx(alpha0 * math.pi / 2.0, rel=1e-12)
+        assert res.pairing_quadrature == pytest.approx(res.pairing, rel=1e-10)
 
     def test_closed_form_matches_quadrature_at_n16(self):
-        closed, quadrature = pairing_integral(config(n=16))
-        assert abs(closed - quadrature) <= 1e-8 * max(1.0, abs(closed))
+        res = build_witness(config(n=16))
+        assert abs(res.pairing - res.pairing_quadrature) <= 1e-8 * max(1.0, abs(res.pairing))
 
     def test_quadrature_at_the_order_cap_is_exact_and_lean(self):
         cfg = config(n=1024)
         calibrate_alpha0(cfg.n)  # the cached L_1 calibration is not part of the quadrature
         tracemalloc.start()
         try:
-            closed, quadrature = pairing_integral(cfg)
+            res = build_witness(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert abs(quadrature - closed) <= 1e-14 * abs(closed)
+        assert abs(res.pairing_quadrature - res.pairing) <= 1e-14 * abs(res.pairing)
         assert peak < 8 * 2**20
 
     def test_beta_invariance(self):
-        values = [pairing_integral(config(n=8, beta=beta))[0] for beta in (0.0, 0.5, 1.0)]
+        results = [build_witness(config(n=8, beta=beta)) for beta in (0.0, 0.5, 1.0)]
+        values = [res.pairing for res in results]
         assert max(values) - min(values) < 1e-10
-        quads = [pairing_integral(config(n=8, beta=beta))[1] for beta in (0.0, 0.5, 1.0)]
+        quads = [res.pairing_quadrature for res in results]
         assert max(quads) - min(quads) < 1e-10
+
+    def test_disagreeing_quadrature_raises(self, monkeypatch):
+        # A dual scaled by 2 leaves the closed form unchanged and doubles the
+        # quadrature, as broken orthogonality bookkeeping would.
+        def doubled_dual(cfg):
+            return 2.0 * dual_test_poly(cfg)
+
+        monkeypatch.setattr(witness, "dual_test_poly", doubled_dual)
+        with pytest.raises(CoefficientMismatchError, match="closed form"):
+            build_witness(config(n=8))
 
 
 class TestLowerBound:
@@ -163,11 +175,10 @@ class TestLogFamilyWitness:
         psi = PowerLog(r=1.0, alpha=1.0, c=60.0)
         cfg = config(n=16, psi=psi)
         res = build_witness(cfg)
-        closed, quadrature = pairing_integral(cfg)
-        assert quadrature == pytest.approx(closed, rel=1e-10)
+        assert res.pairing_quadrature == pytest.approx(res.pairing, rel=1e-10)
         assert res.lower_bound <= res.deviation + 1e-9
         k = np.arange(1.0, 16.0)
         expected = res.alpha0 * math.pi / 16.0 * float(
             np.sum(np.asarray(growth_function(psi, cfg.method, k)) ** 2 / k)
         )
-        assert closed == pytest.approx(expected, rel=1e-12)
+        assert res.pairing == pytest.approx(expected, rel=1e-12)
