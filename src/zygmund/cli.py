@@ -71,8 +71,8 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     method = cfg.method
     regime = classify_regime(cfg.psi, method)
     theta = check_almost_decreasing(cfg.psi, method.q_prime)
-    doubling = check_doubling(cfg.psi, 1.0e6)
-    convexity = reciprocal_convexity(cfg.psi, 64)
+    doubling = check_doubling(cfg.psi)
+    convexity = reciprocal_convexity(cfg.psi)
 
     eps = f" (epsilon={regime.epsilon!r})" if regime.epsilon is not None else ""
     cert = f" alpha={theta.alpha!r} K={theta.bound:.6g}" if theta.member else ""

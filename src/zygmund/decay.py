@@ -54,9 +54,9 @@ _EXPONENT_TOL = 1.0e-12
 class PsiFunction:
     """Positive nonincreasing coefficient profile on [1, inf).
 
-    Subclasses implement ``_value`` (vectorized) and carry ``r``, the
-    power-law exponent governing the profile's decay up to slowly varying
-    factors, which ``decay_exponent`` reports.
+    Subclasses implement ``_value`` and ``_log_value`` (vectorized) and
+    carry ``r``, the power-law exponent governing the profile's decay up to
+    slowly varying factors, which ``decay_exponent`` reports.
     """
 
     r: float
@@ -75,11 +75,8 @@ class PsiFunction:
         return out
 
     def log_value(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """log(psi(t)), computed without forming psi(t) where possible.
-
-        The default takes the log of the value; subclasses override when the
-        value itself may under- or overflow.
-        """
+        """log(psi(t)), computed by each family without forming psi(t), which
+        may under- or overflow where its log does not."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 1.0):
             raise DomainError("psi(t) is defined for t >= 1")
@@ -90,9 +87,6 @@ class PsiFunction:
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _log_value(self, t: np.ndarray) -> np.ndarray:
-        return np.log(self._value(t))
 
     def _validate_shape(self) -> None:
         """Reject parameters producing a profile that is not positive and
@@ -332,16 +326,13 @@ class DoublingResult:
     bound: float
 
 
-def check_doubling(psi: PsiFunction, t_max: float) -> DoublingResult:
-    """Measure sup of psi(t)/psi(2t) over a geometric grid in [1, t_max].
+def check_doubling(psi: PsiFunction) -> DoublingResult:
+    """Measure sup of psi(t)/psi(2t) over the geometric probe grid on [1, 1e6].
 
     All four analytic families are doubling-regular; the returned bound is
     the measured supremum.
     """
-    if not (t_max >= 2.0):
-        raise ParameterError("check_doubling: requires t_max >= 2")
-    grid = np.geomspace(1.0, t_max, 257)
-    log_ratio = psi.log_value(grid) - psi.log_value(2.0 * grid)
+    log_ratio = psi.log_value(_PROBE_GRID) - psi.log_value(2.0 * _PROBE_GRID)
     top = float(np.max(log_ratio))
     return DoublingResult(bounded=True, bound=math.exp(top) if top < 700.0 else math.inf)
 
@@ -354,16 +345,13 @@ class Convexity(Enum):
     NEITHER = "neither"
 
 
-def reciprocal_convexity(psi: PsiFunction, grid: int) -> Convexity:
-    """Classify convexity of 1/psi on the uniform integer grid over [1, 1 + grid].
+def reciprocal_convexity(psi: PsiFunction) -> Convexity:
+    """Classify convexity of 1/psi on the integers 1, 2, ..., 65.
 
     Affine reciprocals (all second differences zero) report CONVEX_DOWN, by
     the 'all >= 0 first' rule.
     """
-    if grid < 3:
-        raise ParameterError("reciprocal_convexity: requires grid >= 3")
-    nodes = np.arange(1, grid + 2, dtype=float)
-    h = 1.0 / psi(nodes)
+    h = 1.0 / psi(np.arange(1.0, 66.0))
     d2 = h[:-2] - 2.0 * h[1:-1] + h[2:]
     tol = 1.0e-12 * max(1.0, float(np.max(np.abs(h))))
     if np.all(d2 >= -tol):

@@ -26,9 +26,9 @@ already taken.  Every grid of the rule is summed by one reduction,
 `_power_sum`: a large, heavily oversampled grid is covered by interleaved
 short inverse FFTs (cosets), whose batches are reduced as they are made, so
 such a grid is never held whole; any other grid is one `trig.sample`.
-lq_norm reads the grid and stop tolerance of a NormRequest only in this
-doubling, so they are unused at q = 1, q = 2 and even integer q;
-best_approx also floors its IRLS grid at the request's grid.
+lq_norm reads the stop tolerance of a NormRequest only in this doubling,
+so it is unused at q = 1, q = 2 and even integer q.  The first grid of the
+doubling and best_approx's IRLS grid both have at least _MIN_NODES nodes.
 
 Best approximation at q != 2 is reweighted least squares, each step solving
 the Hermitian Toeplitz normal equations built from one FFT of the weights.
@@ -58,6 +58,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _MAX_DOUBLINGS = 12
+# Fewest nodes on the first grid of the other-q doubling and on the IRLS grid.
+_MIN_NODES = 512
 
 # The power sum covers a grid by cosets instead of one M-point inverse FFT
 # from this many nodes, where its spectrum and output (16 M bytes) outgrow a
@@ -84,20 +86,15 @@ _NEWTON_TOL = 4.0 * np.finfo(float).eps * TWO_PI
 
 @dataclass(frozen=True)
 class NormRequest:
-    """Metric exponent, and the starting grid and stop tolerance of the
-    grid doubling, which lq_norm uses only when q is neither 1 nor an even
-    integer.  best_approx at q != 2 also reads grid_m, as the floor of its
-    IRLS grid."""
+    """Metric exponent, and the stop tolerance of the grid doubling, which
+    lq_norm uses only when q is neither 1 nor an even integer."""
 
     q: float = 2.0
-    grid_m: int = 512
     tolerance: float = 1.0e-10
 
     def __post_init__(self) -> None:
         if not (self.q >= 1.0 and math.isfinite(self.q)):
             raise ParameterError("NormRequest: requires q in [1, inf)")
-        if self.grid_m < 16 or self.grid_m & (self.grid_m - 1):
-            raise ParameterError("NormRequest: grid_m must be a power of two >= 16")
         if not (self.tolerance > 0.0):
             raise ParameterError("NormRequest: tolerance must be positive")
 
@@ -208,7 +205,7 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     first power of two m >= q * degree nodes, with the one aliased harmonic
     subtracted when m = q * degree (_even_lq), exact up to rounding.
 
-    Otherwise the grid starts at max(req.grid_m, oversample * L), with L the
+    Otherwise the grid starts at max(_MIN_NODES, oversample * L), with L the
     first power of two >= 2 * degree (at least 16), and doubles until two
     successive values differ by less than req.tolerance.  |p|^q is merely
     piecewise smooth at the zeros of p, and the lower q the sharper the
@@ -230,7 +227,7 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     if q % 2.0 == 0.0:
         return _even_lq(p, q)
     oversample = 16 if q < 2.0 else 4
-    m = max(req.grid_m, oversample * _next_pow2(2 * p.degree))
+    m = max(_MIN_NODES, oversample * _next_pow2(2 * p.degree))
     total = _power_sum(p, q, m)
     prev = (TWO_PI / m * total) ** (1.0 / q)
     coef = p.a - 1j * p.b
@@ -390,7 +387,8 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
 
     For q = 2 the truncated Fourier sum is the exact minimizer.  Otherwise
     the convex problem is solved by iteratively reweighted least squares on
-    a uniform sample grid, started from the truncation; weights |r|^(q-2)
+    the m = max(_MIN_NODES, next power of two >= 4 (max(deg f, n - 1) + 1))
+    uniform nodes, started from the truncation; weights |r|^(q-2)
     are clipped below at 1e-10 (they degenerate near residual zeros for
     q > 2), and for q > 2 the iterate moves a partial step 1/(q-1) toward
     the weighted solution, the classical stabilization of the method.  Each
@@ -411,7 +409,7 @@ def best_approx(f: TrigPoly, n: int, req: NormRequest) -> BestApproxResult:
         return BestApproxResult(value=value, minimizer=truncation, iterations=0, converged=True)
 
     q = req.q
-    m = max(req.grid_m, _next_pow2(4 * (max(f.degree, n - 1) + 1)))
+    m = max(_MIN_NODES, _next_pow2(4 * (max(f.degree, n - 1) + 1)))
     fvals = sample(f, m)
 
     def unpack(c: np.ndarray) -> TrigPoly:

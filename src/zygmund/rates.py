@@ -168,7 +168,7 @@ def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> floa
             "upper_bound_estimate: psi failed the kernel integrability test for q'",
             stacklevel=2,
         )
-    req = NormRequest(q=method.q, grid_m=1024, tolerance=1.0e-8)
+    req = NormRequest(q=method.q, tolerance=1.0e-8)
     head_term = 0.0
     if n > 1:
         k = np.arange(1, n, dtype=float)
@@ -363,7 +363,7 @@ def best_vs_method_experiment(
         raise ParameterError(
             "best_vs_method_experiment: psi fails the kernel integrability test for q'"
         )
-    if reciprocal_convexity(psi, 64) is Convexity.NEITHER:
+    if reciprocal_convexity(psi) is Convexity.NEITHER:
         raise ParameterError(
             "best_vs_method_experiment: 1/psi has no definite convexity on the test window"
         )

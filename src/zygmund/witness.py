@@ -35,15 +35,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WitnessConfig:
-    """Profile, method parameters, and the polynomial order n of the witness."""
+    """Profile, method parameters, and the polynomial order n >= 2 of the
+    witness; the dual polynomial has degree n - 1, so n = 1 has none."""
 
     psi: PsiFunction
     method: MethodParams
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError("WitnessConfig: requires n >= 1")
+        if self.n < 2:
+            raise ParameterError("WitnessConfig: requires n >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +54,14 @@ class WitnessResult:
     lower_bound is the Hölder quotient I / ||dual||_{q'}, which never exceeds
     the measured deviation ||f - Z(f)||_q.  pairing is the closed-form value
     of the pairing integral I, and pairing_quadrature the rectangle-rule value
-    it was checked against.  dual is the test polynomial paired against.  At
-    n = 1 there is no dual: dual is None, and both pairings and the bound are 0.
+    it was checked against.  dual is the test polynomial of degree n - 1
+    paired against.
     """
 
     alpha0: float
     phi: TrigPoly
     f: TrigPoly
-    dual: TrigPoly | None
+    dual: TrigPoly
     pairing: float
     pairing_quadrature: float
     lower_bound: float
@@ -107,8 +108,8 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     The witness f is written directly from the expanded coefficient form and
     cross-checked against convolve(psi, beta, phi); disagreement beyond 1e-10
     signals a sign-convention bug and raises.  The measured deviation is
-    ||f - Z(f)||_q.  For n >= 2 the pairing I of f - Z(f) against the dual
-    is taken twice: in closed form by cosine orthogonality,
+    ||f - Z(f)||_q.  The pairing I of f - Z(f) against the dual is taken
+    twice: in closed form by cosine orthogonality,
     alpha0 * pi / n**s * sum_{k<n} g(k)**q / k, and by the rectangle rule on
     the m = max(1024, next power of two >= 6n + 2) nodes of `sample`, which
     is exact once the grid exceeds the combined bandwidth.  The two values
@@ -128,12 +129,6 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
 
     dev_poly = deviation(f, cfg.n, cfg.method.s)
     dev = lq_norm(dev_poly, NormRequest(q=cfg.method.q))
-    if cfg.n < 2:
-        return WitnessResult(
-            alpha0=alpha0, phi=phi, f=f, dual=None, pairing=0.0,
-            pairing_quadrature=0.0, lower_bound=0.0, deviation=dev,
-        )
-
     k = np.arange(1, cfg.n, dtype=float)
     g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
     pairing = alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
@@ -166,8 +161,6 @@ def dual_test_poly(cfg: WitnessConfig) -> TrigPoly:
     The k-th amplitude is g(k)**(q-1) / k**(1/q), with the same phase
     rotation beta*pi/2 as the kernel; g is the composite growth function.
     """
-    if cfg.n < 2:
-        raise ParameterError("dual_test_poly: requires n >= 2")
     k = np.arange(1, cfg.n, dtype=float)
     g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
     return phased_poly(g ** (cfg.method.q - 1.0) / k ** (1.0 / cfg.method.q), cfg.method.beta)

@@ -188,9 +188,9 @@ class TestAlmostDecreasing:
 
 class TestDoubling:
     def test_power_certificates(self):
-        res = check_doubling(Power(1.0), 1.0e6)
+        res = check_doubling(Power(1.0))
         assert res.bounded and res.bound == pytest.approx(2.0, abs=1e-10)
-        res = check_doubling(Power(2.0), 1.0e6)
+        res = check_doubling(Power(2.0))
         assert res.bounded and res.bound == pytest.approx(4.0, abs=1e-10)
 
     def test_all_analytic_families_bounded(self):
@@ -199,29 +199,21 @@ class TestDoubling:
             PowerInvLog(1.0, 1.0, 1.0),
             PowerLogLog(1.0, 1.0, 60.0),
         ]:
-            assert check_doubling(psi, 1.0e6).bounded
-
-    def test_t_max_validation(self):
-        with pytest.raises(ParameterError):
-            check_doubling(Power(1.0), 1.5)
+            assert check_doubling(psi).bounded
 
 
 class TestReciprocalConvexity:
     def test_affine_reports_convex_down(self):
-        assert reciprocal_convexity(Power(1.0), 64) is Convexity.CONVEX_DOWN
+        assert reciprocal_convexity(Power(1.0)) is Convexity.CONVEX_DOWN
 
     def test_square_is_convex_down(self):
-        assert reciprocal_convexity(Power(2.0), 64) is Convexity.CONVEX_DOWN
+        assert reciprocal_convexity(Power(2.0)) is Convexity.CONVEX_DOWN
 
     def test_square_root_is_convex_up(self):
         # 1/psi = sqrt(t) has negative second derivative.
-        assert reciprocal_convexity(Power(0.5), 64) is Convexity.CONVEX_UP
+        assert reciprocal_convexity(Power(0.5)) is Convexity.CONVEX_UP
 
     def test_mixed_power_log_is_neither(self):
         # The second differences of 1/psi = t**1.05 / log(t + 60) are
         # positive at nodes 2..7 and negative at nodes 8..64.
-        assert reciprocal_convexity(PowerLog(1.05, 1.0, 60.0), 64) is Convexity.NEITHER
-
-    def test_grid_validation(self):
-        with pytest.raises(ParameterError):
-            reciprocal_convexity(Power(1.0), 2)
+        assert reciprocal_convexity(PowerLog(1.05, 1.0, 60.0)) is Convexity.NEITHER

@@ -81,7 +81,7 @@ class TestClosedForms:
 
     def test_request_settings_are_unused_at_q1(self):
         p = vp_pulse(8)
-        coarse = NormRequest(q=1.0, grid_m=16, tolerance=1e-2)
+        coarse = NormRequest(q=1.0, tolerance=1e-2)
         assert lq_norm(p, coarse) == lq_norm(p, NormRequest(q=1.0)) == l1_norm(p)
 
 

@@ -45,8 +45,6 @@ class TestLqNorm:
         with pytest.raises(ParameterError):
             NormRequest(q=0.5)
         with pytest.raises(ParameterError):
-            NormRequest(q=2.0, grid_m=100)
-        with pytest.raises(ParameterError):
             NormRequest(q=2.0, tolerance=0.0)
 
     @given(scale=st.floats(-20.0, 20.0))
@@ -129,8 +127,8 @@ class TestBestApprox:
 
     def test_q4_two_grid_self_consistency(self):
         f = TrigPoly(0.0, [0.0, 1.0], [0.0, 0.0])  # cos 2t
-        lo = best_approx(f, 2, NormRequest(q=4.0, grid_m=512))
-        hi = best_approx(f, 2, NormRequest(q=4.0, grid_m=1024))
+        lo = best_approx(f, 2, NormRequest(q=4.0))
+        hi = best_approx(f.padded(255), 2, NormRequest(q=4.0))  # 1024 IRLS nodes, not 512
         assert lo.value == pytest.approx(hi.value, abs=1e-8)
         assert lo.value <= lq_norm(f, NormRequest(q=4.0)) + 1e-12
         assert lo.value >= 0.0

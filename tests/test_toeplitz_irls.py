@@ -35,7 +35,7 @@ def dense_best_approx(f, n, req):
     truncation = f.truncated(n - 1).padded(n - 1)
     q = req.q
     d = max(f.degree, n - 1)
-    m = max(req.grid_m, _next_pow2(4 * (d + 1)))
+    m = max(512, _next_pow2(4 * (d + 1)))
     fvals = sample(f, m)
     nodes = TWO_PI * np.arange(m) / m
 

@@ -50,15 +50,9 @@ class TestCalibration:
 
 class TestBuildWitness:
     def test_order_one_witness(self):
-        res = build_witness(config(n=1))
-        assert res.f.degree == 1
-        assert res.f.a[0] == pytest.approx(0.25, abs=1e-6)
-        assert res.f.b[0] == pytest.approx(0.0, abs=1e-15)
-        assert res.lower_bound == 0.0
-        assert res.pairing == 0.0
-        assert res.pairing_quadrature == 0.0
-        assert res.deviation > 0.0
-        assert res.dual is None
+        # The dual has degree n - 1, so a witness needs n >= 2.
+        with pytest.raises(ParameterError):
+            config(n=1)
 
     def test_harmonic_n_comes_from_the_first_block(self):
         n = 8
