@@ -50,9 +50,7 @@ psi = Power(1.0)
 theta = check_almost_decreasing(psi, method.q_prime)
 print(f"  weighted almost-decreasing (rho = q' = 2): member={theta.member}, "
       f"alpha={theta.alpha}, K={theta.bound:.6f}")
-doubling = check_doubling(psi)
-print(f"  doubling regularity psi(t)/psi(2t):        bounded={doubling.bounded}, "
-      f"K={doubling.bound:.6f}")
+print(f"  doubling regularity psi(t)/psi(2t):        K={check_doubling(psi):.6f}")
 print(f"  convexity of 1/psi on [1, 65]:             {reciprocal_convexity(psi).value}")
 
 print("\nThe regime boundary for s=1, q=2 sits at r = s + 1 - 1/q = 1.5:")

@@ -23,7 +23,7 @@ for r in (0.75, 1.5, 2.5):
     slope_theory = -(r - 1.0 + 1.0 / q) if case == 1 else -s  # up to the log factor in case 2
     spread = report.ratio_band[1] / report.ratio_band[0]
     slope = loglog_slope(report.n_grid, report.deviations)
-    rate16 = theoretical_rate(Power(r), method, report.regime, 16)
+    rate16 = theoretical_rate(Power(r), method, 16)
     print(
         f"{r:>5}  {f'case{case}':>6}  {rate16:>10.6f}  "
         f"{spread:>7.3f}  {slope:>+8.4f}  {slope_theory:>+8.4f}"

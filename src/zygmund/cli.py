@@ -4,8 +4,9 @@ Subcommands: classify, rate-check, witness, table-vnad, best-approx.  Every
 command reads a flat key-value config (see `zygmund.config`), writes CSV
 files into the output directory, and exits 0 only when all verdicts pass and
 no validation error occurred.  Outputs are deterministic: identical configs
-give byte-identical files.  `--seed` and the `seed` key are parsed, but no
-command reads them: no CLI path draws random numbers.
+give byte-identical files.  No command draws random numbers, so a config has
+no `seed` key; `--seed` is accepted and ignored, because perfbench/run.py
+passes it to every command.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     method = cfg.method
     regime = classify_regime(cfg.psi, method)
     theta = check_almost_decreasing(cfg.psi, method.q_prime)
-    doubling = check_doubling(cfg.psi)
     convexity = reciprocal_convexity(cfg.psi)
 
     eps = f" (epsilon={regime.epsilon!r})" if regime.epsilon is not None else ""
@@ -80,7 +80,7 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     print(f"method     : s={method.s!r} q={method.q!r} beta={method.beta!r} q'={method.q_prime!r}")
     print(f"regime     : {regime.regime.value}{eps}")
     print(f"theta(q'={method.q_prime:g}) : {str(theta.member).lower()}{cert}")
-    print(f"doubling   : bounded={str(doubling.bounded).lower()} K={doubling.bound:.6g}")
+    print(f"doubling   : K={check_doubling(cfg.psi):.6g}")
     print(f"1/psi      : {convexity.value}")
     return 0
 
@@ -191,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the experiment config file")
         sp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (overrides seed); unused by every command")
+        sp.add_argument("--seed", type=int, help="ignored; perfbench/run.py passes it to every command")
         sp.add_argument(
             "--band-limit", type=float, default=None, help="ratio band limit (overrides band_limit)"
         )
@@ -204,8 +204,6 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     updates = {}
     if args.out is not None:
         updates["output_dir"] = Path(args.out)
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.band_limit is not None:
         if not (args.band_limit > 1.0):
             raise ConfigError("band_limit", "must exceed 1")

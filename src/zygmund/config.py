@@ -14,8 +14,6 @@ Canonical keys (camelCase aliases are accepted):
     n_grid        whitespace- or comma-separated polynomial orders
     band_limit    bounded-ratio verdict limit (default 4, or 6 for log families)
     output_dir    directory for CSV output (default "out")
-    seed          RNG seed (default 0); parsed, but read by no command, since
-                  no CLI path draws random numbers
     r_list        decay exponents for the three-case table command
 """
 
@@ -48,7 +46,6 @@ _KNOWN_KEYS = {
     "n_grid",
     "band_limit",
     "output_dir",
-    "seed",
     "r_list",
 }
 
@@ -65,7 +62,6 @@ class ExperimentConfig:
     n_grid: Optional[Tuple[int, ...]]
     band_limit: float
     output_dir: Path
-    seed: int
     r_list: Optional[Tuple[float, ...]] = None
 
     def require_n_grid(self) -> Tuple[int, ...]:
@@ -111,16 +107,6 @@ def _parse_float(raw: dict, key: str, default: Optional[float] = None) -> Option
         return float(value)
     except ValueError as exc:
         raise ConfigError(key, f"not a number: '{value}'", line) from exc
-
-
-def _parse_int(raw: dict, key: str, default: Optional[int] = None) -> Optional[int]:
-    if key not in raw:
-        return default
-    value, line = raw[key]
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(key, f"not an integer: '{value}'", line) from exc
 
 
 def _parse_number_list(raw: dict, key: str, cast) -> Optional[tuple]:
@@ -192,7 +178,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not (band_limit > 1.0):
         raise ConfigError("band_limit", "must exceed 1", raw.get("band_limit", (None, None))[1])
 
-    seed = _parse_int(raw, "seed", default=0)
     output_dir = Path(raw["output_dir"][0]) if "output_dir" in raw else Path("out")
     r_list = _parse_number_list(raw, "r_list", float)
 
@@ -203,6 +188,5 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         n_grid=n_grid,
         band_limit=band_limit,
         output_dir=output_dir,
-        seed=seed,
         r_list=r_list,
     )

@@ -36,7 +36,6 @@ __all__ = [
     "classify_regime",
     "AlmostDecreasingResult",
     "check_almost_decreasing",
-    "DoublingResult",
     "check_doubling",
     "Convexity",
     "reciprocal_convexity",
@@ -56,14 +55,10 @@ class PsiFunction:
 
     Subclasses implement ``_value`` and ``_log_value`` (vectorized) and
     carry ``r``, the power-law exponent governing the profile's decay up to
-    slowly varying factors, which ``decay_exponent`` reports.
+    slowly varying factors, which alone sets the regime.
     """
 
     r: float
-
-    @property
-    def decay_exponent(self) -> float:
-        return self.r
 
     def __call__(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         arr = np.asarray(t, dtype=float)
@@ -269,7 +264,7 @@ def classify_regime(psi: PsiFunction, method: MethodParams) -> RegimeResult:
     powers give g constant there; log perturbations oscillate slowly by
     definition).
     """
-    e = method.growth_exponent - psi.decay_exponent
+    e = method.growth_exponent - psi.r
     if e > _EXPONENT_TOL:
         return RegimeResult(Regime.GROWING, epsilon=e / 2.0)
     if e < -_EXPONENT_TOL:
@@ -302,7 +297,7 @@ def check_almost_decreasing(psi: PsiFunction, rho: float) -> AlmostDecreasingRes
     if not (rho >= 1.0):
         raise ParameterError("check_almost_decreasing: requires rho >= 1")
     inv = 1.0 / rho
-    r = psi.decay_exponent
+    r = psi.r
     if isinstance(psi, (PowerLog, PowerLogLog)):
         # The log growth in the numerator must be paid for by the shift c.
         member = r > inv and psi.c > math.exp(2.0 * psi.alpha / (r - inv)) - 1.0
@@ -318,23 +313,15 @@ def check_almost_decreasing(psi: PsiFunction, rho: float) -> AlmostDecreasingRes
     return AlmostDecreasingResult(member=True, alpha=alpha, bound=bound)
 
 
-@dataclass(frozen=True)
-class DoublingResult:
-    """Verdict of the doubling-regularity test psi(t)/psi(2t) <= K."""
+def check_doubling(psi: PsiFunction) -> float:
+    """The doubling constant K = sup psi(t)/psi(2t), measured on the
+    geometric probe grid on [1, 1e6]; inf when it overflows a float.
 
-    bounded: bool
-    bound: float
-
-
-def check_doubling(psi: PsiFunction) -> DoublingResult:
-    """Measure sup of psi(t)/psi(2t) over the geometric probe grid on [1, 1e6].
-
-    All four analytic families are doubling-regular; the returned bound is
-    the measured supremum.
+    Every analytic family is doubling-regular; Power(r) has K = 2**r.
     """
     log_ratio = psi.log_value(_PROBE_GRID) - psi.log_value(2.0 * _PROBE_GRID)
     top = float(np.max(log_ratio))
-    return DoublingResult(bounded=True, bound=math.exp(top) if top < 700.0 else math.inf)
+    return math.exp(top) if top < 700.0 else math.inf
 
 
 class Convexity(Enum):

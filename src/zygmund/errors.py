@@ -38,7 +38,7 @@ class IllPosedError(ZygmundError, ArithmeticError):
 
 
 class RegimeMismatchError(ZygmundError, ValueError):
-    """A rate formula was requested for the wrong growth regime."""
+    """An experiment was asked for on a profile in the wrong growth regime."""
 
 
 class CoefficientMismatchError(ZygmundError, RuntimeError):

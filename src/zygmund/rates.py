@@ -9,8 +9,9 @@ per order.  The two-norm majorant of the kernel split,
 `upper_bound_estimate`, is a separate library function that neither
 experiment calls.
 
-`theoretical_rate` is the one three-regime rate law; both experiments
-tabulate it, through the private `_rate`, after one regime classification.
+`theoretical_rate(psi, method, n)` is the one three-regime rate law and
+classifies its own regime; both experiments classify once and tabulate the
+same law through the private `_rate`.
 The Weyl–Nagy profiles psi(t) = t**(-r) are `Power(r)`, whose three cases
 are the three regimes, so `table-vnad` reads its case from
 `RateReport.regime`.  The critical law's integral is taken by
@@ -118,7 +119,7 @@ def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
 
 
 def _rate(psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int) -> float:
-    """theoretical_rate without its checks: the law of `regime` at order n."""
+    """theoretical_rate for a regime already classified: its law at order n."""
     if regime.regime is Regime.GROWING:
         return float(psi(float(n))) * float(n) ** (1.0 - 1.0 / method.q)
     if regime.regime is Regime.CRITICAL:
@@ -126,10 +127,8 @@ def _rate(psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int) 
     return float(n) ** (-method.s)
 
 
-def theoretical_rate(
-    psi: PsiFunction, method: MethodParams, regime: RegimeResult, n: int
-) -> float:
-    """The rate law at order n, guarded against a stale regime tag.
+def theoretical_rate(psi: PsiFunction, method: MethodParams, n: int) -> float:
+    """The rate law at order n of the regime that classify_regime gives.
 
     This is the library's one three-regime law: psi(n) * n**(1 - 1/q) when
     growing, n**(-s) * critical_integral(psi, method, n)**(1/q) when
@@ -137,13 +136,7 @@ def theoretical_rate(
     """
     if n < 2:
         raise ParameterError("theoretical_rate: requires n >= 2")
-    current = classify_regime(psi, method)
-    if current.regime is not regime.regime:
-        raise RegimeMismatchError(
-            f"theoretical_rate: supplied regime {regime.regime.value} but "
-            f"classification gives {current.regime.value}"
-        )
-    return _rate(psi, method, current, n)
+    return _rate(psi, method, classify_regime(psi, method), n)
 
 
 def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> float:
@@ -264,7 +257,9 @@ def loglog_slope(n_grid: Sequence[int], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(n_grid, float)), np.log(np.asarray(values, float)), 1)[0])
 
 
-def _validate_grid(n_grid: Sequence[int]) -> Tuple[int, ...]:
+def _validate_experiment(n_grid: Sequence[int], band_limit: float) -> Tuple[int, ...]:
+    """The grid and band-limit checks both experiments run before building
+    any witness."""
     ns = tuple(int(n) for n in n_grid)
     if len(ns) < 5:
         raise ParameterError("experiment: n_grid needs at least 5 points")
@@ -272,6 +267,8 @@ def _validate_grid(n_grid: Sequence[int]) -> Tuple[int, ...]:
         raise ParameterError("experiment: n_grid must be strictly increasing")
     if ns[0] < 4 or ns[-1] > 1024:
         raise ParameterError("experiment: n_grid must lie within [4, 1024]")
+    if not (band_limit > 1.0):
+        raise ParameterError("experiment: band_limit must exceed 1")
     return ns
 
 
@@ -321,9 +318,7 @@ def ratio_experiment(
     certified Hölder lower bound, and the regime's rate law (that of
     theoretical_rate) are tabulated; see _banded_report for the verdict.
     """
-    ns = _validate_grid(n_grid)
-    if not (band_limit > 1.0):
-        raise ParameterError("ratio_experiment: band_limit must exceed 1")
+    ns = _validate_experiment(n_grid, band_limit)
     regime = classify_regime(psi, method)
 
     deviations = []
@@ -352,7 +347,7 @@ def best_vs_method_experiment(
     concrete method), and the growing rate law psi(n) * n**(1 - 1/q) as
     `upper_rates`; see _banded_report for the verdict.
     """
-    ns = _validate_grid(n_grid)
+    ns = _validate_experiment(n_grid, band_limit)
     regime = classify_regime(psi, method)
     if regime.regime is not Regime.GROWING:
         raise RegimeMismatchError(

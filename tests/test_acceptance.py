@@ -49,7 +49,6 @@ def regime_sweeps():
         for beta in (0.0, 1.0):
             psi = Power(r)
             method = MethodParams(s=1.0, q=2.0, beta=beta)
-            regime = classify_regime(psi, method)
             rows = []
             for n in GRID:
                 cfg = WitnessConfig(psi=psi, method=method, n=n)
@@ -59,7 +58,7 @@ def regime_sweeps():
                         "n": n,
                         "deviation": res.deviation,
                         "holder_lower": res.lower_bound,
-                        "rate": theoretical_rate(psi, method, regime, n),
+                        "rate": theoretical_rate(psi, method, n),
                     }
                 )
             data[(r, beta)] = rows

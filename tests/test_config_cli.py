@@ -17,7 +17,6 @@ method.q = 2.0
 method.beta = 0.0
 n_grid = 4 8 16 32 64
 band_limit = 4.0
-seed = 7
 """
 
 
@@ -34,7 +33,6 @@ class TestConfigParsing:
         assert cfg.method.s == 1.0 and cfg.method.q == 2.0
         assert cfg.n_grid == (4, 8, 16, 32, 64)
         assert cfg.band_limit == 4.0
-        assert cfg.seed == 7
         assert cfg.output_dir.name == "out"
 
     def test_camel_case_aliases(self, tmp_path):
@@ -61,6 +59,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert err.value.field == "method.p"
+
+    def test_seed_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, BASE + "seed = 7\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.field == "seed"
+        assert str(err.value).endswith(": unknown key")
 
     def test_missing_family(self, tmp_path):
         path = write_config(tmp_path, "method.s = 1\nmethod.q = 2\n")
@@ -107,6 +112,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "regime     : growing" in out
         assert "theta(q'=2) : true" in out
+        assert "doubling   : K=2\n" in out
+        assert "bounded=" not in out
+
+    def test_seed_flag_accepted_and_ignored(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE)
+        assert main(["classify", "--config", str(path)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["classify", "--config", str(path), "--seed", "3"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_classify_critical_label(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE.replace("psi.r = 1.0", "psi.r = 1.5"))

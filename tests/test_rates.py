@@ -22,35 +22,25 @@ GRID = [8, 16, 32, 64, 128, 256]
 class TestTheoreticalRate:
     def test_growing_case_arithmetic(self):
         m = MethodParams(s=1.0, q=2.0)
-        regime = classify_regime(Power(1.0), m)
-        assert theoretical_rate(Power(1.0), m, regime, 16) == pytest.approx(0.25, rel=1e-14)
+        assert theoretical_rate(Power(1.0), m, 16) == pytest.approx(0.25, rel=1e-14)
 
     def test_critical_case_is_log_rate(self):
         m = MethodParams(s=1.0, q=2.0)
         psi = Power(1.5)
-        regime = classify_regime(psi, m)
         for n in (8, 64, 512):
             expected = (1.0 / n) * math.sqrt(math.log(n))
-            assert theoretical_rate(psi, m, regime, n) == pytest.approx(expected, rel=1e-12)
+            assert theoretical_rate(psi, m, n) == pytest.approx(expected, rel=1e-12)
 
     def test_decaying_case(self):
         m = MethodParams(s=2.0, q=3.0)
         psi = Power(5.0)
-        regime = classify_regime(psi, m)
-        assert theoretical_rate(psi, m, regime, 10) == pytest.approx(0.01, rel=1e-14)
-
-    def test_regime_mismatch_raises(self):
-        m = MethodParams(s=1.0, q=2.0)
-        wrong = classify_regime(Power(2.5), m)
-        with pytest.raises(RegimeMismatchError):
-            theoretical_rate(Power(1.0), m, wrong, 16)
+        assert theoretical_rate(psi, m, 10) == pytest.approx(0.01, rel=1e-14)
 
     def test_decreasing_in_n(self):
         for psi, s, q in [(Power(1.0), 1.0, 2.0), (Power(1.5), 1.0, 2.0), (Power(2.5), 1.0, 2.0),
                           (PowerLog(1.0, 1.0, 60.0), 1.0, 2.0), (Power(0.9), 0.5, 4.0)]:
             m = MethodParams(s=s, q=q)
-            regime = classify_regime(psi, m)
-            values = [theoretical_rate(psi, m, regime, n) for n in range(4, 200, 7)]
+            values = [theoretical_rate(psi, m, n) for n in range(4, 200, 7)]
             assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_formulas_meet_at_the_boundary(self):
@@ -90,8 +80,7 @@ class TestWeylNagyRate:
 
     @staticmethod
     def rate(r, n, s=1.0, q=2.0):
-        m = MethodParams(s=s, q=q)
-        return theoretical_rate(Power(r), m, classify_regime(Power(r), m), n)
+        return theoretical_rate(Power(r), MethodParams(s=s, q=q), n)
 
     def test_first_case(self):
         assert self.rate(0.75, 16) == pytest.approx(16.0**-0.25, rel=1e-14)
@@ -259,6 +248,17 @@ class TestBestVsMethod:
         assert classify_regime(psi, m).regime is Regime.GROWING
         with pytest.raises(ParameterError, match="no definite convexity"):
             best_vs_method_experiment(psi, m, [8, 16, 32, 64, 128])
+
+
+@pytest.mark.parametrize("experiment", [ratio_experiment, best_vs_method_experiment])
+@pytest.mark.parametrize("band_limit", [0.5, 1.0])
+def test_band_limit_must_exceed_one_before_any_witness(experiment, band_limit, monkeypatch):
+    def no_witness(config):
+        raise AssertionError("build_witness called")
+
+    monkeypatch.setattr("zygmund.rates.build_witness", no_witness)
+    with pytest.raises(ParameterError, match="band_limit must exceed 1"):
+        experiment(Power(1.0), MethodParams(s=1.0, q=3.0), [8, 16, 32, 64, 128], band_limit=band_limit)
 
 
 class TestLogFamilyExperiment:

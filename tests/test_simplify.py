@@ -1,9 +1,11 @@
 """Seams shared across modules: the phase-rotation builder, one regime
 classification per experiment, one rate law, whose regime split is the
-Weyl–Nagy case split of the pure powers, public names that resolve, and
-no module-level import that its module never reads."""
+Weyl–Nagy case split of the pure powers, public names that resolve, no
+module-level import that its module never reads, and no config field that
+the CLI never reads."""
 
 import ast
+import dataclasses
 import importlib
 import math
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import zygmund
 import zygmund.cli
 import zygmund.rates
+from zygmund.config import ExperimentConfig
 from zygmund.decay import MethodParams, Power, Regime, classify_regime
 from zygmund.errors import ParameterError
 from zygmund.rates import (
@@ -52,9 +55,7 @@ class TestOneClassification:
         assert len(classify_calls) == 1
 
     def test_theoretical_rate_classifies_once(self, classify_calls):
-        m = MethodParams(s=1.0, q=2.0)
-        regime = classify_regime(Power(1.5), m)
-        theoretical_rate(Power(1.5), m, regime, 16)
+        theoretical_rate(Power(1.5), MethodParams(s=1.0, q=2.0), 16)
         assert len(classify_calls) == 1
 
     def test_best_vs_method_experiment_classifies_once(self, classify_calls):
@@ -71,7 +72,7 @@ class TestOneRateLaw:
         m = MethodParams(s=1.0, q=2.0)
         report = ratio_experiment(Power(r), m, [4, 8, 16, 32, 64])
         assert report.regime.regime is regime
-        expected = tuple(theoretical_rate(Power(r), m, report.regime, n) for n in report.n_grid)
+        expected = tuple(theoretical_rate(Power(r), m, n) for n in report.n_grid)
         assert report.upper_rates == expected
 
 
@@ -167,3 +168,23 @@ def test_unused_import_check_sees_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def cli_config_reads(source):
+    """Fields read off `cfg` in the CLI source: as `cfg.<field>`, or through
+    `cfg.require_<field>()`."""
+    return {
+        node.attr.removeprefix("require_")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+
+
+def test_config_read_check_sees_both_forms():
+    source = "def f(cfg):\n    return cfg.psi, cfg.require_n_grid(), other.seed\n"
+    assert cli_config_reads(source) == {"psi", "n_grid"}
+
+
+def test_every_config_field_is_read_by_the_cli():
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert fields - cli_config_reads((SRC / "cli.py").read_text(encoding="utf-8")) == set()

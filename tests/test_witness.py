@@ -108,10 +108,6 @@ class TestDualPoly:
         assert np.max(np.abs(dual.a)) < 1e-14
         assert np.all(dual.b > 0.0)
 
-    def test_requires_n_at_least_two(self):
-        with pytest.raises(ParameterError):
-            dual_test_poly(config(n=1))
-
 
 class TestPairing:
     def test_single_term_closed_form(self):
