@@ -29,13 +29,12 @@ cases = [
 
 for label, psi, band_limit in cases:
     report = ratio_experiment(psi, method, GRID, band_limit=band_limit)
-    spread = report.ratio_band[1] / report.ratio_band[0]
     slope = loglog_slope(report.n_grid, report.deviations)
     print(f"{label}: regime={report.regime.regime.value}")
     print(f"  {'n':>5}  {'deviation':>12}  {'lower':>12}  {'rate':>12}  {'dev/rate':>9}")
     for n, dev, lo, rate in zip(report.n_grid, report.deviations, report.lower_bounds, report.upper_rates):
         print(f"  {n:>5}  {dev:>12.6f}  {lo:>12.6f}  {rate:>12.6f}  {dev / rate:>9.4f}")
-    print(f"  spread {spread:.3f} vs limit {band_limit}  ->  "
+    print(f"  spread {report.spread:.3f} vs limit {band_limit}  ->  "
           f"{'BANDED' if report.verdict else 'NOT BANDED'};  log-log slope {slope:+.3f}\n")
 
 print("the two-norm majorant brackets the class deviation from above and stays")

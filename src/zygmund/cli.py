@@ -52,6 +52,13 @@ def read_trig_poly_csv(text: str) -> TrigPoly:
     return TrigPoly(a0, a, b)
 
 
+def _csv(columns: dict) -> str:
+    """A header row of the column names, then one row per entry, each value
+    by repr."""
+    rows = [",".join(columns)] + [",".join(map(repr, row)) for row in zip(*columns.values())]
+    return "\n".join(rows) + "\n"
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -88,16 +95,18 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
 def cmd_rate_check(cfg: ExperimentConfig) -> int:
     ns = cfg.require_n_grid()
     report = ratio_experiment(cfg.psi, cfg.method, ns, band_limit=cfg.band_limit)
-    _write(cfg.output_dir / "rate_report.csv", report.to_csv())
+    dev, low, rate = report.deviations, report.lower_bounds, report.upper_rates
+    ratio = [d / u for d, u in zip(dev, rate)]
+    columns = {"n": report.n_grid, "deviation": dev, "lower_bound": low, "upper_rate": rate, "ratio": ratio}
+    _write(cfg.output_dir / "rate_report.csv", _csv(columns))
     _write_plot_data(cfg.output_dir, "deviation", report.n_grid, report.deviations)
     _write_plot_data(cfg.output_dir, "lower_bound", report.n_grid, report.lower_bounds)
     _write_plot_data(cfg.output_dir, "upper_rate", report.n_grid, report.upper_rates)
-    spread = report.ratio_band[1] / report.ratio_band[0]
     regime = report.regime.regime.value
     if report.verdict:
-        print(f"BANDED within {spread:.4g} over {_grid_label(ns)} (regime={regime}, limit={cfg.band_limit:g})")
+        print(f"BANDED within {report.spread:.4g} over {_grid_label(ns)} (regime={regime}, limit={cfg.band_limit:g})")
         return 0
-    print(f"NOT BANDED: spread {spread:.4g} exceeds limit {cfg.band_limit:g} over {_grid_label(ns)} (regime={regime})")
+    print(f"NOT BANDED: spread {report.spread:.4g} exceeds limit {cfg.band_limit:g} over {_grid_label(ns)} (regime={regime})")
     return 1
 
 
@@ -106,17 +115,14 @@ def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
         raise ConfigError("n", "the witness pairing requires n >= 2")
     result = build_witness(WitnessConfig(psi=cfg.psi, method=cfg.method, n=n))
 
-    header = "n,alpha0,I_closed,I_quadrature,lower_bound,deviation"
-    row = (
-        f"{n},{result.alpha0!r},{result.pairing!r},{result.pairing_quadrature!r},"
-        f"{result.lower_bound!r},{result.deviation!r}"
-    )
-    _write(cfg.output_dir / "witness.csv", header + "\n" + row + "\n")
+    names = ("n", "alpha0", "I_closed", "I_quadrature", "lower_bound", "deviation")
+    row = (n, result.alpha0, result.pairing, result.pairing_quadrature, result.lower_bound, result.deviation)
+    text = _csv({name: [value] for name, value in zip(names, row)})
+    _write(cfg.output_dir / "witness.csv", text)
     _write(cfg.output_dir / "witness_phi.csv", trig_poly_csv(result.phi))
     _write(cfg.output_dir / "witness_f.csv", trig_poly_csv(result.f))
     _write(cfg.output_dir / "witness_dual.csv", trig_poly_csv(result.dual))
-    print(header)
-    print(row)
+    print(text, end="")
     return 0
 
 
@@ -138,14 +144,13 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
             continue
         report = ratio_experiment(Power(r), method, ns, band_limit=cfg.band_limit)
         case = _VNAD_CASE[report.regime.regime]
-        slope_theory = -(r - 1.0 + 1.0 / method.q) if case == 1 else -method.s
-        spread = report.ratio_band[1] / report.ratio_band[0]
+        slope_theory = loglog_slope(report.n_grid, report.upper_rates)
         slope = loglog_slope(report.n_grid, report.deviations)
         ok = report.verdict
         if case == 1:
             ok = ok and abs(slope - slope_theory) < 0.1
         all_ok = all_ok and ok
-        rows.append((r, f"case{case}", f"{spread:.4g}", f"{slope:.4f}", f"{slope_theory:.4f}", "ok" if ok else "failed"))
+        rows.append((r, f"case{case}", f"{report.spread:.4g}", f"{slope:.4f}", f"{slope_theory:.4f}", "ok" if ok else "failed"))
 
     print(f"{'r':>6}  {'case':>8}  {'band':>8}  {'slope':>8}  {'theory':>8}  verdict")
     csv_lines = ["r,case,band,slope,slope_theory,verdict"]
@@ -158,20 +163,18 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
 
 def cmd_best_approx(cfg: ExperimentConfig) -> int:
     ns = cfg.require_n_grid()
-    report = best_vs_method_experiment(
-        cfg.psi, cfg.method, ns, band_limit=max(cfg.band_limit, 5.0)
-    )
-    lines = ["n,best_value,zygmund_deviation,rate,best_ratio,zygmund_ratio"]
-    for n, best, dev, rate in zip(report.n_grid, report.lower_bounds, report.deviations, report.upper_rates):
-        lines.append(f"{n},{best!r},{dev!r},{rate!r},{best / rate!r},{dev / rate!r}")
-    _write(cfg.output_dir / "best_vs_method.csv", "\n".join(lines) + "\n")
+    report = best_vs_method_experiment(cfg.psi, cfg.method, ns, band_limit=cfg.band_limit)
+    best, dev, rate = report.lower_bounds, report.deviations, report.upper_rates
+    columns = {"n": report.n_grid, "best_value": best, "zygmund_deviation": dev, "rate": rate}
+    columns["best_ratio"] = [b / u for b, u in zip(best, rate)]
+    columns["zygmund_ratio"] = [d / u for d, u in zip(dev, rate)]
+    _write(cfg.output_dir / "best_vs_method.csv", _csv(columns))
     _write_plot_data(cfg.output_dir, "best_value", report.n_grid, report.lower_bounds)
     _write_plot_data(cfg.output_dir, "zygmund_deviation", report.n_grid, report.deviations)
-    spread = report.ratio_band[1] / report.ratio_band[0]
     if report.verdict:
-        print(f"BANDED within {spread:.4g} over {_grid_label(ns)}; best approximation dominated throughout")
+        print(f"BANDED within {report.spread:.4g} over {_grid_label(ns)}; best approximation dominated throughout")
         return 0
-    print(f"NOT BANDED or domination failed: spread {spread:.4g} over {_grid_label(ns)}")
+    print(f"NOT BANDED or domination failed: spread {report.spread:.4g} over {_grid_label(ns)}")
     return 1
 
 

@@ -5,9 +5,11 @@ operationalized at desk scale as a bounded ratio: over a geometric grid of
 polynomial orders n, max(deviation/rate) / min(deviation/rate) must stay
 below a configurable band limit.  Both experiments bound the class-level
 deviation from below only, through the deviation of one extremal witness
-per order.  The two-norm majorant of the kernel split,
-`upper_bound_estimate`, is a separate library function that neither
-experiment calls.
+per order; they share one loop and differ only in the lower value they
+take from the witness.  `RateReport` stores what the loop measured and
+derives its `spread` and `verdict`; file formats belong to the CLI.  The
+two-norm majorant of the kernel split, `upper_bound_estimate`, is a
+separate library function that neither experiment calls.
 
 `theoretical_rate(psi, method, n)` is the one three-regime rate law and
 classifies its own regime; both experiments classify once and tabulate the
@@ -42,7 +44,7 @@ from .decay import (
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
 from .norms import NormRequest, best_approx, l1_norm, lq_norm
 from .trig import TrigPoly, convolve, deviation, phased_poly
-from .witness import WitnessConfig, build_witness
+from .witness import WitnessConfig, WitnessResult, build_witness
 
 __all__ = [
     "theoretical_rate",
@@ -217,6 +219,11 @@ def unit_ball_deviations(
     ]
 
 
+def _max_over_min(values: Sequence[float], rates: Sequence[float]) -> float:
+    ratios = [v / u for v, u in zip(values, rates)]
+    return max(ratios) / min(ratios)
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Per-order table of measured deviations against a closed-form rate.
@@ -225,7 +232,8 @@ class RateReport:
     the closed-form rate of `regime`.  `lower_bounds` are certified values at
     or below the deviations: the Hölder quotient I / ||dual||_{q'} of the
     witness, or the best approximation E_n(f)_q, which no concrete method
-    beats.  `ratio_band` is the (min, max) of deviation/rate.
+    beats.  The report stores only these and `band_limit`; `spread` and
+    `verdict` are derived from them.
     """
 
     n_grid: Tuple[int, ...]
@@ -233,8 +241,7 @@ class RateReport:
     deviations: Tuple[float, ...]
     lower_bounds: Tuple[float, ...]
     upper_rates: Tuple[float, ...]
-    ratio_band: Tuple[float, float]
-    verdict: bool
+    band_limit: float
 
     def __post_init__(self) -> None:
         ns = self.n_grid
@@ -245,11 +252,22 @@ class RateReport:
             if len(vals) != len(ns) or any(not (v > 0.0) for v in vals):
                 raise ParameterError(f"RateReport: {name} must be positive, one per n")
 
-    def to_csv(self) -> str:
-        lines = ["n,deviation,lower_bound,upper_rate,ratio"]
-        for n, d, lo, u in zip(self.n_grid, self.deviations, self.lower_bounds, self.upper_rates):
-            lines.append(f"{n},{d!r},{lo!r},{u!r},{d / u!r}")
-        return "\n".join(lines) + "\n"
+    @property
+    def spread(self) -> float:
+        """max over min of deviation/rate across the grid."""
+        return _max_over_min(self.deviations, self.upper_rates)
+
+    @property
+    def verdict(self) -> bool:
+        """Every lower value stays at or below its deviation (relative slack
+        1e-9), and both deviation/rate and lower/rate stay within the band
+        limit (max over min of the ratios): the falsifiable desk-scale
+        reading of an order equality."""
+        return (
+            all(lo <= d * (1.0 + 1.0e-9) for lo, d in zip(self.lower_bounds, self.deviations))
+            and self.spread <= self.band_limit
+            and _max_over_min(self.lower_bounds, self.upper_rates) <= self.band_limit
+        )
 
 
 def loglog_slope(n_grid: Sequence[int], values: Sequence[float]) -> float:
@@ -272,38 +290,26 @@ def _validate_experiment(n_grid: Sequence[int], band_limit: float) -> Tuple[int,
     return ns
 
 
-def _banded_report(
-    ns: Tuple[int, ...],
+def _experiment(
+    psi: PsiFunction,
+    method: MethodParams,
     regime: RegimeResult,
-    deviations: Sequence[float],
-    lowers: Sequence[float],
-    rates: Sequence[float],
+    ns: Tuple[int, ...],
     band_limit: float,
+    lower: Callable[[WitnessResult, int], float],
 ) -> RateReport:
-    """The report and verdict shared by both experiments.
-
-    The verdict requires every lower value to stay at or below its deviation
-    (relative slack 1e-9), and both deviation/rate and lower/rate to stay
-    within the band limit (max over min of the ratios), which is the
-    falsifiable desk-scale reading of an order equality.
-    """
-    dev_ratios = [d / u for d, u in zip(deviations, rates)]
-    low_ratios = [lo / u for lo, u in zip(lowers, rates)]
-    band = (min(dev_ratios), max(dev_ratios))
-    verdict = (
-        all(lo <= d * (1.0 + 1.0e-9) for lo, d in zip(lowers, deviations))
-        and band[1] / band[0] <= band_limit
-        and max(low_ratios) / min(low_ratios) <= band_limit
-    )
-    return RateReport(
-        n_grid=ns,
-        regime=regime,
-        deviations=tuple(deviations),
-        lower_bounds=tuple(lowers),
-        upper_rates=tuple(rates),
-        ratio_band=band,
-        verdict=verdict,
-    )
+    """The loop both experiments share: per order n, one witness, its
+    deviation, the driver's lower value lower(witness, n), and the law of
+    the already classified regime."""
+    deviations = []
+    lowers = []
+    rates = []
+    for n in ns:
+        res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
+        deviations.append(res.deviation)
+        lowers.append(lower(res, n))
+        rates.append(_rate(psi, method, regime, n))
+    return RateReport(ns, regime, tuple(deviations), tuple(lowers), tuple(rates), band_limit)
 
 
 def ratio_experiment(
@@ -316,27 +322,18 @@ def ratio_experiment(
 
     The regime is classified once.  For each n the witness deviation, its
     certified Hölder lower bound, and the regime's rate law (that of
-    theoretical_rate) are tabulated; see _banded_report for the verdict.
+    theoretical_rate) are tabulated; see RateReport.verdict.
     """
     ns = _validate_experiment(n_grid, band_limit)
     regime = classify_regime(psi, method)
-
-    deviations = []
-    lowers = []
-    rates = []
-    for n in ns:
-        res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
-        deviations.append(res.deviation)
-        lowers.append(res.lower_bound)
-        rates.append(_rate(psi, method, regime, n))
-    return _banded_report(ns, regime, deviations, lowers, rates, band_limit)
+    return _experiment(psi, method, regime, ns, band_limit, lambda res, n: res.lower_bound)
 
 
 def best_vs_method_experiment(
     psi: PsiFunction,
     method: MethodParams,
     n_grid: Sequence[int],
-    band_limit: float = 5.0,
+    band_limit: float = 4.0,
 ) -> RateReport:
     """Compare best approximation with the Zygmund deviation in the growing regime.
 
@@ -345,7 +342,7 @@ def best_vs_method_experiment(
     convexity.  The report stores Zygmund deviations as `deviations`, best
     approximation values as `lower_bounds` (the infimum can never exceed a
     concrete method), and the growing rate law psi(n) * n**(1 - 1/q) as
-    `upper_rates`; see _banded_report for the verdict.
+    `upper_rates`; see RateReport.verdict.
     """
     ns = _validate_experiment(n_grid, band_limit)
     regime = classify_regime(psi, method)
@@ -363,13 +360,4 @@ def best_vs_method_experiment(
             "best_vs_method_experiment: 1/psi has no definite convexity on the test window"
         )
     req = NormRequest(q=method.q)
-
-    zygmund_devs = []
-    best_values = []
-    rates = []
-    for n in ns:
-        res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
-        zygmund_devs.append(res.deviation)
-        best_values.append(best_approx(res.f, n, req).value)
-        rates.append(_rate(psi, method, regime, n))
-    return _banded_report(ns, regime, zygmund_devs, best_values, rates, band_limit)
+    return _experiment(psi, method, regime, ns, band_limit, lambda res, n: best_approx(res.f, n, req).value)

@@ -193,7 +193,7 @@ def test_criterion_09_best_approximation():
     for q in (1.5, 3.0):
         reportq = best_vs_method_experiment(Power(1.0), MethodParams(s=1.0, q=q), GRID, band_limit=5.0)
         ok = ok and reportq.verdict
-        spreads.append(f"q={q}: {reportq.ratio_band[1] / reportq.ratio_band[0]:.2f}")
+        spreads.append(f"q={q}: {reportq.spread:.2f}")
     report(9, f"best approximation: L2 truncation ({worst_l2:.2e}); banded vs rate ({', '.join(spreads)})", ok)
 
 
@@ -203,5 +203,4 @@ def test_criterion_10_log_perturbed_family():
     regime = classify_regime(psi, method)
     rep = ratio_experiment(psi, method, GRID, band_limit=6.0)
     ok = regime.regime is Regime.GROWING and rep.verdict
-    spread = rep.ratio_band[1] / rep.ratio_band[0]
-    report(10, f"log-perturbed profile classified growing, banded (spread {spread:.2f})", ok)
+    report(10, f"log-perturbed profile classified growing, banded (spread {rep.spread:.2f})", ok)

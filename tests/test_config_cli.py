@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from zygmund import witness
@@ -7,6 +9,8 @@ from zygmund.decay import Power, PowerLog
 from zygmund.errors import ConfigError
 from zygmund.trig import TrigPoly, max_coeff_diff
 from zygmund.witness import WitnessConfig, build_witness
+
+GROWING = str(Path(__file__).resolve().parents[1] / "demos" / "configs" / "growing.cfg")
 
 BASE = """
 # growing-regime experiment
@@ -151,6 +155,16 @@ class TestCli:
             n, value = rows[0].split()
             assert int(n) == 4 and float(value) > 0.0
 
+    def test_rate_report_csv_shape(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE)
+        assert main(["rate-check", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        lines = (tmp_path / "r" / "rate_report.csv").read_text().splitlines()
+        assert lines[0] == "n,deviation,lower_bound,upper_rate,ratio"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [4, 8, 16, 32, 64]
+        for line in lines[1:]:
+            _, dev, _, rate, ratio = map(float, line.split(","))
+            assert dev / rate == ratio
+
     def test_rate_check_saturating_regime(self, tmp_path, capsys):
         text = BASE.replace("psi.r = 1.0", "psi.r = 2.5").replace(
             "n_grid = 4 8 16 32 64", "n_grid = 8 16 32 64 128"
@@ -253,6 +267,12 @@ class TestCli:
         for row in lines[1:]:
             cells = row.split(",")
             assert float(cells[1]) <= float(cells[2]) * (1.0 + 1e-9)
+
+    def test_best_approx_honours_band_limit_override(self, tmp_path, capsys):
+        # growing.cfg's deviation/rate spread is about 1.095, above 1.01
+        argv = ["best-approx", "--config", GROWING, "--band-limit", "1.01", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "NOT BANDED" in capsys.readouterr().out
 
     def test_band_limit_override_must_exceed_one(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

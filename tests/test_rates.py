@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,15 +195,10 @@ class TestRatioExperiment:
         with pytest.raises(ParameterError):
             ratio_experiment(Power(1.0), m, [8, 8, 16, 32, 64])  # not increasing
 
-    def test_csv_shape(self):
+    def test_verdict_follows_the_band_limit(self):
         report = ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [4, 8, 16, 32, 64])
-        text = report.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,deviation,lower_bound,upper_rate,ratio"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert int(first[0]) == 4
-        assert float(first[1]) / float(first[3]) == pytest.approx(float(first[4]), rel=1e-15)
+        assert report.verdict
+        assert not dataclasses.replace(report, band_limit=0.99 * report.spread).verdict
 
 
 class TestBestVsMethod:
@@ -224,7 +220,7 @@ class TestBestVsMethod:
                 Power(0.75), MethodParams(s=s, q=2.0), [8, 16, 32, 64, 128]
             )
             assert report.verdict
-            spreads.append(report.ratio_band[1] / report.ratio_band[0])
+            spreads.append(report.spread)
         assert max(spreads) < 5.0
 
     def test_wrong_regime_rejected(self):

@@ -1,8 +1,8 @@
 """Seams shared across modules: the phase-rotation builder, one regime
 classification per experiment, one rate law, whose regime split is the
 Weyl–Nagy case split of the pure powers, public names that resolve, no
-module-level import that its module never reads, and no config field that
-the CLI never reads."""
+module-level import that its module never reads, no config field that the
+CLI never reads, and a rate report that stores only what it was given."""
 
 import ast
 import dataclasses
@@ -188,3 +188,10 @@ def test_config_read_check_sees_both_forms():
 def test_every_config_field_is_read_by_the_cli():
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
     assert fields - cli_config_reads((SRC / "cli.py").read_text(encoding="utf-8")) == set()
+
+
+def test_rate_report_stores_only_its_inputs():
+    fields = [field.name for field in dataclasses.fields(zygmund.rates.RateReport)]
+    assert fields == ["n_grid", "regime", "deviations", "lower_bounds", "upper_rates", "band_limit"]
+    assert isinstance(zygmund.rates.RateReport.spread, property)
+    assert isinstance(zygmund.rates.RateReport.verdict, property)
