@@ -5,8 +5,8 @@ representable as convolutions of unit-ball L_1 sources with kernels whose
 cosine coefficients follow a prescribed decay profile.  It provides:
 
 * decay-profile families and their structural classification (`decay`),
-* trigonometric polynomial algebra, classical kernels, and the Zygmund and
-  Fejér summation operators (`trig`),
+* trigonometric polynomial algebra, the Vallée-Poussin kernel, and the
+  Zygmund and Fejér summation operators (`trig`),
 * integral-metric norms and best approximation (`norms`),
 * the calibrated extremal witness and its pairing lower bounds (`witness`),
 * closed-form rate laws and bounded-ratio experiments (`rates`),
@@ -39,14 +39,11 @@ from .rates import (
     ratio_experiment,
     theoretical_rate,
     unit_ball_deviations,
-    unit_ball_sources,
     upper_bound_estimate,
 )
 from .trig import (
     TrigPoly,
     convolve,
-    dirichlet,
-    dirichlet_closed,
     fejer_sum,
     from_samples,
     psi_beta_derivative,
@@ -59,7 +56,6 @@ from .witness import (
     WitnessResult,
     build_witness,
     calibrate_alpha0,
-    dual_test_poly,
 )
 
 __version__ = "0.1.0"
@@ -93,12 +89,9 @@ __all__ = [
     "ratio_experiment",
     "theoretical_rate",
     "unit_ball_deviations",
-    "unit_ball_sources",
     "upper_bound_estimate",
     "TrigPoly",
     "convolve",
-    "dirichlet",
-    "dirichlet_closed",
     "fejer_sum",
     "from_samples",
     "psi_beta_derivative",
@@ -109,6 +102,5 @@ __all__ = [
     "WitnessResult",
     "build_witness",
     "calibrate_alpha0",
-    "dual_test_poly",
     "__version__",
 ]

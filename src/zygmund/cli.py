@@ -25,7 +25,7 @@ from .decay import (
     reciprocal_convexity,
 )
 from .errors import ConfigError, ZygmundError
-from .rates import best_vs_method_experiment, loglog_slope, ratio_experiment
+from .rates import RateReport, best_vs_method_experiment, loglog_slope, ratio_experiment
 from .trig import TrigPoly
 from .witness import WitnessConfig, build_witness
 
@@ -34,28 +34,15 @@ __all__ = ["main"]
 
 def trig_poly_csv(p: TrigPoly) -> str:
     """Serialize a polynomial: a header row carrying a0, then rows k,a_k,b_k."""
-    lines = [f"a0,{p.a0!r}", "k,a_k,b_k"]
-    for k in range(1, p.degree + 1):
-        lines.append(f"{k},{float(p.a[k - 1])!r},{float(p.b[k - 1])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def read_trig_poly_csv(text: str) -> TrigPoly:
-    """Inverse of trig_poly_csv (round-trip exact)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    a0 = float(lines[0].split(",")[1])
-    a, b = [], []
-    for row in lines[2:]:
-        _, ak, bk = row.split(",")
-        a.append(float(ak))
-        b.append(float(bk))
-    return TrigPoly(a0, a, b)
+    columns = {"k": range(1, p.degree + 1), "a_k": p.a.tolist(), "b_k": p.b.tolist()}
+    return f"a0,{p.a0}\n" + _csv(columns)
 
 
 def _csv(columns: dict) -> str:
     """A header row of the column names, then one row per entry, each value
-    by repr."""
-    rows = [",".join(columns)] + [",".join(map(repr, row)) for row in zip(*columns.values())]
+    by str: the same text as repr for Python floats and ints, and
+    pre-formatted string cells pass through as they are."""
+    rows = [",".join(columns)] + [",".join(map(str, row)) for row in zip(*columns.values())]
     return "\n".join(rows) + "\n"
 
 
@@ -73,6 +60,13 @@ def _write_plot_data(out_dir: Path, name: str, ns, values) -> None:
 
 def _grid_label(ns) -> str:
     return f"n in [{ns[0]}..{ns[-1]}]"
+
+
+def _not_banded(report: RateReport, lower: str) -> str:
+    """The failure line: each failed verdict condition with its value and its
+    limit, the lower values named `lower`."""
+    failed = [f"{name.replace('lower', lower)} {v:.4g} exceeds limit {lim:g}" for name, v, lim in report.failures]
+    return f"NOT BANDED: {'; '.join(failed)} over {_grid_label(report.n_grid)}"
 
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
@@ -106,7 +100,7 @@ def cmd_rate_check(cfg: ExperimentConfig) -> int:
     if report.verdict:
         print(f"BANDED within {report.spread:.4g} over {_grid_label(ns)} (regime={regime}, limit={cfg.band_limit:g})")
         return 0
-    print(f"NOT BANDED: spread {report.spread:.4g} exceeds limit {cfg.band_limit:g} over {_grid_label(ns)} (regime={regime})")
+    print(f"{_not_banded(report, 'lower')} (regime={regime})")
     return 1
 
 
@@ -153,11 +147,10 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
         rows.append((r, f"case{case}", f"{report.spread:.4g}", f"{slope:.4f}", f"{slope_theory:.4f}", "ok" if ok else "failed"))
 
     print(f"{'r':>6}  {'case':>8}  {'band':>8}  {'slope':>8}  {'theory':>8}  verdict")
-    csv_lines = ["r,case,band,slope,slope_theory,verdict"]
     for r, case, spread, slope, theory, verdict in rows:
         print(f"{r:>6g}  {case:>8}  {spread:>8}  {slope:>8}  {theory:>8}  {verdict}")
-        csv_lines.append(f"{r!r},{case},{spread},{slope},{theory},{verdict}")
-    _write(cfg.output_dir / "vnad_table.csv", "\n".join(csv_lines) + "\n")
+    names = ("r", "case", "band", "slope", "slope_theory", "verdict")
+    _write(cfg.output_dir / "vnad_table.csv", _csv(dict(zip(names, zip(*rows)))))
     return 0 if all_ok else 1
 
 
@@ -174,7 +167,7 @@ def cmd_best_approx(cfg: ExperimentConfig) -> int:
     if report.verdict:
         print(f"BANDED within {report.spread:.4g} over {_grid_label(ns)}; best approximation dominated throughout")
         return 0
-    print(f"NOT BANDED or domination failed: spread {report.spread:.4g} over {_grid_label(ns)}")
+    print(_not_banded(report, "best"))
     return 1
 
 

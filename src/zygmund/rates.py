@@ -7,9 +7,10 @@ below a configurable band limit.  Both experiments bound the class-level
 deviation from below only, through the deviation of one extremal witness
 per order; they share one loop and differ only in the lower value they
 take from the witness.  `RateReport` stores what the loop measured and
-derives its `spread` and `verdict`; file formats belong to the CLI.  The
-two-norm majorant of the kernel split, `upper_bound_estimate`, is a
-separate library function that neither experiment calls.
+derives its spreads, failed conditions and verdict; file formats and
+wording belong to the CLI.  The two-norm majorant of the kernel split,
+`upper_bound_estimate`, is a separate library function that neither
+experiment calls.
 
 `theoretical_rate(psi, method, n)` is the one three-regime rate law and
 classifies its own regime; both experiments classify once and tabulate the
@@ -232,8 +233,8 @@ class RateReport:
     the closed-form rate of `regime`.  `lower_bounds` are certified values at
     or below the deviations: the Hölder quotient I / ||dual||_{q'} of the
     witness, or the best approximation E_n(f)_q, which no concrete method
-    beats.  The report stores only these and `band_limit`; `spread` and
-    `verdict` are derived from them.
+    beats.  The report stores only these and `band_limit`; `spread`,
+    `lower_spread`, `failures` and `verdict` are derived from them.
     """
 
     n_grid: Tuple[int, ...]
@@ -258,16 +259,27 @@ class RateReport:
         return _max_over_min(self.deviations, self.upper_rates)
 
     @property
-    def verdict(self) -> bool:
-        """Every lower value stays at or below its deviation (relative slack
-        1e-9), and both deviation/rate and lower/rate stay within the band
-        limit (max over min of the ratios): the falsifiable desk-scale
-        reading of an order equality."""
-        return (
-            all(lo <= d * (1.0 + 1.0e-9) for lo, d in zip(self.lower_bounds, self.deviations))
-            and self.spread <= self.band_limit
-            and _max_over_min(self.lower_bounds, self.upper_rates) <= self.band_limit
+    def lower_spread(self) -> float:
+        """max over min of lower/rate across the grid."""
+        return _max_over_min(self.lower_bounds, self.upper_rates)
+
+    @property
+    def failures(self) -> Tuple[Tuple[str, float, float], ...]:
+        """Each failed verdict condition as (condition, value, limit): the
+        largest lower/deviation may exceed 1 by 1e-9, and the spreads of
+        deviation/rate and lower/rate may not exceed the band limit."""
+        domination = max(lo / d for lo, d in zip(self.lower_bounds, self.deviations))
+        conditions = (
+            ("lower/deviation", domination, 1.0 + 1.0e-9),
+            ("deviation/rate spread", self.spread, self.band_limit),
+            ("lower/rate spread", self.lower_spread, self.band_limit),
         )
+        return tuple(c for c in conditions if c[1] > c[2])
+
+    @property
+    def verdict(self) -> bool:
+        """No condition fails: the desk-scale reading of an order equality."""
+        return not self.failures
 
 
 def loglog_slope(n_grid: Sequence[int], values: Sequence[float]) -> float:

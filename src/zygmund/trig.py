@@ -1,4 +1,4 @@
-"""Trigonometric polynomial algebra, classical kernels, and summation operators.
+"""Trigonometric polynomial algebra, the Vallée-Poussin kernel, and summation operators.
 
 Everything here works on the finite cosine/sine coefficient form
 
@@ -31,10 +31,7 @@ from .errors import AliasingError, IllPosedError, ParameterError
 
 __all__ = [
     "TrigPoly",
-    "dirichlet",
-    "dirichlet_closed",
     "vallee_poussin",
-    "vallee_poussin_by_averaging",
     "phased_poly",
     "convolve",
     "psi_beta_derivative",
@@ -72,14 +69,6 @@ class TrigPoly:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a0", float(self.a0))
-
-    @classmethod
-    def constant(cls, a0: float) -> "TrigPoly":
-        return cls(a0=a0, a=np.zeros(0), b=np.zeros(0))
-
-    @classmethod
-    def zero(cls, degree: int = 0) -> "TrigPoly":
-        return cls(a0=0.0, a=np.zeros(degree), b=np.zeros(degree))
 
     @property
     def degree(self) -> int:
@@ -170,31 +159,8 @@ def max_coeff_diff(p: TrigPoly, q: TrigPoly) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Classical kernels
+# The Vallée-Poussin kernel
 # ---------------------------------------------------------------------------
-
-def dirichlet(k: int) -> TrigPoly:
-    """Dirichlet kernel D_k(t) = 1/2 + sum_{v=1}^{k} cos(vt) in coefficient form."""
-    if k < 1:
-        raise ParameterError("dirichlet: requires k >= 1")
-    return TrigPoly(a0=1.0, a=np.ones(k), b=np.zeros(k))
-
-
-def dirichlet_closed(k: int, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Closed form sin((k + 1/2) t) / (2 sin(t/2)).
-
-    Near the removable singularities t in 2*pi*Z (|sin(t/2)| < 1e-8) the
-    coefficient series is evaluated instead.
-    """
-    if k < 1:
-        raise ParameterError("dirichlet_closed: requires k >= 1")
-    arr = np.asarray(t, dtype=float)
-    half_sin = np.sin(arr / 2.0)
-    near = np.abs(half_sin) < 1.0e-8
-    out = np.asarray(np.sin((k + 0.5) * arr) / (2.0 * np.where(near, 1.0, half_sin)))
-    out[near] = dirichlet(k)(arr[near])
-    return float(out) if arr.ndim == 0 else out
-
 
 def vallee_poussin(m: int) -> TrigPoly:
     """Vallée-Poussin kernel of order m, in explicit coefficient form.
@@ -210,17 +176,6 @@ def vallee_poussin(m: int) -> TrigPoly:
     k = np.arange(m + 1, 2 * m, dtype=float)
     a[m:] = 2.0 * (1.0 - k / (2.0 * m))
     return TrigPoly(a0=1.0, a=a, b=np.zeros(deg))
-
-
-def vallee_poussin_by_averaging(m: int) -> TrigPoly:
-    """Defining form (1/m) * sum_{k=m}^{2m-1} D_k(t); identical to
-    vallee_poussin(m) up to rounding."""
-    if m < 1:
-        raise ParameterError("vallee_poussin_by_averaging: requires m >= 1")
-    acc = TrigPoly.zero(2 * m - 1)
-    for k in range(m, 2 * m):
-        acc = acc + dirichlet(k).padded(2 * m - 1)
-    return (1.0 / m) * acc
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     k = np.arange(1, cfg.n, dtype=float)
     g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
     pairing = alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
-    dual = dual_test_poly(cfg)
+    dual = dual_test_poly(cfg.method, g)
     grid_m = max(1024, _next_pow2(6 * cfg.n + 2))
     quadrature = float(2.0 * math.pi / grid_m * np.sum(sample(dev_poly, grid_m) * sample(dual, grid_m)))
     if abs(pairing - quadrature) > 1.0e-8 * max(1.0, abs(pairing)):
@@ -155,12 +155,12 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     )
 
 
-def dual_test_poly(cfg: WitnessConfig) -> TrigPoly:
+def dual_test_poly(method: MethodParams, g: np.ndarray) -> TrigPoly:
     """Test polynomial of degree n - 1 pairing against the deviation.
 
     The k-th amplitude is g(k)**(q-1) / k**(1/q), with the same phase
-    rotation beta*pi/2 as the kernel; g is the composite growth function.
+    rotation beta*pi/2 as the kernel; g holds the composite growth function
+    at k = 1..n - 1, which `build_witness` also pairs in closed form.
     """
-    k = np.arange(1, cfg.n, dtype=float)
-    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    return phased_poly(g ** (cfg.method.q - 1.0) / k ** (1.0 / cfg.method.q), cfg.method.beta)
+    k = np.arange(1, g.size + 1, dtype=float)
+    return phased_poly(g ** (method.q - 1.0) / k ** (1.0 / method.q), method.beta)

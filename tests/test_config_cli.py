@@ -2,15 +2,18 @@ from pathlib import Path
 
 import pytest
 
+from oracles import read_trig_poly_csv
 from zygmund import witness
-from zygmund.cli import main, read_trig_poly_csv, trig_poly_csv
+from zygmund.cli import main, trig_poly_csv
 from zygmund.config import build_psi, parse_config
 from zygmund.decay import Power, PowerLog
 from zygmund.errors import ConfigError
 from zygmund.trig import TrigPoly, max_coeff_diff
 from zygmund.witness import WitnessConfig, build_witness
 
-GROWING = str(Path(__file__).resolve().parents[1] / "demos" / "configs" / "growing.cfg")
+ROOT = Path(__file__).resolve().parents[1]
+GROWING = str(ROOT / "demos" / "configs" / "growing.cfg")
+RATE_Q4 = str(ROOT / "perfbench" / "configs" / "rate_q4.cfg")
 
 BASE = """
 # growing-regime experiment
@@ -210,15 +213,16 @@ class TestCli:
 
             monkeypatch.setattr(witness, name, counted)
 
-        for name in ("calibrate_alpha0", "_witness_direct", "dual_test_poly"):
+        # the closed-form pairing and the dual share one g(1..n - 1)
+        for name in ("calibrate_alpha0", "_witness_direct", "dual_test_poly", "growth_function"):
             spy(name)
         path = write_config(tmp_path, BASE)
         assert main(["witness", "--config", str(path), "--out", str(tmp_path / "w"), "--n", "64"]) == 0
-        assert calls == {"calibrate_alpha0": 1, "_witness_direct": 1, "dual_test_poly": 1}
+        assert calls == {"calibrate_alpha0": 1, "_witness_direct": 1, "dual_test_poly": 1, "growth_function": 1}
 
     def test_witness_pairing_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
         original = witness.dual_test_poly
-        monkeypatch.setattr(witness, "dual_test_poly", lambda cfg: 2.0 * original(cfg))
+        monkeypatch.setattr(witness, "dual_test_poly", lambda method, g: 2.0 * original(method, g))
         path = write_config(tmp_path, BASE)
         out = tmp_path / "w"
         assert main(["witness", "--config", str(path), "--out", str(out), "--n", "8"]) == 1
@@ -272,7 +276,19 @@ class TestCli:
         # growing.cfg's deviation/rate spread is about 1.095, above 1.01
         argv = ["best-approx", "--config", GROWING, "--band-limit", "1.01", "--out", str(tmp_path)]
         assert main(argv) == 1
-        assert "NOT BANDED" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "NOT BANDED: deviation/rate spread 1.095 exceeds limit 1.01; "
+            "best/rate spread 1.271 exceeds limit 1.01 over n in [8..256]\n"
+        )
+
+    def test_rate_check_failure_names_the_failed_condition(self, tmp_path, capsys):
+        # at q = 4 the deviation/rate spread (1.067) holds under 1.2 and the
+        # lower/rate spread (1.338) does not
+        argv = ["rate-check", "--config", RATE_Q4, "--band-limit", "1.2", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "NOT BANDED: lower/rate spread 1.338 exceeds limit 1.2 over n in [8..256] (regime=growing)\n"
+        )
 
     def test_band_limit_override_must_exceed_one(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import zygmund.norms as norms
+from oracles import constant
 from zygmund.trig import TrigPoly, sample
 
 
@@ -35,7 +36,7 @@ def pure_sine(degree):
 
 
 POLYS = {
-    "degree0": lambda d: TrigPoly.constant(3.0),
+    "degree0": lambda d: constant(3.0),
     "random_with_mean": lambda d: random_poly(d, seed=d),
     "pure_sine": pure_sine,
 }

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import zygmund.norms
+from oracles import constant
 from zygmund.decay import MethodParams
 from zygmund.errors import ConvergenceError
 from zygmund.norms import NormRequest, l2_norm_coeffs, lq_norm
@@ -189,7 +190,7 @@ class TestOtherQ:
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0, 6.0])
 def test_degree_zero(q):
-    p = TrigPoly.constant(-3.0)
+    p = constant(-3.0)
     assert lq_norm(p, NormRequest(q=q)) == pytest.approx(1.5 * TWO_PI ** (1.0 / q), rel=1e-14)
     assert lq_norm(p, NormRequest(q=q)) == pytest.approx(doubling_lq(p, q), rel=1e-14)
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import constant
 from zygmund import rates, witness
 from zygmund.decay import MethodParams, Power
 from zygmund.errors import ConvergenceError
@@ -99,7 +100,7 @@ class TestAgainstOracle:
         # beside every zero of q.
         rng = np.random.default_rng(7)
         q = TrigPoly(0.0, rng.standard_normal(6), rng.standard_normal(6))
-        p = square(q) + TrigPoly.constant(-2.0 * delta)
+        p = square(q) + constant(-2.0 * delta)
         zeros_of_q = sign_changes(q).size
         assert sign_changes(p).size == 2 * zeros_of_q
         assert l1_norm(p) == pytest.approx(doubling_l1(p, tolerance=1e-10), rel=1e-9)

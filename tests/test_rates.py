@@ -200,6 +200,18 @@ class TestRatioExperiment:
         assert report.verdict
         assert not dataclasses.replace(report, band_limit=0.99 * report.spread).verdict
 
+    def test_failures_list_each_failed_condition(self):
+        report = ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [4, 8, 16, 32, 64])
+        assert report.failures == ()
+        above = dataclasses.replace(report, lower_bounds=tuple(2.0 * d for d in report.deviations))
+        assert above.failures == (("lower/deviation", 2.0, 1.0 + 1.0e-9),)
+        spreads = {"deviation/rate spread": report.spread, "lower/rate spread": report.lower_spread}
+        wider = max(spreads, key=spreads.get)
+        between = dataclasses.replace(report, band_limit=sum(spreads.values()) / 2.0)
+        assert min(spreads.values()) < between.band_limit < spreads[wider]
+        assert between.failures == ((wider, spreads[wider], between.band_limit),)
+        assert not above.verdict and not between.verdict
+
 
 class TestBestVsMethod:
     def test_growing_regime_report(self):

@@ -2,12 +2,14 @@
 classification per experiment, one rate law, whose regime split is the
 Weyl–Nagy case split of the pure powers, public names that resolve, no
 module-level import that its module never reads, no config field that the
-CLI never reads, and a rate report that stores only what it was given."""
+CLI never reads, a rate report that stores only what it was given, and no
+public name that only tests read."""
 
 import ast
 import dataclasses
 import importlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from zygmund.rates import (
 from zygmund.trig import TrigPoly, phased_poly
 
 SRC = Path(zygmund.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -193,5 +196,54 @@ def test_every_config_field_is_read_by_the_cli():
 def test_rate_report_stores_only_its_inputs():
     fields = [field.name for field in dataclasses.fields(zygmund.rates.RateReport)]
     assert fields == ["n_grid", "regime", "deviations", "lower_bounds", "upper_rates", "band_limit"]
-    assert isinstance(zygmund.rates.RateReport.spread, property)
-    assert isinstance(zygmund.rates.RateReport.verdict, property)
+    for name in ("spread", "lower_spread", "failures", "verdict"):
+        assert isinstance(getattr(zygmund.rates.RateReport, name), property)
+
+
+def reads_outside_own_definition(source):
+    """Names a module reads, as a loaded name or an attribute, anywhere but
+    in the top-level function or class that defines the same name; imports
+    and `__all__` strings are not reads."""
+    reads = set()
+    for top in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+        reads |= names - {getattr(top, "name", None)}
+    return reads
+
+
+def test_read_check_skips_own_definition_imports_and_all():
+    source = (
+        "from os import path\n__all__ = ['f', 'g']\n"
+        "def e():\n    return g\n"
+        "def f():\n    return f()\n"
+        "def g():\n    return f, mod.h\n"
+        "class C:\n    def m(self):\n        return C\n"
+        "x.y = 1\n"
+    )
+    assert reads_outside_own_definition(source) == {"g", "f", "mod", "h", "x"}
+
+
+# from_samples has no caller yet: ROADMAP item 3 reads the dual value's
+# coefficients off its samples with it.
+UNCALLED_BY_DESIGN = {"from_samples"}
+
+
+def test_every_public_name_has_a_caller():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    for pattern in ("demos/*.py", "perfbench/*.py"):
+        sources += [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob(pattern))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    reads = set().union(*(reads_outside_own_definition(source) for source in sources + blocks))
+    public = set()
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module("zygmund" if path.stem == "__init__" else f"zygmund.{path.stem}")
+        # dunders such as __version__ are metadata, not API with callers
+        public |= {name for name in getattr(module, "__all__", ()) if not name.startswith("__")}
+    assert sorted(public - reads - UNCALLED_BY_DESIGN) == []

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import zygmund.norms
-from zygmund.decay import MethodParams, Power
+from oracles import constant
+from zygmund.decay import MethodParams, Power, growth_function
 from zygmund.norms import NormRequest, lq_norm
 from zygmund.trig import TrigPoly, sample
 from zygmund.witness import WitnessConfig, dual_test_poly
@@ -56,7 +57,7 @@ def pure_sine(degree):
 
 
 POLYS = {
-    "constant": lambda d: TrigPoly.constant(-3.0),
+    "constant": lambda d: constant(-3.0),
     "random_with_mean": lambda d: random_poly(np.random.default_rng(d), d),
     "pure_sine": pure_sine,
 }
@@ -97,7 +98,7 @@ def test_streamed_dual_norm_peak_memory():
     # would take 8 MiB, and every sample from 2^17 nodes on is streamed in
     # coset batches.
     cfg = WitnessConfig(Power(1.0), MethodParams(s=1.0, q=4.0), 256)
-    dual = dual_test_poly(cfg)
+    dual = dual_test_poly(cfg.method, growth_function(cfg.psi, cfg.method, np.arange(1.0, cfg.n)))
     req = NormRequest(q=cfg.method.q_prime)
     tracemalloc.start()
     try:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import constant
 from zygmund.decay import MethodParams, Power
 from zygmund.norms import (
     BestApproxResult,
@@ -50,7 +51,7 @@ def dense_best_approx(f, n, req):
 
     def unpack(c):
         if n == 1:
-            return TrigPoly.constant(float(c[0]))
+            return constant(float(c[0]))
         return TrigPoly(float(c[0]), c[1:n].copy(), c[n:].copy())
 
     def objective(resid):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import constant, dirichlet, dirichlet_closed, vallee_poussin_by_averaging
 from zygmund.decay import Power, PowerLog
 from zygmund.errors import AliasingError, IllPosedError, ParameterError
 from zygmund.trig import (
     TrigPoly,
     convolve,
     deviation,
-    dirichlet,
-    dirichlet_closed,
     fejer_sum,
     from_samples,
     max_coeff_diff,
@@ -20,7 +19,6 @@ from zygmund.trig import (
     psi_beta_derivative,
     sample,
     vallee_poussin,
-    vallee_poussin_by_averaging,
     zygmund_sum,
 )
 
@@ -53,7 +51,7 @@ def convolution_oracle(psi, beta, phi: TrigPoly, x: np.ndarray, m: int = 512) ->
 
 class TestEvalPoly:
     def test_constant(self):
-        assert TrigPoly.constant(2.0)(1.3) == pytest.approx(1.0, abs=1e-15)
+        assert constant(2.0)(1.3) == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_at_zero(self):
         p = TrigPoly(0.0, [1.0], [0.0])
@@ -259,7 +257,7 @@ class TestSummation:
             assert max_coeff_diff(fejer_sum(f, n), zygmund_sum(f, n, 1.0)) == 0.0
 
     def test_constant_unchanged(self):
-        f = TrigPoly.constant(3.0)
+        f = constant(3.0)
         assert max_coeff_diff(fejer_sum(f, 5), f) == 0.0
 
     def test_projection_degree(self):
@@ -318,7 +316,7 @@ class TestDeviation:
 
 class TestSampling:
     def test_constant(self):
-        v = sample(TrigPoly.constant(2.0), 8)
+        v = sample(constant(2.0), 8)
         assert v == pytest.approx(np.ones(8), abs=1e-15)
 
     def test_cosine_on_four_points(self):

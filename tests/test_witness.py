@@ -22,6 +22,11 @@ def config(r=1.0, s=1.0, q=2.0, beta=0.0, n=8, psi=None):
     return WitnessConfig(psi=psi or Power(r), method=MethodParams(s=s, q=q, beta=beta), n=n)
 
 
+def dual_of(cfg):
+    """The dual test polynomial of the witness of cfg, from g(1..n - 1)."""
+    return dual_test_poly(cfg.method, growth_function(cfg.psi, cfg.method, np.arange(1.0, cfg.n)))
+
+
 class TestCalibration:
     def test_order_one_is_quarter(self):
         # V_1 - 1/2 = cos t, whose L_1 norm over the period is 4.
@@ -89,7 +94,7 @@ class TestBuildWitness:
 
 class TestDualPoly:
     def test_single_term(self):
-        dual = dual_test_poly(config(n=2))
+        dual = dual_of(config(n=2))
         assert dual.degree == 1
         assert dual.a[0] == pytest.approx(1.0, abs=1e-15)
         assert dual.b[0] == pytest.approx(0.0, abs=1e-15)
@@ -97,14 +102,14 @@ class TestDualPoly:
     def test_amplitude_arithmetic(self):
         # s chosen so the growth exponent s + 1/q' is 2: then
         # g(2) = 2**(2 - 1.5) = sqrt(2) and the amplitude g(2) * 2**(-1/2) is 1.
-        dual = dual_test_poly(config(r=1.5, s=1.5, n=3))
+        dual = dual_of(config(r=1.5, s=1.5, n=3))
         assert dual.a == pytest.approx([1.0, 1.0], abs=1e-14)
         # At s = 1 the exponents cancel (g == 1), leaving amplitude k**(-1/2).
-        dual = dual_test_poly(config(r=1.5, s=1.0, n=3))
+        dual = dual_of(config(r=1.5, s=1.0, n=3))
         assert dual.a == pytest.approx([1.0, 2.0**-0.5], abs=1e-14)
 
     def test_beta_rotation_turns_cosines_into_sines(self):
-        dual = dual_test_poly(config(n=4, beta=1.0))
+        dual = dual_of(config(n=4, beta=1.0))
         assert np.max(np.abs(dual.a)) < 1e-14
         assert np.all(dual.b > 0.0)
 
@@ -142,8 +147,8 @@ class TestPairing:
     def test_disagreeing_quadrature_raises(self, monkeypatch):
         # A dual scaled by 2 leaves the closed form unchanged and doubles the
         # quadrature, as broken orthogonality bookkeeping would.
-        def doubled_dual(cfg):
-            return 2.0 * dual_test_poly(cfg)
+        def doubled_dual(method, g):
+            return 2.0 * dual_test_poly(method, g)
 
         monkeypatch.setattr(witness, "dual_test_poly", doubled_dual)
         with pytest.raises(CoefficientMismatchError, match="closed form"):
@@ -155,7 +160,7 @@ class TestLowerBound:
         for n in (4, 8, 16, 32):
             cfg = config(n=n)
             res = build_witness(cfg)
-            dual = dual_test_poly(cfg)
+            dual = dual_of(cfg)
             dual_norm = lq_norm(dual, NormRequest(q=cfg.method.q_prime))
             assert res.pairing / dual_norm <= res.deviation + 1e-9
 
