@@ -11,7 +11,9 @@ Canonical keys (camelCase aliases are accepted):
     method.s      Zygmund multiplier exponent, s > 0
     method.q      target metric exponent, 1 < q < inf
     method.beta   kernel phase (default 0)
-    n_grid        whitespace- or comma-separated polynomial orders
+    n_grid        whitespace- or comma-separated polynomial orders; the
+                  experiments take 5 or more, increasing, in [4, 1024],
+                  or in [4, 16384] at q = 2
     band_limit    bounded-ratio verdict limit (default 4, or 6 for log families)
     output_dir    directory for CSV output (default "out")
     r_list        decay exponents for the three-case table command

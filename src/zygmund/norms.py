@@ -8,6 +8,8 @@ of |p| is the absolute increment of the antiderivative, so ||p||_1 needs only
 the sign changes, which are bracketed on one FFT sample, screened for hidden
 close pairs, and refined by safeguarded Newton iteration; exact values off
 the sample grid come from `trig._jet`, the library's one point evaluator.
+The screen and the Newton step take the cells and an evaluator, so the
+witness calibration runs the same screen on a closed form of its own.
 
 The q = 2 norm is exact by Parseval, from the coefficients alone.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -259,41 +261,61 @@ def sign_changes(p: TrigPoly) -> np.ndarray:
     """Sorted points of [0, 2pi] at which p changes sign.
 
     p, p' and p'' are sampled on one power-of-two grid of about
-    64 (degree + 1) nodes.  A grid cell [a, b] of width w whose end values of
-    p differ in sign brackets a zero, and holds no other when p' keeps its
-    sign on it; a cell whose end values agree in sign holds no zero when |p|
-    exceeds the chord error there.  Both tests bound the chord error of f
-    by w^2/8 * max |f''| over the cell: for f = p that maximum is at most the
-    larger of |p''(a)|, |p''(b)| plus w/2 * sum k^3 |c_k| (|c_k| is the
-    amplitude of harmonic k), and for f = p' it is at most sum k^3 |c_k|.
-    A cell on which |p| stays at the rounding level is settled at once, as
-    any zeros it hides enclose no area.  Cells that pass no test are halved
-    by exact evaluation, at most _SCREEN_LEVELS times, and then settled by
-    the signs of their ends.  The brackets are refined together by Newton's
-    method.  A zero of even multiplicity may or may not be reported, which
+    64 (degree + 1) nodes, whose cells `_screened_zeros` screens and
+    refines.  A zero of even multiplicity may or may not be reported, which
     is harmless to ||p||_1.
     """
     amp = np.hypot(p.a, p.b)
     if not np.any(amp):
         return np.zeros(0)
-    k = np.arange(1, p.degree + 1, dtype=float)
-    # Absolute rounding allowances for computed values of p and p'.
-    floor0 = 1.0e-12 * (abs(p.a0) / 2.0 + float(np.sum(amp)))
-    floor1 = 1.0e-12 * float(k @ amp)
-    sup3 = float(k**3 @ amp)
-
+    bounds = _screen_bounds(abs(p.a0) / 2.0, np.arange(1, p.degree + 1, dtype=float), amp)
     m = _next_pow2(_ROOT_OVERSAMPLE * (p.degree + 1))
-    w = TWO_PI / m
-    # The cells of a level all have width w, so each is kept as its left end
-    # a and the values at both ends.  On the grid, the values at the right
-    # ends are views of the closed samples, whose last node is the first.
-    a = w * np.arange(m)
-    ends = []
+    # Closed samples: the last node is the first.
+    closed = []
     for f in (p, *(TrigPoly(0.0, *_derivative(p, r)) for r in (1, 2))):
-        closed = sample(f, m)
-        closed = np.append(closed, closed[0])
-        ends.append((closed[:-1], closed[1:]))
-    (va, vb), (sa, sb), (ca, cb) = ends
+        v = sample(f, m)
+        closed.append(np.append(v, v[0]))
+    return _screened_zeros(lambda t, orders: _jet(p, t, orders), 0.0, TWO_PI / m, closed, bounds)
+
+
+def _screen_bounds(const: float, k: np.ndarray, amp: np.ndarray) -> tuple[float, float, float]:
+    """What `_screened_zeros` needs to know of f = const + harmonics k of
+    amplitudes amp: absolute rounding allowances for computed values of f
+    and f', and sum k^3 |c_k|, which bounds |f'''|."""
+    floor0 = 1.0e-12 * (const + float(np.sum(amp)))
+    floor1 = 1.0e-12 * float(k @ amp)
+    return floor0, floor1, float(k**3 @ amp)
+
+
+# jet(t, orders): exact values at the points t of the derivatives of the given orders.
+_Jet = Callable[[np.ndarray, tuple[int, ...]], list[np.ndarray]]
+
+
+def _screened_zeros(
+    jet: _Jet, start: float, w: float, closed: list[np.ndarray], bounds: tuple[float, float, float]
+) -> np.ndarray:
+    """Sorted sign changes of f on the m cells [start + i w, start + (i + 1) w].
+
+    closed holds f, f' and f'' at the m + 1 cell ends, jet(t, orders) gives
+    exact values of derivatives of f at any points, and bounds are f's
+    `_screen_bounds`.  A cell [a, b] of width w whose end values of f differ
+    in sign brackets a zero, and holds no other when f' keeps its sign on
+    it; a cell whose end values agree in sign holds no zero when |f| exceeds
+    the chord error there.  Both tests bound the chord error of h by
+    w^2/8 * max |h''| over the cell: for h = f that maximum is at most the
+    larger of |f''(a)|, |f''(b)| plus w/2 * sum k^3 |c_k| (|c_k| is the
+    amplitude of harmonic k), and for h = f' it is at most sum k^3 |c_k|.
+    A cell on which |f| stays at the rounding level is settled at once, as
+    any zeros it hides enclose no area.  Cells that pass no test are halved
+    by exact evaluation, at most _SCREEN_LEVELS times, and then settled by
+    the signs of their ends.  The brackets are refined together by Newton's
+    method.
+    """
+    floor0, floor1, sup3 = bounds
+    # The cells of a level all have width w, so each is kept as its left end
+    # a and the values at both ends; at the start the right ends are views.
+    a = start + w * np.arange(closed[0].size - 1)
+    (va, vb), (sa, sb), (ca, cb) = ((v[:-1], v[1:]) for v in closed)
 
     brackets = []
     for level in range(_SCREEN_LEVELS + 1):
@@ -314,25 +336,26 @@ def sign_changes(p: TrigPoly) -> np.ndarray:
         a, va, vb, sa, sb, ca, cb = (x[keep] for x in (a, va, vb, sa, sb, ca, cb))
         w /= 2.0
         mid = a + w
-        vm, sm, cm = _jet(p, mid, (0, 1, 2))
+        vm, sm, cm = jet(mid, (0, 1, 2))
         a = np.concatenate([a, mid])
         va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
         sa, sb = np.concatenate([sa, sm]), np.concatenate([sm, sb])
         ca, cb = np.concatenate([ca, cm]), np.concatenate([cm, cb])
 
     lo, hi, vlo, vhi = (np.concatenate(x) for x in zip(*brackets))
-    return np.sort(_newton(p, lo, hi, vlo, vhi, floor0))
+    return np.sort(_newton(jet, lo, hi, vlo, vhi, floor0))
 
 
 def _newton(
-    p: TrigPoly, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarray, noise: float
+    jet: _Jet, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarray, noise: float
 ) -> np.ndarray:
-    """Refine the sign-change brackets [lo, hi] of p to its zeros, all at once.
+    """Refine the sign-change brackets [lo, hi] of f to its zeros, all at
+    once; jet(t, orders) gives exact values of derivatives of f.
 
     Starts from the secant root of the end values.  An iterate on the closed
     bracket is accepted; a step out of it, or a zero derivative, is replaced
     by the bracket midpoint.  A zero is final once the step or the bracket
-    is below _NEWTON_TOL, or |p| is at the rounding level `noise`.
+    is below _NEWTON_TOL, or |f| is at the rounding level `noise`.
     """
     neg_lo = vlo < 0.0
     x = lo - vlo * (hi - lo) / (vhi - vlo)
@@ -341,7 +364,7 @@ def _newton(
         if active.size == 0:
             break
         xa = x[active]
-        value, slope = _jet(p, xa, (0, 1))
+        value, slope = jet(xa, (0, 1))
         same = (value < 0.0) == neg_lo[active]
         la = np.where(same, xa, lo[active])
         ha = np.where(same, hi[active], xa)
@@ -364,7 +387,7 @@ def l2_norm_coeffs(p: TrigPoly) -> float:
 
 
 def l1_norm(p: TrigPoly) -> float:
-    """||p||_1, exact up to rounding (used for witness calibration).
+    """||p||_1 of an arbitrary polynomial, exact up to rounding.
 
     Computed by lq_norm from the sign changes of p and its exact
     antiderivative.

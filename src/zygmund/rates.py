@@ -287,16 +287,18 @@ def loglog_slope(n_grid: Sequence[int], values: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(n_grid, float)), np.log(np.asarray(values, float)), 1)[0])
 
 
-def _validate_experiment(n_grid: Sequence[int], band_limit: float) -> Tuple[int, ...]:
+def _validate_experiment(n_grid: Sequence[int], band_limit: float, q: float) -> Tuple[int, ...]:
     """The grid and band-limit checks both experiments run before building
-    any witness."""
+    any witness.  The largest order is 2^14 at q = 2, where every norm is
+    exact and the calibration costs O(sqrt n), and 1024 at other q."""
     ns = tuple(int(n) for n in n_grid)
     if len(ns) < 5:
         raise ParameterError("experiment: n_grid needs at least 5 points")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("experiment: n_grid must be strictly increasing")
-    if ns[0] < 4 or ns[-1] > 1024:
-        raise ParameterError("experiment: n_grid must lie within [4, 1024]")
+    cap = 1 << 14 if q == 2.0 else 1024
+    if ns[0] < 4 or ns[-1] > cap:
+        raise ParameterError(f"experiment: n_grid must lie within [4, {cap}] at q = {q:g}")
     if not (band_limit > 1.0):
         raise ParameterError("experiment: band_limit must exceed 1")
     return ns
@@ -336,7 +338,7 @@ def ratio_experiment(
     certified Hölder lower bound, and the regime's rate law (that of
     theoretical_rate) are tabulated; see RateReport.verdict.
     """
-    ns = _validate_experiment(n_grid, band_limit)
+    ns = _validate_experiment(n_grid, band_limit, method.q)
     regime = classify_regime(psi, method)
     return _experiment(psi, method, regime, ns, band_limit, lambda res, n: res.lower_bound)
 
@@ -356,7 +358,7 @@ def best_vs_method_experiment(
     concrete method), and the growing rate law psi(n) * n**(1 - 1/q) as
     `upper_rates`; see RateReport.verdict.
     """
-    ns = _validate_experiment(n_grid, band_limit)
+    ns = _validate_experiment(n_grid, band_limit, method.q)
     regime = classify_regime(psi, method)
     if regime.regime is not Regime.GROWING:
         raise RegimeMismatchError(

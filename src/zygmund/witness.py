@@ -6,6 +6,12 @@ with the kernel gives an explicit class member f of degree 2n - 1, and
 pairing the deviation f - Z(f) against a dual test polynomial produces, via
 Hölder's inequality, a computable lower bound on ||f - Z(f)||_q and hence on
 the class-level deviation.
+
+The calibration ||V_n - 1/2||_1 is exact and samples nothing: the closed
+form V_n - 1/2 = g / (2n(1 - cos t)), g a sum of four harmonics, puts every
+sign change in a window of length O(n^(-1/2)), where the q = 1 screen of
+`norms` brackets them from g at O(1) per point, and the antiderivative is
+evaluated at those O(sqrt n) zeros only.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ import numpy as np
 
 from .decay import MethodParams, PsiFunction, growth_function
 from .errors import CoefficientMismatchError, ParameterError, ZygmundError
-from .norms import NormRequest, l1_norm, lq_norm
+from .norms import _ROOT_OVERSAMPLE, NormRequest, _screen_bounds, _screened_zeros, lq_norm
 from .trig import (
-    TrigPoly, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, sample, vallee_poussin
+    TrigPoly, _jet, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, sample, vallee_poussin
 )
 
 __all__ = [
@@ -79,16 +85,62 @@ def vp_pulse(n: int) -> TrigPoly:
     return TrigPoly(0.0, kernel.a, kernel.b)
 
 
+def _pulse_numerator(n: int, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """Values at the points t of the derivatives of the given orders (0, 1
+    or 2) of g(t) = cos nt - cos 2nt - n(1 - cos t).
+
+    V_n = 2 F_2n - F_n with F_m(t) = sin^2(mt/2) / (2m sin^2(t/2)) the Fejér
+    kernels, so V_n(t) - 1/2 = g(t) / (2n(1 - cos t)), which has the sign of
+    g on (0, pi].
+    """
+    nt = n * t
+    forms = {
+        0: lambda: np.cos(nt) - np.cos(2.0 * nt) - 2.0 * n * np.sin(t / 2.0) ** 2,
+        1: lambda: n * (2.0 * np.sin(2.0 * nt) - np.sin(nt) - np.sin(t)),
+        2: lambda: n * (4.0 * n * np.cos(2.0 * nt) - n * np.cos(nt) - np.cos(t)),
+    }
+    return [forms[r]() for r in orders]
+
+
+def _pulse_zeros(n: int) -> np.ndarray:
+    """Sorted sign changes of V_n - 1/2 in (0, pi), found as those of g.
+
+    They all lie in [pi/(3n), t*], t* = 2 arcsin(n^(-1/2)): above t*,
+    |V_n| <= 1/(2n sin^2(t/2)) <= 1/2, and below pi/(3n), sin x >= 2x/pi
+    gives g >= n t^2 (6n/pi^2 - 1/2) > 0.  That window, O(n^(-1/2)) long, is
+    cut into cells of _ROOT_OVERSAMPLE per period of g's top harmonic 2n,
+    on which `_screened_zeros` brackets and refines the sign changes of g
+    from its closed form, at O(1) per point.
+    """
+    start = math.pi / (3 * n)
+    stop = 2.0 * math.asin(n ** -0.5)
+    m = math.ceil(_ROOT_OVERSAMPLE * 2 * n * (stop - start) / (2.0 * math.pi))
+    w = (stop - start) / m
+    jet = functools.partial(_pulse_numerator, n)
+    closed = jet(start + w * np.arange(m + 1), (0, 1, 2))
+    # g = -n + n cos t + cos nt - cos 2nt
+    bounds = _screen_bounds(float(n), np.array([1.0, n, 2.0 * n]), np.array([float(n), 1.0, 1.0]))
+    return _screened_zeros(jet, start, w, closed, bounds)
+
+
 @functools.lru_cache(maxsize=64)
 def _pulse_l1(n: int) -> float:
-    return l1_norm(vp_pulse(n))
+    """||V_n - 1/2||_1, exact up to rounding.
+
+    V_n - 1/2 is even, so the norm is 2 sum |P(z_{i+1}) - P(z_i)| over
+    0 = z_0 < z_1 < ... < pi, with z_i its sign changes between
+    (_pulse_zeros) and P its antiderivative sum a_k sin(kt)/k, which is 0
+    at 0 and pi.
+    """
+    (antiderivative,) = _jet(vp_pulse(n), _pulse_zeros(n), (-1,))
+    return 2.0 * float(np.sum(np.abs(np.diff(antiderivative, prepend=0.0, append=0.0))))
 
 
 def calibrate_alpha0(n: int) -> float:
     """Scale 1 / ||V_n - 1/2||_1 making the witness source a unit-ball member.
 
     Sharper than any fixed absolute constant: the L_1 norm is exact up to
-    rounding, so ||alpha0 * (V_n - 1/2)||_1 = 1.
+    rounding (_pulse_l1), so ||alpha0 * (V_n - 1/2)||_1 = 1.
     """
     if n < 1:
         raise ParameterError("calibrate_alpha0: requires n >= 1")

@@ -14,6 +14,7 @@ from zygmund.witness import WitnessConfig, build_witness
 ROOT = Path(__file__).resolve().parents[1]
 GROWING = str(ROOT / "demos" / "configs" / "growing.cfg")
 RATE_Q4 = str(ROOT / "perfbench" / "configs" / "rate_q4.cfg")
+CRITICAL_WIDE = str(ROOT / "demos" / "configs" / "critical_wide.cfg")
 
 BASE = """
 # growing-regime experiment
@@ -289,6 +290,21 @@ class TestCli:
         assert capsys.readouterr().out == (
             "NOT BANDED: lower/rate spread 1.338 exceeds limit 1.2 over n in [8..256] (regime=growing)\n"
         )
+
+    def test_rate_check_at_q2_reaches_order_16384(self, tmp_path, capsys):
+        assert main(["rate-check", "--config", CRITICAL_WIDE, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "BANDED within 1.048 over n in [256..16384] (regime=critical, limit=4)\n"
+        )
+        rows = (tmp_path / "rate_report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [256 << i for i in range(7)]
+
+    def test_order_cap_outside_q2_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE.replace("method.q = 2.0", "method.q = 3.0").replace(
+            "n_grid = 4 8 16 32 64", "n_grid = 128 256 512 1024 2048"
+        ))
+        assert main(["rate-check", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        assert "within [4, 1024] at q = 3" in capsys.readouterr().err
 
     def test_band_limit_override_must_exceed_one(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

@@ -4,21 +4,28 @@ lq_norm computes ||p||_1 from the sign changes of p and its exact
 antiderivative.  The oracle below is the grid-doubling quadrature that
 lq_norm used at q = 1 before; it is independent of any zero finding, but
 converges only quadratically because |p| has a corner at every zero.
+
+The witness calibration ||V_n - 1/2||_1 takes its sign changes from the
+closed form V_n - 1/2 = g / (2n(1 - cos t)) instead, and is checked against
+l1_norm.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import constant
-from zygmund import rates, witness
+from zygmund import norms, rates, trig, witness
 from zygmund.decay import MethodParams, Power
 from zygmund.errors import ConvergenceError
 from zygmund.norms import NormRequest, l1_norm, lq_norm, sign_changes
 from zygmund.rates import unit_ball_sources
-from zygmund.trig import TrigPoly, from_samples, sample
-from zygmund.witness import WitnessConfig, build_witness, calibrate_alpha0, vp_pulse
+from zygmund.trig import TrigPoly, _jet, from_samples, sample
+from zygmund.witness import (
+    WitnessConfig, _pulse_l1, _pulse_numerator, _pulse_zeros, build_witness, calibrate_alpha0, vp_pulse
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +168,72 @@ class TestCalibration:
         cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0), n=64)
         phi = build_witness(cfg).phi
         assert doubling_l1(phi, grid_m=1024, tolerance=1e-10) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestPulseClosedForm:
+    """_pulse_l1 brackets the sign changes of g(t) = cos nt - cos 2nt - n(1 - cos t),
+    with V_n - 1/2 = g / (2n(1 - cos t)), in the window [pi/(3n), 2 arcsin(n^-1/2)]."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
+    def test_closed_form_matches_the_coefficients(self, n):
+        # g = c p with c = 2n(1 - cos t), so g' = c' p + c p' and
+        # g'' = c'' p + 2 c' p' + c p''; p and its derivatives come from _jet.
+        t = np.random.default_rng(n).uniform(0.0, TWO_PI, 200)
+        p, dp, d2p = _jet(vp_pulse(n), t, (0, 1, 2))
+        c, dc, d2c = 2 * n * (1.0 - np.cos(t)), 2 * n * np.sin(t), 2 * n * np.cos(t)
+        expected = (c * p, dc * p + c * dp, d2c * p + 2.0 * dc * dp + c * d2p)
+        for r, (got, want) in enumerate(zip(_pulse_numerator(n, t, (0, 1, 2)), expected)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * n**2 * (2 * n) ** r
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
+    def test_sign_of_g_is_the_sign_of_the_pulse(self, n):
+        t = math.pi * np.arange(1, 8193) / 8192
+        (g,) = _pulse_numerator(n, t, (0,))
+        p = vp_pulse(n)(t)
+        settled = np.abs(p) > 1e-9 * n
+        assert np.array_equal(np.sign(g[settled]), np.sign(p[settled]))
+        # The window: V_n - 1/2 > 0 below pi/(3n) and <= 0 above t*.
+        below, above = t <= math.pi / (3 * n), t >= 2.0 * math.asin(n**-0.5)
+        assert np.all(p[below] > 0.0) and np.all(g[below] > 0.0)
+        assert np.all(p[above] <= 1e-12 * n) and np.all(g[above] <= 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 48, 64, 255, 256, 1024, 4096])
+    def test_matches_l1_norm(self, n):
+        assert _pulse_l1.__wrapped__(n) == pytest.approx(l1_norm(vp_pulse(n)), rel=1e-12)
+
+    def test_zero_counts(self):
+        # V_n - 1/2 is even, so each zero in (0, pi) has a mirror image.
+        counts = {n: 2 * _pulse_zeros(n).size for n in (16, 64, 256, 1024)}
+        assert counts == {16: 6, 64: 14, 256: 30, 1024: 58}
+
+    def test_close_root_pair_at_256(self):
+        z = _pulse_zeros(256)
+        pair = z[(z > 0.092) & (z < 0.094)]
+        assert pair.size == 2
+        assert pair[1] - pair[0] == pytest.approx(7.9e-4, abs=0.1e-4)
+        general = sign_changes(vp_pulse(256))
+        assert pair == pytest.approx(general[(general > 0.092) & (general < 0.094)], abs=1e-12)
+
+    def test_reaches_no_sample_and_no_general_norm(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the calibration reached a general norm or a sample")
+
+        for module, name in [
+            (norms, "l1_norm"), (norms, "lq_norm"), (norms, "sign_changes"), (norms, "sample"),
+            (trig, "sample"), (witness, "lq_norm"), (witness, "sample"),
+        ]:
+            monkeypatch.setattr(module, name, fail)
+        assert _pulse_l1.__wrapped__(64) == pytest.approx(7.3098511671913, rel=1e-12)
+
+    def test_peak_memory_at_16384(self):
+        _pulse_l1.__wrapped__(64)  # imports and first-call allocations
+        tracemalloc.start()
+        try:
+            _pulse_l1.__wrapped__(16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestUnitBallSources:

@@ -269,6 +269,29 @@ def test_band_limit_must_exceed_one_before_any_witness(experiment, band_limit, m
         experiment(Power(1.0), MethodParams(s=1.0, q=3.0), [8, 16, 32, 64, 128], band_limit=band_limit)
 
 
+class _WitnessReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("experiment", [ratio_experiment, best_vs_method_experiment])
+@pytest.mark.parametrize(
+    "q, accepted, rejected, cap", [(2.0, 1 << 14, 1 << 15, 16384), (3.0, 1024, 2048, 1024)]
+)
+def test_order_cap_follows_the_exponent(experiment, q, accepted, rejected, cap, monkeypatch):
+    # q = 2 allows orders up to 2^14, other q up to 1024; the grid is checked
+    # before any witness is built.
+    def reached(config):
+        raise _WitnessReached
+
+    monkeypatch.setattr("zygmund.rates.build_witness", reached)
+    method = MethodParams(s=1.0, q=q)
+    grid = [accepted // 16, accepted // 8, accepted // 4, accepted // 2]
+    with pytest.raises(_WitnessReached):
+        experiment(Power(1.0), method, grid + [accepted])
+    with pytest.raises(ParameterError, match=rf"within \[4, {cap}\] at q = {q:g}$"):
+        experiment(Power(1.0), method, grid + [accepted, rejected])
+
+
 class TestLogFamilyExperiment:
     def test_powerlog_growing_band(self):
         psi = PowerLog(r=1.0, alpha=1.0, c=60.0)
