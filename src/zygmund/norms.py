@@ -19,18 +19,32 @@ integrates exactly, so one sample suffices; on exactly q * degree nodes
 (q and the degree both powers of two) only its top harmonic aliases, and
 that is subtracted in closed form.
 
-Other q use the rectangle rule on uniform nodes, which is spectrally accurate
-for smooth periodic integrands; |p|^q is only piecewise smooth, so
-convergence is confirmed by grid doubling rather than assumed.  The first
-grid is a fixed multiple of the first power of two >= 2 * degree, and each
-doubling samples only the new midpoints and adds their sum to the one
-already taken.  Every grid of the rule is summed by one reduction,
-`_power_sum`: a large, heavily oversampled grid is covered by interleaved
-short inverse FFTs (cosets), whose batches are reduced as they are made, so
-such a grid is never held whole; any other grid is one `trig.sample`.
-lq_norm reads the stop tolerance of a NormRequest only in this doubling,
-so it is unused at q = 1, q = 2 and even integer q.  The first grid of the
-doubling and best_approx's IRLS grid both have at least _MIN_NODES nodes.
+Other q: |p|^q is only piecewise smooth, with a kink at every zero of p,
+which is sharper the lower q.  At 1 < q < 2, when p changes sign densely
+(at least 1.5 * degree times on one sample of about 8 (degree + 1) nodes,
+as the q' < 2 dual norms of the witness do), |p|^q is integrated between
+consecutive sign changes z_i, z_{i+1} of `sign_changes`.  There it is
+((t - z_i)(z_{i+1} - t))^q times a smooth function, which the Gauss-Jacobi
+rule for that weight integrates spectrally; its nodes and weights come from
+the Golub-Welsch eigenproblem (Math. Comp. 23, 1969), cached per (K, q),
+and the values at the nodes from `trig._jet`.  The rules on K = 8 and 2K
+nodes per panel must agree to the tolerance, or the norm falls back to the
+doubling below, as it does for a double zero inside a panel.
+
+Every other case, and a p with sparse zeros (whose screen for sign changes
+would cost more than the doubling), uses the rectangle rule on uniform
+nodes, which is spectrally accurate for smooth periodic integrands and
+merely convergent here, so convergence is confirmed by grid doubling rather
+than assumed.  The first grid is a fixed multiple of the first power of two
+>= 2 * degree, and each doubling samples only the new midpoints and adds
+their sum to the one already taken.  Every grid of the rule is summed by
+one reduction, `_power_sum`: a large, heavily oversampled grid is covered by
+interleaved short inverse FFTs (cosets), whose batches are reduced as they
+are made, so such a grid is never held whole; any other grid is one
+`trig.sample`.  lq_norm reads the tolerance of a NormRequest only in the
+K/2K check and in this doubling, so it is unused at q = 1, q = 2 and even
+integer q.  The first grid of the doubling and best_approx's IRLS grid both
+have at least _MIN_NODES nodes.
 
 Best approximation at q != 2 is reweighted least squares, each step solving
 the Hermitian Toeplitz normal equations built from one FFT of the weights.
@@ -38,6 +52,7 @@ the Hermitian Toeplitz normal equations built from one FFT of the weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -75,6 +90,13 @@ _COSET_MIN_RATIO = 128
 # bytes per node stays a small share of the grid.
 _COSET_BATCH = 1 << 16
 
+# 1 < q < 2: a p with at least _PANEL_DENSITY * degree sign changes on
+# about _DENSITY_OVERSAMPLE nodes per harmonic is integrated between its
+# zeros by Gauss-Jacobi rules of _PANEL_NODES and 2 _PANEL_NODES nodes.
+_PANEL_DENSITY = 1.5
+_DENSITY_OVERSAMPLE = 8
+_PANEL_NODES = 8
+
 # q = 1: sign changes are bracketed on about this many nodes per harmonic.
 _ROOT_OVERSAMPLE = 64
 # Halvings of a cell that the zero screens cannot clear; the last width is
@@ -88,8 +110,10 @@ _NEWTON_TOL = 4.0 * np.finfo(float).eps * TWO_PI
 
 @dataclass(frozen=True)
 class NormRequest:
-    """Metric exponent, and the stop tolerance of the grid doubling, which
-    lq_norm uses only when q is neither 1 nor an even integer."""
+    """Metric exponent, and the tolerance of the other-q routes of lq_norm,
+    which it uses only when q is neither 1 nor an even integer: the two
+    Gauss-Jacobi panel rules must agree to it, and the grid doubling stops
+    when two successive values do."""
 
     q: float = 2.0
     tolerance: float = 1.0e-10
@@ -196,7 +220,8 @@ def _midpoints(p: TrigPoly, coef: np.ndarray, m: int) -> TrigPoly:
 
 
 def lq_norm(p: TrigPoly, req: NormRequest) -> float:
-    """||p||_q: exact at q = 1, q = 2 and even integer q, else rectangle-rule
+    """||p||_q: exact at q = 1, q = 2 and even integer q, else Gauss-Jacobi
+    panels between the zeros (1 < q < 2, dense zeros) or rectangle-rule
     quadrature with grid doubling.
 
     At q = 1 the value is the sum of |P(z_{i+1}) - P(z_i)| over consecutive
@@ -206,6 +231,14 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     l2_norm_coeffs(p).  At even integer q it is the rectangle rule on the
     first power of two m >= q * degree nodes, with the one aliased harmonic
     subtracted when m = q * degree (_even_lq), exact up to rounding.
+
+    At 1 < q < 2, when p has at least _PANEL_DENSITY * degree sign changes
+    on the first power of two >= _DENSITY_OVERSAMPLE * (degree + 1) uniform
+    nodes, the value is the sum over the panels between consecutive sign
+    changes of the Gauss-Jacobi rule on 2 * _PANEL_NODES nodes, provided the
+    rule on _PANEL_NODES nodes agrees with it to less than
+    req.tolerance * max(1, value) (_panel_lq); a disagreement, such as a
+    double zero inside a panel gives, falls through to the doubling.
 
     Otherwise the grid starts at max(_MIN_NODES, oversample * L), with L the
     first power of two >= 2 * degree (at least 16), and doubles until two
@@ -228,6 +261,10 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
         return l2_norm_coeffs(p)
     if q % 2.0 == 0.0:
         return _even_lq(p, q)
+    if q < 2.0 and _dense_zeros(p):
+        value = _panel_lq(p, q, req.tolerance)
+        if value is not None:
+            return value
     oversample = 16 if q < 2.0 else 4
     m = max(_MIN_NODES, oversample * _next_pow2(2 * p.degree))
     total = _power_sum(p, q, m)
@@ -246,6 +283,70 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     raise ConvergenceError(
         f"lq_norm: no convergence to {req.tolerance} after {_MAX_DOUBLINGS} doublings"
     )
+
+
+def _dense_zeros(p: TrigPoly) -> bool:
+    """Whether p changes sign at least _PANEL_DENSITY * degree times on the
+    first power of two >= _DENSITY_OVERSAMPLE * (degree + 1) uniform nodes,
+    cyclically."""
+    if p.degree == 0:
+        return False
+    negative = sample(p, _next_pow2(_DENSITY_OVERSAMPLE * (p.degree + 1))) < 0.0
+    changes = np.count_nonzero(negative != np.roll(negative, 1))
+    return changes >= _PANEL_DENSITY * p.degree
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_jacobi(k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_j of the k-point Gauss rule for the weight (1 - x^2)^q on
+    [-1, 1], and its weights divided by (1 - x_j^2)^q, so that
+    sum_j w_j f(x_j) approximates the integral of f itself when f/(1 - x^2)^q
+    is smooth.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    symmetric Jacobi polynomials, whose diagonal is zero and whose
+    off-diagonal entries are sqrt(j (j + 2q) / ((2j + 2q)^2 - 1)), and each
+    weight is mu0 times the squared first component of its unit
+    eigenvector, with mu0 = sqrt(pi) Gamma(q + 1) / Gamma(q + 3/2) the
+    integral of the weight.
+    """
+    j = np.arange(1, k, dtype=float)
+    off = np.sqrt(j * (j + 2.0 * q) / ((2.0 * j + 2.0 * q) ** 2 - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.exp(0.5 * math.log(math.pi) + math.lgamma(q + 1.0) - math.lgamma(q + 1.5))
+    weights = mu0 * vectors[0] ** 2 / (1.0 - nodes**2) ** q
+    # Cached and shared by every caller.
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _panel_lq(p: TrigPoly, q: float, tolerance: float) -> float | None:
+    """||p||_q, 1 < q < 2, by Gauss-Jacobi rules between the sign changes of
+    p, or None when the rules on _PANEL_NODES and 2 _PANEL_NODES nodes per
+    panel differ by tolerance * max(1, value) or more.
+
+    On a panel [z_i, z_{i+1}] between simple zeros, |p|^q is
+    ((t - z_i)(z_{i+1} - t))^q times a smooth function, which the rule for
+    that weight integrates spectrally; the last panel wraps across 2 pi.  A
+    zero of even multiplicity, or a zero at which p has a sign change that
+    `sign_changes` misses, leaves a kink inside a panel, which the two rules
+    disagree on.  Both rules take their values from one `_jet` call.
+    """
+    z = sign_changes(p)
+    if z.size == 0:
+        return None
+    ends = np.append(z, z[0] + TWO_PI)
+    centre, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
+    (coarse_x, coarse_w), (fine_x, fine_w) = (_gauss_jacobi(k, q) for k in (_PANEL_NODES, 2 * _PANEL_NODES))
+    t = centre[:, None] + half[:, None] * np.concatenate([coarse_x, fine_x])
+    (values,) = _jet(p, t.ravel(), (0,))
+    integrand = half[:, None] * np.abs(values.reshape(t.shape)) ** q
+    coarse = float(np.sum(integrand[:, :_PANEL_NODES] * coarse_w)) ** (1.0 / q)
+    fine = float(np.sum(integrand[:, _PANEL_NODES:] * fine_w)) ** (1.0 / q)
+    if abs(fine - coarse) < tolerance * max(1.0, fine):
+        return fine
+    return None
 
 
 def _l1_exact(p: TrigPoly) -> float:
@@ -476,10 +577,16 @@ def _weighted_fit(w: np.ndarray, fvals: np.ndarray, n: int) -> np.ndarray:
     """
     k = np.arange(n)
     spectrum = np.fft.fft(w)
-    toeplitz, hankel = spectrum[np.subtract.outer(k, k)], spectrum[np.add.outer(k, k)]
-    cos_cos, sin_sin = (toeplitz + hankel).real, (toeplitz - hankel).real[1:, 1:]
-    cos_sin = -(hankel + toeplitz.T).imag[:, 1:]
-    gram = np.block([[cos_cos, cos_sin], [cos_sin.T, sin_sin]])
+    re, im = spectrum.real, spectrum.imag
+    diff, total = np.subtract.outer(k, k), np.add.outer(k, k)
+    gram = np.empty((2 * n - 1, 2 * n - 1))
+    toeplitz, hankel = re[diff], re[total]
+    np.add(toeplitz, hankel, out=gram[:n, :n])
+    np.subtract(toeplitz[1:, 1:], hankel[1:, 1:], out=gram[n:, n:])
+    cos_sin = gram[:n, n:]
+    np.add(im[total[:, 1:]], im[-diff[:, 1:]], out=cos_sin)
+    np.negative(cos_sin, out=cos_sin)
+    gram[n:, :n] = cos_sin.T
     rhs = np.fft.rfft(w * fvals)[:n]
     solution = np.linalg.solve(gram, 2.0 * np.concatenate([rhs.real, -rhs.imag[1:]]))
     solution[0] *= 2.0

@@ -44,6 +44,18 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# Points per block of `_jet`.  The Gauss-Jacobi panels of the degree-4095
+# dual norm of build_witness(q = 4, n = 4096) take 196560 points; unblocked,
+# their tables peaked at 811 MB, and in blocks of 2048 points the build
+# peaks at 67 MB.
+_JET_BLOCK = 2048
+# `_jet` multiplies in batches of rows that keep each product under this many
+# complex multiply-adds, which OpenBLAS runs on the calling thread.  Larger
+# products wake its thread pool, which on a 2-vCPU host cost 8 ms per product
+# at unpredictable shapes, against 0.01-0.3 ms on one thread.  A row's
+# result does not depend on how many rows share its product.
+_POOL_FREE_MACS = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class TrigPoly:
@@ -128,7 +140,12 @@ def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray
     Order -1 is the antiderivative a0 t/2 + sum (a_k sin kt - b_k cos kt)/k.
     Each sum is Re sum_k (a_k - i b_k) e^{ikt}, split as k = 1 + j + B l with
     B about sqrt(degree), so only e^{ijt} and e^{iBlt} are tabulated and the
-    rest is one matrix product.
+    rest is matrix products.  The points go through in blocks of at most
+    _JET_BLOCK, so the scratch is O(_JET_BLOCK * len(orders) * sqrt(degree))
+    complex values whatever the number of points, and each block is
+    multiplied in batches of rows small enough to stay off the BLAS thread
+    pool (_POOL_FREE_MACS), below degree 16000 or so.  A point's values do
+    not depend on how the points are split.
     """
     d = p.degree
     width = math.isqrt(d) + 1
@@ -137,10 +154,23 @@ def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray
     for i, r in enumerate(orders):
         a, b = _derivative(p, r)
         coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
-    inner = np.exp(1j * np.multiply.outer(t, np.arange(width)))
-    outer = np.exp(1j * np.multiply.outer(t, width * np.arange(rows) + 1.0))
-    blocks = (inner @ coef.T).reshape(t.size, len(orders), rows)
-    sums = np.einsum("nrl,nl->rn", blocks, outer).real
+    fit = _POOL_FREE_MACS // max(coef.size, 1)
+    batch = min(fit, _JET_BLOCK) if fit >= 2 else 0
+    sums = np.empty((len(orders), t.size))
+    for start in range(0, t.size, _JET_BLOCK):
+        tb = t[start : start + _JET_BLOCK]
+        # Rows per product: `batch`, or the whole block past degree 16000 or
+        # so, where even two rows exceed _POOL_FREE_MACS and one product per
+        # block wakes the pool the fewest times.  At least two, padded with
+        # t = 0, unless t is one point: one row is a matrix-vector product,
+        # whose rounding differs.
+        per = 1 if t.size == 1 else max(batch or tb.size, 2)
+        tp = np.pad(tb, (0, -tb.size % per))
+        inner = np.exp(1j * np.multiply.outer(tp, np.arange(width)))
+        products = inner.reshape(-1, per, width) @ coef.T
+        products = products.reshape(tp.size, len(orders), rows)[: tb.size]
+        outer = np.exp(1j * np.multiply.outer(tb, width * np.arange(rows) + 1.0))
+        sums[:, start : start + tb.size] = np.einsum("nrl,nl->rn", products, outer).real
     constant = {-1: 0.5 * p.a0 * t, 0: 0.5 * p.a0}
     return [sums[j] + constant.get(r, 0.0) for j, r in enumerate(orders)]
 

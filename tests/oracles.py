@@ -2,10 +2,12 @@
 
 None of these is part of the library: the Dirichlet kernel in coefficient
 and closed form, the Vallée-Poussin kernel in its defining averaged form,
-constant and zero polynomials, and the reader of the coefficient CSVs that
-`zygmund witness` writes.
+constant and zero polynomials, the reader of the coefficient CSVs that
+`zygmund witness` writes, and an L_q norm by QUADPACK's algebraic-weight
+rule between sign changes.
 """
 
+import math
 from typing import Union
 
 import numpy as np
@@ -68,3 +70,43 @@ def read_trig_poly_csv(text: str) -> TrigPoly:
         a.append(float(ak))
         b.append(float(bk))
     return TrigPoly(a0, a, b)
+
+
+def qaws_lq(p: TrigPoly, q: float) -> float:
+    """||p||_q from the sign changes of p, by QUADPACK's QAWS rule for the
+    weight ((t - a)(b - t))^q on each panel [a, b] between consecutive ones,
+    the last panel wrapping across 2 pi.
+
+    p and p' are summed directly from the coefficients, and the sign changes
+    are bracketed on 64 (degree + 1) nodes and refined by brentq, so nothing
+    here goes through the library's evaluator or zero finder.  Assumes every
+    zero of p is a simple sign change.  Needs scipy.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    k = np.arange(1, p.degree + 1, dtype=float)
+
+    def value(t):
+        return p.a0 / 2.0 + np.cos(np.multiply.outer(t, k)) @ p.a + np.sin(np.multiply.outer(t, k)) @ p.b
+
+    def slope(t):
+        return np.cos(k * t) @ (k * p.b) - np.sin(k * t) @ (k * p.a)
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 64 * (p.degree + 1) + 1)
+    v = value(grid)
+    cells = np.flatnonzero((v[:-1] < 0.0) != (v[1:] < 0.0))
+    zeros = [brentq(value, grid[i], grid[i + 1], xtol=1e-15) for i in cells]
+    ends = zeros + [zeros[0] + 2.0 * math.pi]
+    total = 0.0
+    for a, b in zip(ends[:-1], ends[1:]):
+
+        def smooth(t, a=a, b=b):
+            # |p|^q / ((t - a)(b - t))^q, continued by p' at the ends.
+            if a < t < b:
+                return abs(value(t) / ((t - a) * (b - t))) ** q
+            return abs(slope(t) / (b - a)) ** q
+
+        part, _ = quad(smooth, a, b, weight="alg", wvar=(q, q), epsabs=0.0, epsrel=1e-13, limit=200)
+        total += part
+    return total ** (1.0 / q)

@@ -1,4 +1,5 @@
-"""Exact L_q norms at q = 2 and even q, and midpoint-only doubling at other q.
+"""Exact L_q norms at q = 2 and even q, Gauss-Jacobi panels at 1 < q < 2
+for dense zeros, and midpoint-only doubling at other q.
 
 lq_norm takes ||p||_2 from the coefficients (Parseval), ||p||_q at even
 integer q from one rectangle rule on the first power of two m >= q * degree
@@ -9,6 +10,11 @@ that samples only the new midpoints, from a start sized by 2 * degree.  The
 oracle below is the doubling loop lq_norm used for every q != 1 before: it
 re-samples the whole grid at each doubling, and starts from a grid sized by
 2 * degree + 2, twice lq_norm's at power-of-two degrees.
+
+At 1 < q < 2, a p with at least 1.5 * degree sign changes on 8 (degree + 1)
+nodes is integrated between its zeros by Gauss-Jacobi rules instead, which
+QUADPACK's QAWS rule on each panel checks (`oracles.qaws_lq`); the doubling
+oracle is itself off by up to 7e-11 there.
 """
 
 import math
@@ -17,11 +23,12 @@ import numpy as np
 import pytest
 
 import zygmund.norms
-from oracles import constant
-from zygmund.decay import MethodParams
+from oracles import constant, qaws_lq
+from zygmund.decay import MethodParams, Power, growth_function
 from zygmund.errors import ConvergenceError
-from zygmund.norms import NormRequest, l2_norm_coeffs, lq_norm
-from zygmund.trig import TrigPoly, sample
+from zygmund.norms import NormRequest, _dense_zeros, _gauss_jacobi, _panel_lq, l2_norm_coeffs, lq_norm
+from zygmund.trig import TrigPoly, phased_poly, sample
+from zygmund.witness import dual_test_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,19 +165,34 @@ class TestQ2:
         assert sampled_sizes == []
 
 
+def takes_panels(p, q):
+    return q < 2.0 and _dense_zeros(p)
+
+
 class TestOtherQ:
     @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
-    def test_matches_doubling_oracle(self, q):
+    def test_matches_doubling_oracle(self, q, sampled_sizes):
+        # Inputs with dense zeros at q < 2 (here degrees 1 and 3 at q = 1.5)
+        # take the panels, sum no rectangle rule, and match QAWS per panel.
         rng = np.random.default_rng(int(10 * q))
         for degree in (1, 3, 17, 64, 128, 200, 1024):
             p = random_poly(rng, degree)
-            assert lq_norm(p, NormRequest(q=q)) == pytest.approx(doubling_lq(p, q), rel=1e-12)
+            sampled_sizes.clear()
+            value = lq_norm(p, NormRequest(q=q))
+            assert (sampled_sizes == []) == takes_panels(p, q)
+            if takes_panels(p, q):
+                pytest.importorskip("scipy.integrate")
+                assert value == pytest.approx(qaws_lq(p, q), rel=1e-12)
+            else:
+                assert value == pytest.approx(doubling_lq(p, q), rel=1e-12)
 
     @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
     def test_same_sample_calls_as_oracle(self, q, sampled_sizes):
         rng = np.random.default_rng(int(100 * q))
         for degree in (1, 9, 50, 300):
             p = random_poly(rng, degree)
+            if takes_panels(p, q):
+                continue
             oracle = []
             doubling_lq(p, q, tolerance=1e-8, sizes=oracle)
             sampled_sizes.clear()
@@ -186,6 +208,71 @@ class TestOtherQ:
         first = sampled_sizes[0]
         assert first == 512 and len(sampled_sizes) >= 2
         assert sampled_sizes[1:] == [first << i for i in range(len(sampled_sizes) - 1)]
+
+
+def dual(q, n):
+    """The dual test polynomial of degree n - 1 that build_witness pairs at
+    q against the deviation of psi = 1/k under the Fejér mean."""
+    method = MethodParams(s=1.0, q=q)
+    g = np.asarray(growth_function(Power(1.0), method, np.arange(1, n, dtype=float)), dtype=float)
+    return dual_test_poly(method, g)
+
+
+def double_zero(n, t0):
+    """cos(nt) (1 - cos(t - t0)): 2n simple zeros and a double zero at t0."""
+    a, b = np.zeros(n + 1), np.zeros(n + 1)
+    a[n - 1] = 1.0
+    a[n], b[n] = -0.5 * math.cos(t0), -0.5 * math.sin(t0)
+    a[n - 2], b[n - 2] = -0.5 * math.cos(t0), 0.5 * math.sin(t0)
+    return TrigPoly(0.0, a, b)
+
+
+class TestPanels:
+    """Gauss-Jacobi panels between the sign changes of p at 1 < q < 2."""
+
+    @pytest.mark.parametrize("k", [8, 16])
+    @pytest.mark.parametrize("q", [1.2, 4.0 / 3.0, 1.5, 1.9])
+    def test_golub_welsch_matches_scipy(self, k, q):
+        roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+        nodes, weights = _gauss_jacobi(k, q)
+        x, w = roots_jacobi(k, q, q)
+        assert np.max(np.abs(nodes - x)) <= 1e-14
+        # _gauss_jacobi divides its weights by the weight function.
+        assert weights * (1.0 - nodes**2) ** q == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("q, n", [(4.0, 2), (4.0, 8), (4.0, 64), (3.0, 16), (3.0, 128)])
+    def test_dense_zero_duals_match_qaws_without_rectangle_rule(self, q, n, sampled_sizes):
+        # The q' = 4/3 and q' = 3/2 dual norms of build_witness.
+        p, q_prime = dual(q, n), MethodParams(s=1.0, q=q).q_prime
+        assert _dense_zeros(p)
+        value = lq_norm(p, NormRequest(q=q_prime))
+        assert sampled_sizes == []
+        pytest.importorskip("scipy.integrate")
+        assert value == pytest.approx(qaws_lq(p, q_prime), rel=1e-12)
+
+    def test_majorant_tail_still_doubles(self, sampled_sizes):
+        # upper_bound_estimate's q = 1.5 tail for n = 8 at length 2048:
+        # degree 2048 with only 2n sign changes.
+        method = MethodParams(s=1.0, q=1.5)
+        k = np.arange(8, 2049, dtype=float)
+        tail = phased_poly(Power(1.0)(k), method.beta, first_k=8)
+        assert not _dense_zeros(tail)
+        value = lq_norm(tail, NormRequest(q=1.5, tolerance=1e-8))
+        first = sampled_sizes[0]
+        assert first == 16 * 4096 and len(sampled_sizes) >= 2
+        assert sampled_sizes[1:] == [first << i for i in range(len(sampled_sizes) - 1)]
+        assert value == pytest.approx(doubling_lq(tail, 1.5, tolerance=1e-8), rel=1e-9)
+
+    @pytest.mark.parametrize("q", [4.0 / 3.0, 1.2])
+    def test_double_zero_falls_back_to_doubling(self, q, sampled_sizes):
+        # |p|^q has a kink of order 2q inside a panel, on which the rules on
+        # 8 and 16 nodes disagree; lq_norm then takes the doubling.
+        p = double_zero(32, 1.0)
+        assert _dense_zeros(p)
+        assert _panel_lq(p, q, 1e-10) is None
+        value = lq_norm(p, NormRequest(q=q))
+        assert sampled_sizes != []
+        assert value == pytest.approx(doubling_lq(p, q), rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0, 6.0])

@@ -10,6 +10,8 @@ from zygmund.decay import Power, PowerLog
 from zygmund.errors import AliasingError, IllPosedError, ParameterError
 from zygmund.trig import (
     TrigPoly,
+    _derivative,
+    _jet,
     convolve,
     deviation,
     fejer_sum,
@@ -105,6 +107,40 @@ class TestPointEvaluator:
         p = dirichlet(k)
         assert np.max(np.abs(values - dense_values(p, t))) <= dense_tolerance(p)
         assert np.max(np.abs(values - (k + 0.5))) <= dense_tolerance(p)
+
+
+def one_product_jet(p: TrigPoly, t: np.ndarray, orders: tuple) -> list:
+    """_jet's sums as one matrix product over all the points, unblocked."""
+    d = p.degree
+    width = math.isqrt(d) + 1
+    rows = -(-d // width)
+    coef = np.zeros((len(orders) * rows, width), dtype=complex)
+    for i, r in enumerate(orders):
+        a, b = _derivative(p, r)
+        coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
+    inner = np.exp(1j * np.multiply.outer(t, np.arange(width)))
+    outer = np.exp(1j * np.multiply.outer(t, width * np.arange(rows) + 1.0))
+    products = (inner @ coef.T).reshape(t.size, len(orders), rows)
+    sums = np.einsum("nrl,nl->rn", products, outer).real
+    constant = {-1: 0.5 * p.a0 * t, 0: 0.5 * p.a0}
+    return [sums[j] + constant.get(r, 0.0) for j, r in enumerate(orders)]
+
+
+class TestJetBlocks:
+    """_jet takes its points in blocks of 2048, each multiplied in batches of
+    rows (one batch per block past degree 16000 or so), and still gives
+    every point the values of one product over all the points, bit for
+    bit."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 7, 255, 4095, 16641])
+    @pytest.mark.parametrize("count", [1, 2, 3, 2047, 2049, 5000])
+    def test_equals_one_product(self, degree, count):
+        rng = np.random.default_rng(degree + count)
+        p = random_poly(rng, degree, with_mean=True)
+        t = rng.uniform(-TWO_PI, 2.0 * TWO_PI, count)
+        for orders in ((0,), (0, 1), (-1, 0, 1, 2)):
+            for got, expected in zip(_jet(p, t, orders), one_product_jet(p, t, orders)):
+                assert np.array_equal(got, expected)
 
 
 class TestKernels:
