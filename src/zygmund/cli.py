@@ -7,11 +7,22 @@ no validation error occurred.  Outputs are deterministic: identical configs
 give byte-identical files.  No command draws random numbers, so a config has
 no `seed` key; `--seed` is accepted and ignored, because perfbench/run.py
 passes it to every command.
+
+`main` registers `gc.freeze` with `atexit`, once per process, so the
+interpreter's garbage collections at shutdown skip the heap that importing
+numpy and the library leaves behind (about 22k objects, which the OS
+reclaims anyway): on a 2-vCPU Xeon the time from `main` returning to the
+process exiting fell from about 21 to 5 ms.  CPython still flushes stdout
+and stderr after the atexit handlers, and every file a command writes is
+closed before `main` returns.  Importing a module registers nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -211,7 +222,14 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     return replace(cfg, **updates)
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Register gc.freeze with atexit; the cache makes it once per process."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(parse_config(args.config), args)

@@ -102,6 +102,8 @@ _ROOT_OVERSAMPLE = 64
 # Halvings of a cell that the zero screens cannot clear; the last width is
 # about 1e-12 of a grid cell.
 _SCREEN_LEVELS = 40
+# Cells per block of the screen's first level.
+_SCREEN_BLOCK = 1 << 14
 # Newton iterations per zero.  Steps leaving the bracket fall back to
 # bisection, so the bracket collapses well within this.
 _NEWTON_STEPS = 100
@@ -401,50 +403,67 @@ def _screened_zeros(
     exact values of derivatives of f at any points, and bounds are f's
     `_screen_bounds`.  A cell [a, b] of width w whose end values of f differ
     in sign brackets a zero, and holds no other when f' keeps its sign on
-    it; a cell whose end values agree in sign holds no zero when |f| exceeds
-    the chord error there.  Both tests bound the chord error of h by
-    w^2/8 * max |h''| over the cell: for h = f that maximum is at most the
-    larger of |f''(a)|, |f''(b)| plus w/2 * sum k^3 |c_k| (|c_k| is the
-    amplitude of harmonic k), and for h = f' it is at most sum k^3 |c_k|.
-    A cell on which |f| stays at the rounding level is settled at once, as
-    any zeros it hides enclose no area.  Cells that pass no test are halved
-    by exact evaluation, at most _SCREEN_LEVELS times, and then settled by
-    the signs of their ends.  The brackets are refined together by Newton's
-    method.
-    """
-    floor0, floor1, sup3 = bounds
-    # The cells of a level all have width w, so each is kept as its left end
-    # a and the values at both ends; at the start the right ends are views.
-    a = start + w * np.arange(closed[0].size - 1)
-    (va, vb), (sa, sb), (ca, cb) = ((v[:-1], v[1:]) for v in closed)
+    it; a cell whose end values agree in sign holds no zero when f' keeps
+    its sign on it, or when |f| exceeds the chord error there.  A zero at a
+    shared end is reported by the neighbouring cell, whose end values differ
+    in sign.  Both tests bound the chord error of h by w^2/8 * max |h''|
+    over the cell: for h = f that maximum is at most the larger of |f''(a)|,
+    |f''(b)| plus w/2 * sum k^3 |c_k| (|c_k| is the amplitude of harmonic
+    k), and for h = f' it is at most sum k^3 |c_k|.  A cell on which |f|
+    stays at the rounding level is settled at once, as any zeros it hides
+    enclose no area.  Cells that pass no test are halved by exact
+    evaluation, at most _SCREEN_LEVELS times, and then settled by the signs
+    of their ends.  The brackets are refined together by Newton's method.
 
-    brackets = []
-    for level in range(_SCREEN_LEVELS + 1):
-        change = (va < 0.0) != (vb < 0.0)
-        bend = w * w / 8.0 * (np.maximum(np.abs(ca), np.abs(cb)) + w / 2.0 * sup3)
-        clear = np.minimum(np.abs(va), np.abs(vb)) - floor0 > bend
-        negligible = np.maximum(np.abs(va), np.abs(vb)) + bend <= floor0
-        monotone = (sa * sb > 0.0) & (
-            np.minimum(np.abs(sa), np.abs(sb)) - floor1 > w * w / 8.0 * sup3
-        )
-        last = level == _SCREEN_LEVELS
-        single = change & (monotone | negligible | last)
-        empty = ~change & (clear | negligible | last)
-        brackets.append((a[single], a[single] + w, va[single], vb[single]))
-        keep = ~(single | empty)
-        if not np.any(keep):
+    The first level, the only one that spans all m cells, is screened in
+    blocks of _SCREEN_BLOCK cells, so that its masks and bends stay
+    block-sized; only its unsettled cells go on to the halvings.
+    """
+    cells = closed[0].size - 1
+    brackets, kept = [], []
+    for lo in range(0, cells, _SCREEN_BLOCK):
+        hi = min(lo + _SCREEN_BLOCK, cells)
+        # A cell is kept as its left end a and the values at both ends.
+        level = (start + w * np.arange(lo, hi), *(x for v in closed for x in (v[lo:hi], v[lo + 1 : hi + 1])))
+        kept.append(_screen_level(w, level, bounds, False, brackets))
+    a, va, vb, sa, sb, ca, cb = (np.concatenate(x) for x in zip(*kept))
+    for depth in range(1, _SCREEN_LEVELS + 1):
+        if a.size == 0:
             break
-        a, va, vb, sa, sb, ca, cb = (x[keep] for x in (a, va, vb, sa, sb, ca, cb))
         w /= 2.0
         mid = a + w
         vm, sm, cm = jet(mid, (0, 1, 2))
-        a = np.concatenate([a, mid])
-        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-        sa, sb = np.concatenate([sa, sm]), np.concatenate([sm, sb])
-        ca, cb = np.concatenate([ca, cm]), np.concatenate([cm, cb])
+        level = (
+            np.concatenate([a, mid]),
+            np.concatenate([va, vm]), np.concatenate([vm, vb]),
+            np.concatenate([sa, sm]), np.concatenate([sm, sb]),
+            np.concatenate([ca, cm]), np.concatenate([cm, cb]),
+        )  # fmt: skip
+        a, va, vb, sa, sb, ca, cb = _screen_level(w, level, bounds, depth == _SCREEN_LEVELS, brackets)
 
     lo, hi, vlo, vhi = (np.concatenate(x) for x in zip(*brackets))
-    return np.sort(_newton(jet, lo, hi, vlo, vhi, floor0))
+    return np.sort(_newton(jet, lo, hi, vlo, vhi, bounds[0]))
+
+
+def _screen_level(
+    w: float, level: tuple[np.ndarray, ...], bounds: tuple[float, float, float], last: bool, brackets: list
+) -> list[np.ndarray]:
+    """One level of `_screened_zeros`: level holds the cells of width w as
+    (a, va, vb, sa, sb, ca, cb), their left ends and the values of f, f' and
+    f'' at both ends.  Appends the cells that bracket one sign change to
+    brackets as (a, b, f(a), f(b)), and returns the cells that no test
+    settles, in the same form; on the last level every cell is settled."""
+    floor0, floor1, sup3 = bounds
+    a, va, vb, sa, sb, ca, cb = level
+    change = (va < 0.0) != (vb < 0.0)
+    bend = w * w / 8.0 * (np.maximum(np.abs(ca), np.abs(cb)) + w / 2.0 * sup3)
+    clear = np.minimum(np.abs(va), np.abs(vb)) - floor0 > bend
+    negligible = np.maximum(np.abs(va), np.abs(vb)) + bend <= floor0
+    monotone = (sa * sb > 0.0) & (np.minimum(np.abs(sa), np.abs(sb)) - floor1 > w * w / 8.0 * sup3)
+    settled = monotone | negligible | last | (clear & ~change)
+    single = change & settled
+    brackets.append((a[single], a[single] + w, va[single], vb[single]))
+    return [x[~settled] for x in level]
 
 
 def _newton(

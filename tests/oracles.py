@@ -3,8 +3,9 @@
 None of these is part of the library: the Dirichlet kernel in coefficient
 and closed form, the Vallée-Poussin kernel in its defining averaged form,
 constant and zero polynomials, the reader of the coefficient CSVs that
-`zygmund witness` writes, and an L_q norm by QUADPACK's algebraic-weight
-rule between sign changes.
+`zygmund witness` writes, an L_q norm by QUADPACK's algebraic-weight rule
+between sign changes, and those sign changes by brentq on a direct cosine
+sum.
 """
 
 import math
@@ -78,25 +79,19 @@ def qaws_lq(p: TrigPoly, q: float) -> float:
     the last panel wrapping across 2 pi.
 
     p and p' are summed directly from the coefficients, and the sign changes
-    are bracketed on 64 (degree + 1) nodes and refined by brentq, so nothing
-    here goes through the library's evaluator or zero finder.  Assumes every
-    zero of p is a simple sign change.  Needs scipy.
+    are those of `brentq_zeros`, so nothing here goes through the library's
+    evaluator or zero finder.  Assumes every zero of p is a simple sign
+    change.  Needs scipy.
     """
     from scipy.integrate import quad
-    from scipy.optimize import brentq
 
     k = np.arange(1, p.degree + 1, dtype=float)
-
-    def value(t):
-        return p.a0 / 2.0 + np.cos(np.multiply.outer(t, k)) @ p.a + np.sin(np.multiply.outer(t, k)) @ p.b
+    value = direct_value(p)
 
     def slope(t):
         return np.cos(k * t) @ (k * p.b) - np.sin(k * t) @ (k * p.a)
 
-    grid = np.linspace(0.0, 2.0 * math.pi, 64 * (p.degree + 1) + 1)
-    v = value(grid)
-    cells = np.flatnonzero((v[:-1] < 0.0) != (v[1:] < 0.0))
-    zeros = [brentq(value, grid[i], grid[i + 1], xtol=1e-15) for i in cells]
+    zeros = brentq_zeros(p)
     ends = zeros + [zeros[0] + 2.0 * math.pi]
     total = 0.0
     for a, b in zip(ends[:-1], ends[1:]):
@@ -110,3 +105,27 @@ def qaws_lq(p: TrigPoly, q: float) -> float:
         part, _ = quad(smooth, a, b, weight="alg", wvar=(q, q), epsabs=0.0, epsrel=1e-13, limit=200)
         total += part
     return total ** (1.0 / q)
+
+
+def direct_value(p: TrigPoly):
+    """t -> p(t), the cosine and sine sums taken directly from the
+    coefficients."""
+    k = np.arange(1, p.degree + 1, dtype=float)
+
+    def value(t):
+        return p.a0 / 2.0 + np.cos(np.multiply.outer(t, k)) @ p.a + np.sin(np.multiply.outer(t, k)) @ p.b
+
+    return value
+
+
+def brentq_zeros(p: TrigPoly) -> list:
+    """Sign changes of p in [0, 2 pi): bracketed between consecutive nodes of
+    64 (degree + 1) uniform cells of `direct_value`, and refined by brentq
+    to 1e-15.  Needs scipy."""
+    from scipy.optimize import brentq
+
+    value = direct_value(p)
+    grid = np.linspace(0.0, 2.0 * math.pi, 64 * (p.degree + 1) + 1)
+    v = value(grid)
+    cells = np.flatnonzero((v[:-1] < 0.0) != (v[1:] < 0.0))
+    return [brentq(value, grid[i], grid[i + 1], xtol=1e-15) for i in cells]

@@ -16,15 +16,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import constant
+from oracles import brentq_zeros, constant
 from zygmund import norms, rates, trig, witness
-from zygmund.decay import MethodParams, Power
+from zygmund.decay import MethodParams, Power, growth_function
 from zygmund.errors import ConvergenceError
 from zygmund.norms import NormRequest, l1_norm, lq_norm, sign_changes
 from zygmund.rates import unit_ball_sources
-from zygmund.trig import TrigPoly, _jet, from_samples, sample
+from zygmund.trig import TrigPoly, _jet, deviation, from_samples, phased_poly, sample
 from zygmund.witness import (
-    WitnessConfig, _pulse_l1, _pulse_numerator, _pulse_zeros, build_witness, calibrate_alpha0, vp_pulse
+    WitnessConfig, _pulse_l1, _pulse_numerator, _pulse_zeros, build_witness, calibrate_alpha0, dual_test_poly,
+    vp_pulse,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +118,44 @@ class TestAgainstOracle:
         q = TrigPoly(0.0, rng.standard_normal(12), rng.standard_normal(12))
         p = square(q)
         assert l1_norm(p) == pytest.approx(math.pi * p.a0, rel=1e-13)
+
+
+class TestScreen:
+    """The zero screen of sign_changes on zeros at sample nodes, and on a
+    degree-4095 dual."""
+
+    def test_zeros_on_nodes_settle_without_halving(self, monkeypatch):
+        # The q = 1.5 head of upper_bound_estimate for psi = 1/k at n = 8 has
+        # zeros on nodes of its 512-node sample.  Every cell beside such a
+        # zero has one end on it, and f' keeps its sign there, so the screen
+        # settles it without halving it toward the node.
+        method = MethodParams(s=1.0, q=1.5)
+        head = deviation(phased_poly(1.0 / np.arange(1.0, 8.0), method.beta), 8, method.s)
+        calls = []
+        monkeypatch.setattr(norms, "_jet", lambda p, t, orders: calls.append(orders) or _jet(p, t, orders))
+        z = sign_changes(head)
+        nodes = TWO_PI * np.arange(513) / 512
+        assert np.min(np.abs(np.subtract.outer(z, nodes))) < 1e-12
+        assert len(calls) <= 6
+        assert z == pytest.approx(brentq_zeros(head), abs=1e-12)
+
+    def test_peak_memory_of_the_degree_4095_dual(self):
+        # The q' = 4/3 dual of build_witness(q = 4, n = 4096): 8190 zeros
+        # over 262144 cells.  The screen's first level goes in blocks and
+        # _jet frees each block's tables, so the peak is about the three
+        # samples and one block of _jet.
+        method = MethodParams(s=1.0, q=4.0)
+        g = np.asarray(growth_function(Power(1.0), method, np.arange(1, 4096, dtype=float)), dtype=float)
+        dual = dual_test_poly(method, g)
+        sign_changes(dual.truncated(64))  # first-call allocations
+        tracemalloc.start()
+        try:
+            z = sign_changes(dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.size == 8190
+        assert peak < 24e6
 
 
 class TestPulseZeros:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,22 @@ class TestJetBlocks:
         for orders in ((0,), (0, 1), (-1, 0, 1, 2)):
             for got, expected in zip(_jet(p, t, orders), one_product_jet(p, t, orders)):
                 assert np.array_equal(got, expected)
+
+    def test_scratch_is_one_block(self):
+        # Each block's tables are freed before the next block's are made, so
+        # four blocks of points peak no higher than one.
+        rng = np.random.default_rng(11)
+        p = random_poly(rng, 4095, with_mean=True)
+        peaks = {}
+        for count in (2048, 4 * 2048):
+            t = rng.uniform(0.0, TWO_PI, count)
+            tracemalloc.start()
+            try:
+                _jet(p, t, (0, 1, 2))
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4 * 2048] < 1.1 * peaks[2048]
 
 
 class TestKernels:
