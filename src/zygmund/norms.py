@@ -38,12 +38,13 @@ merely convergent here, so convergence is confirmed by grid doubling rather
 than assumed.  The first grid is a fixed multiple of the first power of two
 >= 2 * degree, and each doubling samples only the new midpoints and adds
 their sum to the one already taken.  Every grid of the rule is summed by
-one reduction, `_power_sum`: a large, heavily oversampled grid is covered by
-interleaved short inverse FFTs (cosets), whose batches are reduced as they
-are made, so such a grid is never held whole; any other grid is one
-`trig.sample`.  lq_norm reads the tolerance of a NormRequest only in the
-K/2K check and in this doubling, so it is unused at q = 1, q = 2 and even
-integer q.  The first grid of the doubling and best_approx's IRLS grid both
+one reduction, `_power_sum`: a grid of at most _COSET_NODES nodes is one
+`trig.sample`, and a larger one is covered by interleaved inverse FFTs of
+at most _COSET_NODES nodes (cosets), onto which a spectrum of higher degree
+is folded, and whose batches are reduced as they are made, so that a power
+sum holds O(degree + _COSET_NODES) values whatever the grid.  lq_norm reads
+the tolerance of a NormRequest only in the K/2K check and in this doubling,
+so it is unused at q = 1, q = 2 and even integer q.  The first grid of the doubling and best_approx's IRLS grid both
 have at least _MIN_NODES nodes.
 
 Best approximation at q != 2 is reweighted least squares, each step solving
@@ -55,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,17 +79,16 @@ _MAX_DOUBLINGS = 12
 # Fewest nodes on the first grid of the other-q doubling and on the IRLS grid.
 _MIN_NODES = 512
 
-# The power sum covers a grid by cosets instead of one M-point inverse FFT
-# from this many nodes, where its spectrum and output (16 M bytes) outgrow a
-# 2 MiB L2 cache, and only at M >= 128 L0, so that at least 64 cosets share
-# the twiddle table.  On a 2-vCPU Xeon, at degree 0-8191, they took 0.15-0.9
-# of the one transform's time there; on grids of 2^13-2^16 nodes they took
-# 1.2-4 times it, and at M = 64 L0 up to 1.4 times.
-_COSET_MIN_NODES = 1 << 17
-_COSET_MIN_RATIO = 128
-# Nodes per batch of cosets, at most M/16, so a batch's scratch of about 20
-# bytes per node stays a small share of the grid.
-_COSET_BATCH = 1 << 16
+# _power_sum takes one sample of a grid of at most this many nodes, and
+# covers a larger grid by cosets, inverse FFTs of at most this many nodes
+# each, batched into arrays of at most this many values (and at most m/16,
+# so that a batch's scratch stays a small share of the grid), so that the
+# sum holds O(degree + _COSET_NODES) values whatever the grid.  On a 2-vCPU
+# Xeon with one BLAS thread (medians of repeated q = 3 sums), degree 2^18
+# took 23 ms in 16 folded cosets against 32 ms as one 2^20-node transform,
+# and 49 against 71 ms on 2^21 nodes; two cosets (degree 2^15 on 2^17
+# nodes) took 2.2 times the one transform's 1.9 ms.
+_COSET_NODES = 1 << 16
 
 # 1 < q < 2: a p with at least _PANEL_DENSITY * degree sign changes on
 # about _DENSITY_OVERSAMPLE nodes per harmonic is integrated between its
@@ -130,14 +130,13 @@ class NormRequest:
 def _power_sum(p: TrigPoly, q: float, m: int) -> float:
     """sum |p(t_j)|^q over the m uniform nodes t_j = 2 pi j/m.
 
-    The grid comes in pieces: one sample, or the batches of _coset_batches
-    where _coset_length splits it.  Each piece is raised to |.|^q in place
-    while it is still in cache and summed, and the piece sums are added
-    pairwise in order, so a coset grid is never held whole.  On one sample
-    the value is np.sum(np.abs(v) ** q), bit for bit.
+    The grid comes in pieces: one sample when m <= _COSET_NODES, else the
+    batches of _coset_batches.  Each piece is raised to |.|^q in place while
+    it is still in cache and summed, and the piece sums are added pairwise
+    in order, so a coset grid is never held whole.  On one sample the value
+    is np.sum(np.abs(v) ** q), bit for bit.
     """
-    n = _coset_length(p.degree, m)
-    pieces = [sample(p, m)] if n == m else _coset_batches(p, n, m)
+    pieces = [sample(p, m)] if m <= _COSET_NODES else _coset_batches(p, m)
     sums = []
     for piece in pieces:
         np.abs(piece, out=piece)
@@ -146,42 +145,69 @@ def _power_sum(p: TrigPoly, q: float, m: int) -> float:
     return _pairwise_total(np.array(sums))
 
 
-def _coset_length(degree: int, m: int) -> int:
-    """Length L of the inverse FFTs by which _power_sum covers m nodes: m
-    itself (one sample), or 2 L0 past both thresholds above, with L0 the
-    smallest power of two >= max(2*degree + 2, 16)."""
-    base = _next_pow2(2 * degree + 2)
-    if m < _COSET_MIN_NODES or m < _COSET_MIN_RATIO * base:
-        return m
-    return 2 * base
-
-
-def _coset_batches(p: TrigPoly, n: int, m: int) -> Iterator[np.ndarray]:
-    """The values of p on m uniform nodes as r = m/n interleaved n-point
-    cosets, yielded batch by batch: the batch of cosets c0 .. c0 + B - 1 is
-    an array v with v[b, l] = p(t_{l r + c0 + b}), and the batches come in
-    order of c0.
+def _coset_batches(p: TrigPoly, m: int) -> Iterator[np.ndarray]:
+    """The values of p on m > _COSET_NODES uniform nodes as r = m/n
+    interleaved n-point cosets, n = min(2 L0, _COSET_NODES) with L0 the
+    smallest power of two >= max(2*degree + 2, 16), yielded batch by batch:
+    the batch of cosets c0 .. c0 + B - 1 is an array v with
+    v[b, l] = p(t_{l r + c0 + b}), and the batches come in order of c0.
 
     Coset c holds the nodes j = l r + c, which are the n nodes of
-    p(t + 2 pi c/m), so its half spectrum is p's times e^{2 pi i k c/m}.  A
-    batch takes the twiddles e^{2 pi i k b/m}, tabulated once, times
-    e^{2 pi i k c0/m}, whose angle stays below pi/2 since k < n/4 and
-    c0 < m/n; irfft zero-pads each row past the degree.  The values differ
-    from the one m-point transform by rounding only, a few units in the
-    last place of max |p(t_j)|.  Each v is a fresh array of at most
-    max(n, _COSET_BATCH) values, so a caller that reduces the batches as
-    they come never holds the whole grid.
+    p(t + 2 pi c/m), so its half spectrum is p's times e^{2 pi i k c/m}.
+
+    When 2*degree < n, as at every degree below _COSET_NODES/2, a batch
+    takes the twiddles e^{2 pi i k b/m}, tabulated once, times
+    e^{2 pi i k c0/m}, whose angle stays below pi since k < n/2 and
+    c0 < m/n, and irfft zero-pads each row past the degree.
+
+    Otherwise n = _COSET_NODES, B = 1, and the spectrum is folded modulo n
+    (Bailey, J. Supercomputing 4, 1990): harmonic k goes to bin k mod n.
+    Row l of the folded table holds harmonics l n .. l n + n - 1, whose
+    twiddles are those of row 0 times e^{2 pi i l c/r}, so coset c sums the
+    rows with these weights into P and multiplies it in place by
+    e^{2 pi i j c/m}, j < n, as two ramps of about sqrt(n) values each.
+    The negative harmonics, the conjugates, then complete P Hermitian:
+    F_j = P_j + conj P_{n-j}, with the constant halved in the table so that
+    it counts once in F_0 = 2 Re P_0.  Every angle stays below 2 pi.
+
+    The values differ from the one m-point transform by rounding only, a
+    few units in the last place of max |p(t_j)|.  Each v is a fresh array of
+    at most _COSET_NODES values and the tables hold about degree + n, so a
+    caller that reduces the batches as they come never holds the grid.
     """
+    n = min(2 * _next_pow2(2 * p.degree + 2), _COSET_NODES)
     r = m // n
-    width = max(1, min(_COSET_BATCH, m // 16) // n)
-    half = _half_spectrum(p, n)
-    k = np.arange(half.size)
     unit = TWO_PI / m
-    twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
-    batch = np.empty_like(twiddle)
-    for c0 in range(0, r, width):
-        np.multiply(twiddle, half * np.exp(1j * unit * (k * c0)), out=batch)
-        yield np.fft.irfft(batch, n=n, axis=1)
+    half = _half_spectrum(p, n)
+    if 2 * p.degree < n:
+        width = max(1, min(_COSET_NODES, m // 16) // n)
+        k = np.arange(half.size)
+        twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
+        batch = np.empty_like(twiddle)
+        for c0 in range(0, r, width):
+            np.multiply(twiddle, half * np.exp(1j * unit * (k * c0)), out=batch)
+            yield np.fft.irfft(batch, n=n, axis=1)
+        return
+    half[0] *= 0.5
+    # Zero-pad in place: half is this function's own array, and a copy
+    # would hold the spectrum twice.
+    half.resize(half.size + -half.size % n, refcheck=False)
+    table = half.reshape(-1, n)
+    turns = np.arange(table.shape[0])
+    step = 1 << (n.bit_length() // 2)
+    coarse, fine = np.arange(0, n, step), np.arange(step)
+    partner = -np.arange(n // 2 + 1) % n
+    for c in range(r):
+        folded = np.exp(1j * (TWO_PI / r) * (turns * c % r)) @ table
+        ramp = folded.reshape(-1, step)
+        ramp *= np.exp(1j * unit * c * coarse)[:, np.newaxis]
+        ramp *= np.exp(1j * unit * c * fine)
+        spectrum = folded[partner]
+        np.conjugate(spectrum, out=spectrum)
+        spectrum += folded[: n // 2 + 1]
+        # Only the spectrum stays alive while the caller reduces the values.
+        del folded, ramp
+        yield np.fft.irfft(spectrum, n=n)[np.newaxis]
 
 
 def _pairwise_total(sums: np.ndarray) -> float:
@@ -246,15 +272,15 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     first power of two >= 2 * degree (at least 16), and doubles until two
     successive values differ by less than req.tolerance.  |p|^q is merely
     piecewise smooth at the zeros of p, and the lower q the sharper the
-    kink, so the oversampling is 16 for q < 2 and 4 above, which leaves the
-    doubling budget room to converge; either way the first grid has at
-    least four times the 2 * degree nodes that resolve p.  Doubling an
-    m-node grid adds the m midpoints pi/m + 2 pi j/m, which are the m nodes
-    of p(t + pi/m), whose harmonics are those of p rotated by e^{ik pi/m};
-    their sum is added to the m-node sum, so no node is sampled twice.  A
-    large, heavily oversampled grid is summed coset batch by batch
-    (_power_sum), which moves the value by rounding only and holds a few
-    batch-sized arrays, not the grid.
+    kink, so the oversampling is 16 for q < 2, which leaves the doubling
+    budget room to converge, and 2 above, where the first grid has at least
+    twice the 2 * degree nodes that resolve p.  Doubling an m-node grid adds
+    the m midpoints pi/m + 2 pi j/m, which are the m nodes of p(t + pi/m),
+    whose harmonics are those of p rotated by e^{ik pi/m}; their sum is
+    added to the m-node sum, so no node is sampled twice.  A grid of more
+    than _COSET_NODES nodes is summed coset batch by batch (_power_sum),
+    which moves the value by rounding only and holds O(degree +
+    _COSET_NODES) values, not the grid.
     """
     q = req.q
     if q == 1.0:
@@ -267,7 +293,7 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
         value = _panel_lq(p, q, req.tolerance)
         if value is not None:
             return value
-    oversample = 16 if q < 2.0 else 4
+    oversample = 16 if q < 2.0 else 2
     m = max(_MIN_NODES, oversample * _next_pow2(2 * p.degree))
     total = _power_sum(p, q, m)
     prev = (TWO_PI / m * total) ** (1.0 / q)
@@ -364,9 +390,10 @@ def sign_changes(p: TrigPoly) -> np.ndarray:
     """Sorted points of [0, 2pi] at which p changes sign.
 
     p, p' and p'' are sampled on one power-of-two grid of about
-    64 (degree + 1) nodes, whose cells `_screened_zeros` screens and
-    refines.  A zero of even multiplicity may or may not be reported, which
-    is harmless to ||p||_1.
+    64 (degree + 1) nodes, each written into one row of a single closed
+    (3, m + 1) array, whose cells `_screened_zeros` screens and refines.  A
+    zero of even multiplicity may or may not be reported, which is harmless
+    to ||p||_1.
     """
     amp = np.hypot(p.a, p.b)
     if not np.any(amp):
@@ -374,10 +401,10 @@ def sign_changes(p: TrigPoly) -> np.ndarray:
     bounds = _screen_bounds(abs(p.a0) / 2.0, np.arange(1, p.degree + 1, dtype=float), amp)
     m = _next_pow2(_ROOT_OVERSAMPLE * (p.degree + 1))
     # Closed samples: the last node is the first.
-    closed = []
-    for f in (p, *(TrigPoly(0.0, *_derivative(p, r)) for r in (1, 2))):
-        v = sample(f, m)
-        closed.append(np.append(v, v[0]))
+    closed = np.empty((3, m + 1))
+    for row, f in zip(closed, (p, *(TrigPoly(0.0, *_derivative(p, r)) for r in (1, 2)))):
+        row[:m] = sample(f, m)
+    closed[:, m] = closed[:, 0]
     return _screened_zeros(lambda t, orders: _jet(p, t, orders), 0.0, TWO_PI / m, closed, bounds)
 
 
@@ -395,7 +422,7 @@ _Jet = Callable[[np.ndarray, tuple[int, ...]], list[np.ndarray]]
 
 
 def _screened_zeros(
-    jet: _Jet, start: float, w: float, closed: list[np.ndarray], bounds: tuple[float, float, float]
+    jet: _Jet, start: float, w: float, closed: Sequence[np.ndarray], bounds: tuple[float, float, float]
 ) -> np.ndarray:
     """Sorted sign changes of f on the m cells [start + i w, start + (i + 1) w].
 

@@ -3,8 +3,12 @@ import pytest
 
 @pytest.fixture
 def small_grids(monkeypatch):
-    """Let cosets start at any grid of at least 4 L0 nodes."""
+    """A setter of norms._COSET_NODES, the largest grid that the power sum
+    takes in one sample and the longest coset, so that small grids reach
+    cosets, folded spectra and one-coset batches."""
     import zygmund.norms
 
-    monkeypatch.setattr(zygmund.norms, "_COSET_MIN_NODES", 16)
-    monkeypatch.setattr(zygmund.norms, "_COSET_MIN_RATIO", 4)
+    def cap(nodes):
+        monkeypatch.setattr(zygmund.norms, "_COSET_NODES", nodes)
+
+    return cap

@@ -43,8 +43,9 @@ def doubling_lq(p, q, grid_m=512, tolerance=1e-10, sizes=None):
     """Rectangle rule on |p|^q, doubling the whole grid until two values agree.
 
     The size of every grid sampled is appended to `sizes` when it is given.
+    Its first grid follows lq_norm's oversampling: 16 below q = 2, 2 above.
     """
-    oversample = 16 if q < 2.0 else 4
+    oversample = 16 if q < 2.0 else 2
     m = max(grid_m, oversample * (1 << max(4, (2 * p.degree + 1).bit_length())))
 
     def rule(m):
