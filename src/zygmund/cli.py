@@ -243,10 +243,7 @@ def main(argv=None) -> int:
             return cmd_table_vnad(cfg)
         if args.command == "best-approx":
             return cmd_best_approx(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZygmundError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -50,6 +50,17 @@ _PROBE_GRID = np.geomspace(1.0, 1.0e6, 257)
 _EXPONENT_TOL = 1.0e-12
 
 
+def _on_domain(
+    f: Callable[[np.ndarray], np.ndarray], t: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """f(t) for t >= 1, else DomainError; a scalar t gives a float."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 1.0):
+        raise DomainError("psi(t) is defined for t >= 1")
+    out = f(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
 class PsiFunction:
     """Positive nonincreasing coefficient profile on [1, inf).
 
@@ -61,24 +72,12 @@ class PsiFunction:
     r: float
 
     def __call__(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 1.0):
-            raise DomainError("psi(t) is defined for t >= 1")
-        out = self._value(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return _on_domain(self._value, t)
 
     def log_value(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """log(psi(t)), computed by each family without forming psi(t), which
         may under- or overflow where its log does not."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 1.0):
-            raise DomainError("psi(t) is defined for t >= 1")
-        out = self._log_value(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return _on_domain(self._log_value, t)
 
     def _value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError

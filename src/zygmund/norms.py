@@ -36,16 +36,17 @@ would cost more than the doubling), uses the rectangle rule on uniform
 nodes, which is spectrally accurate for smooth periodic integrands and
 merely convergent here, so convergence is confirmed by grid doubling rather
 than assumed.  The first grid is a fixed multiple of the first power of two
->= 2 * degree, and each doubling samples only the new midpoints and adds
-their sum to the one already taken.  Every grid of the rule is summed by
-one reduction, `_power_sum`: a grid of at most _COSET_NODES nodes is one
-`trig.sample`, and a larger one is covered by interleaved inverse FFTs of
-at most _COSET_NODES nodes (cosets), onto which a spectrum of higher degree
-is folded, and whose batches are reduced as they are made, so that a power
-sum holds O(degree + _COSET_NODES) values whatever the grid.  lq_norm reads
-the tolerance of a NormRequest only in the K/2K check and in this doubling,
-so it is unused at q = 1, q = 2 and even integer q.  The first grid of the doubling and best_approx's IRLS grid both
-have at least _MIN_NODES nodes.
+>= 2 * degree, and each doubling of an m-node grid samples only the new
+midpoints, the nodes of `trig.shifted(p, pi/m)`, and adds their sum to the
+one already taken.  Every grid of the rule is summed by one reduction,
+`_power_sum`: a grid of at most _COSET_NODES nodes is one `trig.sample`,
+and a larger one is covered by interleaved inverse FFTs of at most
+_COSET_NODES nodes (cosets), onto which a spectrum of higher degree is
+folded, and whose batches are reduced as they are made, so that a power sum
+holds O(degree + _COSET_NODES) values whatever the grid.  lq_norm reads the
+tolerance of a NormRequest only in the K/2K check and in this doubling, so
+it is unused at q = 1, q = 2 and even integer q.  The doubling's first grid
+and best_approx's IRLS grid have at least _MIN_NODES nodes.
 
 Best approximation at q != 2 is reweighted least squares, each step solving
 the Hermitian Toeplitz normal equations built from one FFT of the weights.
@@ -61,7 +62,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample
+from .trig import TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample, shifted
 
 __all__ = [
     "NormRequest",
@@ -240,13 +241,6 @@ def _even_lq(p: TrigPoly, q: float) -> float:
     return integral ** (1.0 / q)
 
 
-def _midpoints(p: TrigPoly, coef: np.ndarray, m: int) -> TrigPoly:
-    """p(t + pi/m), whose m uniform nodes are the midpoints of p's; coef is
-    a - ib.  Only the coefficients outlive the call."""
-    shifted = coef * np.exp(1j * math.pi / m * np.arange(1, p.degree + 1))
-    return TrigPoly(p.a0, shifted.real, -shifted.imag)
-
-
 def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     """||p||_q: exact at q = 1, q = 2 and even integer q, else Gauss-Jacobi
     panels between the zeros (1 < q < 2, dense zeros) or rectangle-rule
@@ -275,12 +269,12 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     kink, so the oversampling is 16 for q < 2, which leaves the doubling
     budget room to converge, and 2 above, where the first grid has at least
     twice the 2 * degree nodes that resolve p.  Doubling an m-node grid adds
-    the m midpoints pi/m + 2 pi j/m, which are the m nodes of p(t + pi/m),
-    whose harmonics are those of p rotated by e^{ik pi/m}; their sum is
-    added to the m-node sum, so no node is sampled twice.  A grid of more
-    than _COSET_NODES nodes is summed coset batch by batch (_power_sum),
-    which moves the value by rounding only and holds O(degree +
-    _COSET_NODES) values, not the grid.
+    the m midpoints pi/m + 2 pi j/m, which are the m nodes of
+    trig.shifted(p, pi/m), whose harmonics are those of p rotated by
+    e^{ik pi/m}; their sum is added to the m-node sum, so no node is
+    sampled twice.  A grid of more than _COSET_NODES nodes is summed coset
+    batch by batch (_power_sum), which moves the value by rounding only
+    and holds O(degree + _COSET_NODES) values, not the grid.
     """
     q = req.q
     if q == 1.0:
@@ -297,9 +291,8 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     m = max(_MIN_NODES, oversample * _next_pow2(2 * p.degree))
     total = _power_sum(p, q, m)
     prev = (TWO_PI / m * total) ** (1.0 / q)
-    coef = p.a - 1j * p.b
     for _ in range(_MAX_DOUBLINGS):
-        total += _power_sum(_midpoints(p, coef, m), q, m)
+        total += _power_sum(shifted(p, math.pi / m), q, m)
         m *= 2
         curr = (TWO_PI / m * total) ** (1.0 / q)
         # Absolute stop for O(1) norms; proportional above that, since an

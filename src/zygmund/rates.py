@@ -44,7 +44,7 @@ from .decay import (
 )
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
 from .norms import NormRequest, best_approx, l1_norm, lq_norm
-from .trig import TrigPoly, convolve, deviation, phased_poly
+from .trig import TrigPoly, convolve, deviation, kernel_poly
 from .witness import WitnessConfig, WitnessResult, build_witness
 
 __all__ = [
@@ -147,7 +147,7 @@ def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> floa
 
     Splits the deviation kernel into the head, the deviation of the kernel's
     harmonics k < n, and the coefficient tail from n on, which the deviation
-    leaves unchanged; the majorant is
+    leaves unchanged, both built by trig.kernel_poly; the majorant is
 
         (1/pi) * ||head||_q  +  (1/pi) * ||tail||_q,
 
@@ -165,16 +165,10 @@ def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> floa
             stacklevel=2,
         )
     req = NormRequest(q=method.q, tolerance=1.0e-8)
-    head_term = 0.0
-    if n > 1:
-        k = np.arange(1, n, dtype=float)
-        head = deviation(phased_poly(np.asarray(psi(k), dtype=float), method.beta), n, method.s)
-        head_term = lq_norm(head, req) / math.pi
+    head_term = lq_norm(deviation(kernel_poly(psi, method.beta, n - 1), n, method.s), req) / math.pi
 
     def majorant(length: int) -> float:
-        k = np.arange(n, length + 1, dtype=float)
-        tail = phased_poly(np.asarray(psi(k), dtype=float), method.beta, first_k=n)
-        return head_term + lq_norm(tail, req) / math.pi
+        return head_term + lq_norm(kernel_poly(psi, method.beta, length, n), req) / math.pi
 
     length = max(4 * n, 64)
     prev = majorant(length)

@@ -10,6 +10,8 @@ coefficient manipulations on it.  Convolving a polynomial phi with the
 kernel Psi_beta of a profile psi reads psi(1..degree of phi) and the phase
 beta*pi/2 and nothing else, so `convolve` and its inverse
 `psi_beta_derivative` take (psi, beta) and need no kernel length.
+`kernel_poly` builds harmonics first_k..last_k of Psi_beta itself, and
+`shifted` gives p(t + h), which rotates harmonic k by e^{ikh}.
 
 `sample` evaluates p on M uniform nodes by one inverse FFT and returns a
 fresh array that the caller owns; `from_samples` reads such an array back
@@ -33,6 +35,8 @@ __all__ = [
     "TrigPoly",
     "vallee_poussin",
     "phased_poly",
+    "kernel_poly",
+    "shifted",
     "convolve",
     "psi_beta_derivative",
     "zygmund_sum",
@@ -122,6 +126,12 @@ class TrigPoly:
 
     def __neg__(self) -> "TrigPoly":
         return self * -1.0
+
+
+def shifted(p: TrigPoly, h: float) -> TrigPoly:
+    """p(t + h): harmonic k of p, written a_k - i b_k, rotated by e^{ikh}."""
+    rotated = (p.a - 1j * p.b) * np.exp(1j * h * np.arange(1, p.degree + 1))
+    return TrigPoly(p.a0, rotated.real, -rotated.imag)
 
 
 def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +261,12 @@ def phased_poly(amp: np.ndarray, beta: float, first_k: int = 1) -> TrigPoly:
     a[first_k - 1 :] = amp * math.cos(phase)
     b[first_k - 1 :] = amp * math.sin(phase)
     return TrigPoly(0.0, a, b)
+
+
+def kernel_poly(psi: PsiFunction, beta: float, last_k: int, first_k: int = 1) -> TrigPoly:
+    """psi(k) cos(kt - beta*pi/2) for k = first_k..last_k: those harmonics
+    of the kernel Psi_beta, as a TrigPoly with zeros below first_k."""
+    return phased_poly(psi(np.arange(first_k, last_k + 1, dtype=float)), beta, first_k)
 
 
 def _kernel_harmonics(psi: PsiFunction, beta: float, degree: int) -> tuple[np.ndarray, float, float]:

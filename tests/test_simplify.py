@@ -1,4 +1,5 @@
-"""Seams shared across modules: the phase-rotation builder, one regime
+"""Seams shared across modules: the phase-rotation builder, the kernel
+builder and the shift, the majorant's empty head, one regime
 classification per experiment, one rate law, whose regime split is the
 Weyl–Nagy case split of the pure powers, public names that resolve, no
 module-level import that its module never reads, no config field that the
@@ -10,6 +11,7 @@ import dataclasses
 import importlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,9 @@ from zygmund.rates import (
     best_vs_method_experiment,
     ratio_experiment,
     theoretical_rate,
+    upper_bound_estimate,
 )
-from zygmund.trig import TrigPoly, phased_poly
+from zygmund.trig import TrigPoly, kernel_poly, phased_poly, shifted
 
 SRC = Path(zygmund.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,6 +115,61 @@ class TestPhasedPoly:
     def test_rejects_first_k_below_one(self):
         with pytest.raises(ParameterError):
             phased_poly(np.ones(3), 0.0, first_k=0)
+
+
+class TestKernelPoly:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("first,last", [(1, 0), (1, 7), (8, 64)])
+    def test_is_phased_poly_of_psi_bitwise(self, first, last, beta):
+        psi = Power(1.0)
+        p = kernel_poly(psi, beta, last, first)
+        want = phased_poly(psi(np.arange(first, last + 1.0)), beta, first)
+        assert p.degree == want.degree == last and p.a0 == want.a0 == 0.0
+        assert np.array_equal(p.a, want.a) and np.array_equal(p.b, want.b)
+
+
+class TestShifted:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_are_those_at_shifted_points(self, seed):
+        rng = np.random.default_rng(seed)
+        p = TrigPoly(rng.standard_normal(), rng.standard_normal(25), rng.standard_normal(25))
+        h = rng.uniform(-10.0, 10.0)
+        t = rng.uniform(0.0, 2.0 * math.pi, 50)
+        np.testing.assert_allclose(shifted(p, h)(t), p(t + h), rtol=0.0, atol=1.0e-12)
+
+    @pytest.mark.parametrize("degree,m", [(1, 512), (100, 512), (20000, 1 << 17)])
+    def test_midpoint_shift_bitwise(self, degree, m):
+        # the expression lq_norm's doubling built its midpoints with
+        rng = np.random.default_rng(degree)
+        p = TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
+        rotated = (p.a - 1j * p.b) * np.exp(1j * math.pi / m * np.arange(1, p.degree + 1))
+        got = shifted(p, math.pi / m)
+        assert got.a0 == p.a0
+        assert np.array_equal(got.a, rotated.real) and np.array_equal(got.b, -rotated.imag)
+
+
+class TestMajorantKernel:
+    @pytest.mark.parametrize(
+        "q,value",
+        [(1.5, 0.8271067246378819), (3.0, 0.7419979980502153), (4.0, 0.8386955747750753)],
+    )
+    def test_empty_head_at_n_1(self, q, value):
+        # n = 1 leaves no harmonic below n: the head is the zero polynomial
+        majorant = upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=q), 1)
+        assert majorant == pytest.approx(value, rel=1e-9)
+
+    def test_peak_memory_at_q_3(self):
+        # The tails reach degree 2^17.  Each doubling of their norms builds
+        # one shift of the tail and holds no other degree-sized complex array.
+        method = MethodParams(s=1.0, q=3.0)
+        upper_bound_estimate(Power(1.0), method, 4)  # first-call allocations
+        tracemalloc.start()
+        try:
+            upper_bound_estimate(Power(1.0), method, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5e6
 
 
 class TestWeylNagyCase:
