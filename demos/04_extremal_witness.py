@@ -19,6 +19,7 @@ from zygmund import (
     calibrate_alpha0,
     l1_norm,
     lq_norm,
+    theoretical_rate,
 )
 
 n = 16
@@ -41,7 +42,7 @@ print(f"  I / ||dual||_q'      = {res.pairing / dual_norm:.8f}   (certified lowe
 print(f"  measured ||f - Zf||_q = {res.deviation:.8f}")
 print(f"  certified <= measured: {res.lower_bound <= res.deviation}\n")
 
-rate = Power(1.0)(float(n)) * n**0.5
+rate = theoretical_rate(cfg.psi, cfg.method, n)
 print("the certified lower bound vs the rate law:")
 print(f"  I / ||dual||_q'        = {res.lower_bound:.8f}")
 print(f"  rate psi(n)*n**(1-1/q) = {rate:.8f}")

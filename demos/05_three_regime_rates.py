@@ -14,6 +14,7 @@ from zygmund import (
     PowerLog,
     loglog_slope,
     ratio_experiment,
+    theoretical_rate,
     upper_bound_estimate,
 )
 
@@ -37,8 +38,10 @@ for label, psi, band_limit in cases:
     print(f"  spread {report.spread:.3f} vs limit {band_limit}  ->  "
           f"{'BANDED' if report.verdict else 'NOT BANDED'};  log-log slope {slope:+.3f}\n")
 
-print("the two-norm majorant brackets the class deviation from above and stays")
-print("banded against the rate in the growing regime:")
+print("the two-norm majorant bounds the deviation of every unit-ball source of degree")
+print("up to its final tail length (the 0.1% stop that picks that length is a")
+print("heuristic) and stays banded against the rate in the growing regime:")
 for n in (8, 32, 128):
     majorant = upper_bound_estimate(Power(1.0), method, n)
-    print(f"  n={n:>4}: majorant={majorant:.6f}, majorant/rate={majorant / n**-0.5:.4f}")
+    rate = theoretical_rate(Power(1.0), method, n)
+    print(f"  n={n:>4}: majorant={majorant:.6f}, majorant/rate={majorant / rate:.4f}")

@@ -199,9 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the experiment config file")
         sp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
         sp.add_argument("--seed", type=int, help="ignored; perfbench/run.py passes it to every command")
-        sp.add_argument(
-            "--band-limit", type=float, default=None, help="ratio band limit (overrides band_limit)"
-        )
+        if name in ("rate-check", "table-vnad", "best-approx"):
+            sp.add_argument("--band-limit", type=float, help="ratio band limit (overrides band_limit)")
         if name == "witness":
             sp.add_argument("--n", type=int, required=True, help="polynomial order of the witness")
     return parser
@@ -211,10 +210,11 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     updates = {}
     if args.out is not None:
         updates["output_dir"] = Path(args.out)
-    if args.band_limit is not None:
-        if not (args.band_limit > 1.0):
+    band_limit = getattr(args, "band_limit", None)
+    if band_limit is not None:
+        if not (band_limit > 1.0):
             raise ConfigError("band_limit", "must exceed 1")
-        updates["band_limit"] = args.band_limit
+        updates["band_limit"] = band_limit
     if not updates:
         return cfg
     from dataclasses import replace

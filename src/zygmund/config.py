@@ -51,7 +51,7 @@ _KNOWN_KEYS = {
     "r_list",
 }
 
-_LOG_FAMILIES = {"power_log", "power_inv_log", "power_log_log"}
+_LOG_FAMILIES = {"power_log": PowerLog, "power_inv_log": PowerInvLog, "power_log_log": PowerLogLog}
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,7 @@ def build_psi(family: str, r: float, alpha: Optional[float], c: Optional[float])
                 raise ConfigError("psi.alpha", f"required for family '{name}'")
             if c is None:
                 raise ConfigError("psi.c", f"required for family '{name}'")
-            cls = {
-                "power_log": PowerLog,
-                "power_inv_log": PowerInvLog,
-                "power_log_log": PowerLogLog,
-            }[name]
-            return cls(r=r, alpha=alpha, c=c)
+            return _LOG_FAMILIES[name](r=r, alpha=alpha, c=c)
     except ParameterError as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -26,10 +26,10 @@ as the q' < 2 dual norms of the witness do), |p|^q is integrated between
 consecutive sign changes z_i, z_{i+1} of `sign_changes`.  There it is
 ((t - z_i)(z_{i+1} - t))^q times a smooth function, which the Gauss-Jacobi
 rule for that weight integrates spectrally; its nodes and weights come from
-the Golub-Welsch eigenproblem (Math. Comp. 23, 1969), cached per (K, q),
-and the values at the nodes from `trig._jet`.  The rules on K = 8 and 2K
-nodes per panel must agree to the tolerance, or the norm falls back to the
-doubling below, as it does for a double zero inside a panel.
+the Golub-Welsch eigenproblem (Math. Comp. 23, 1969), and the values at the
+nodes from `trig._jet`.  The rules on K = 8 and 2K nodes per panel must
+agree to the tolerance, or the norm falls back to the doubling below, as it
+does for a double zero inside a panel.
 
 Every other case, and a p with sparse zeros (whose screen for sign changes
 would cost more than the doubling), uses the rectangle rule on uniform
@@ -54,7 +54,6 @@ the Hermitian Toeplitz normal equations built from one FFT of the weights.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -62,7 +61,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample, shifted
+from .trig import TWO_PI, TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample, shifted
 
 __all__ = [
     "NormRequest",
@@ -73,8 +72,6 @@ __all__ = [
     "BestApproxResult",
     "best_approx",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 _MAX_DOUBLINGS = 12
 # Fewest nodes on the first grid of the other-q doubling and on the IRLS grid.
@@ -317,7 +314,6 @@ def _dense_zeros(p: TrigPoly) -> bool:
     return changes >= _PANEL_DENSITY * p.degree
 
 
-@functools.lru_cache(maxsize=16)
 def _gauss_jacobi(k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_j of the k-point Gauss rule for the weight (1 - x^2)^q on
     [-1, 1], and its weights divided by (1 - x_j^2)^q, so that
@@ -336,9 +332,6 @@ def _gauss_jacobi(k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     mu0 = math.exp(0.5 * math.log(math.pi) + math.lgamma(q + 1.0) - math.lgamma(q + 1.5))
     weights = mu0 * vectors[0] ** 2 / (1.0 - nodes**2) ** q
-    # Cached and shared by every caller.
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
     return nodes, weights
 
 

@@ -61,10 +61,10 @@ __all__ = [
 ]
 
 
-@functools.cache
 def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 32-point rule on [-1, 1], built on first use:
-    importing numpy.polynomial would add to every command's start-up."""
+    """Nodes and weights of the 32-point rule on [-1, 1], with
+    numpy.polynomial imported here: at module level it would add to every
+    command's start-up."""
     from numpy.polynomial.legendre import leggauss
 
     return leggauss(32)
@@ -143,7 +143,7 @@ def theoretical_rate(psi: PsiFunction, method: MethodParams, n: int) -> float:
 
 
 def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> float:
-    """Two-norm majorant dominating every deviation generated by unit-ball sources.
+    """Two-norm majorant of the deviations of L_1 unit-ball sources.
 
     Splits the deviation kernel into the head, the deviation of the kernel's
     harmonics k < n, and the coefficient tail from n on, which the deviation
@@ -151,10 +151,11 @@ def upper_bound_estimate(psi: PsiFunction, method: MethodParams, n: int) -> floa
 
         (1/pi) * ||head||_q  +  (1/pi) * ||tail||_q,
 
-    with the tail truncated at a length that is doubled until the majorant
-    value stabilizes to 0.1% (the truncated majorant already dominates every
-    source of degree within the truncation, so stabilization only sharpens
-    the reported number).
+    with the tail truncated at a length that is doubled until the value
+    moves by less than 0.1%.  The value dominates the deviation of every
+    unit-ball source of degree at most the final length; the stop is a
+    heuristic, and past it the untruncated majorant still rises by
+    0.05-0.12% at q in {1.5, 3, 4} (ROADMAP item 1).
     """
     if n < 1:
         raise ParameterError("upper_bound_estimate: requires n >= 1")

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from oracles import read_trig_poly_csv
-from zygmund import witness
+from zygmund import cli, witness
 from zygmund.cli import main, trig_poly_csv
 from zygmund.config import build_psi, parse_config
 from zygmund.decay import Power, PowerLog
@@ -309,6 +309,18 @@ class TestCli:
     def test_band_limit_override_must_exceed_one(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
         assert main(["rate-check", "--config", str(path), "--band-limit", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [["classify"], ["witness", "--n", "8"]])
+    def test_band_limit_rejected_where_no_band_is_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", GROWING, "--band-limit", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --band-limit 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rate-check", "table-vnad", "best-approx"])
+    def test_band_limit_taken_where_a_band_is_read(self, command):
+        args = cli._build_parser().parse_args([command, "--config", GROWING, "--band-limit", "2"])
+        assert cli._apply_overrides(parse_config(GROWING), args).band_limit == 2.0
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["classify", "--config", str(tmp_path / "nope.cfg")]) == 2

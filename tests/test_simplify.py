@@ -3,8 +3,9 @@ builder and the shift, the majorant's empty head, one regime
 classification per experiment, one rate law, whose regime split is the
 Weyl–Nagy case split of the pure powers, public names that resolve, no
 module-level import that its module never reads, no config field that the
-CLI never reads, a rate report that stores only what it was given, and no
-public name that only tests read."""
+CLI never reads, a rate report that stores only what it was given, no
+public name that only tests read, and no module-level name assigned in two
+modules."""
 
 import ast
 import dataclasses
@@ -305,3 +306,32 @@ def test_every_public_name_has_a_caller():
         # dunders such as __version__ are metadata, not API with callers
         public |= {name for name in getattr(module, "__all__", ()) if not name.startswith("__")}
     assert sorted(public - reads - UNCALLED_BY_DESIGN) == []
+
+
+def module_level_assignments(source):
+    """Names bound by top-level assignments of a module, `__all__` aside."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id != "__all__":
+                names.add(target.id)
+    return names
+
+
+def test_assignment_scan_sees_plain_and_annotated_names():
+    source = "__all__ = ['f']\nA = B = 1\nC: int = 2\ndef f():\n    D = 3\nfor E in ():\n    pass\n"
+    assert module_level_assignments(source) == {"A", "B", "C"}
+
+
+def test_no_module_level_name_assigned_in_two_modules():
+    seen = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in module_level_assignments(path.read_text(encoding="utf-8")):
+            seen.setdefault(name, []).append(path.name)
+    assert {name: files for name, files in seen.items() if len(files) > 1} == {}
