@@ -4,7 +4,8 @@ Subcommands: classify, rate-check, witness, table-vnad, best-approx.  Every
 command reads a flat key-value config (see `zygmund.config`), writes CSV
 files into the output directory, and exits 0 only when all verdicts pass and
 no validation error occurred.  Outputs are deterministic: identical configs
-give byte-identical files.  No command draws random numbers, so a config has
+give byte-identical files at a fixed BLAS thread count (another count can
+move the last digits of a few values).  No command draws random numbers, so a config has
 no `seed` key; `--seed` is accepted and ignored, because perfbench/run.py
 passes it to every command.
 

@@ -4,14 +4,16 @@ Everything here works on the finite cosine/sine coefficient form
 
     p(t) = a0/2 + sum_{k=1}^{d} (a_k cos kt + b_k sin kt),
 
-which is the universal computational object of the library: convolution
-kernels, Zygmund and Fejér means, and the deviation f - Z(f) are all exact
-coefficient manipulations on it.  Convolving a polynomial phi with the
-kernel Psi_beta of a profile psi reads psi(1..degree of phi) and the phase
-beta*pi/2 and nothing else, so `convolve` and its inverse
-`psi_beta_derivative` take (psi, beta) and need no kernel length.
-`kernel_poly` builds harmonics first_k..last_k of Psi_beta itself, and
-`shifted` gives p(t + h), which rotates harmonic k by e^{ikh}.
+which is the universal computational object of the library.  Every
+operator on it is a Fourier multiplier: it multiplies harmonic k, written
+c_k = a_k - i b_k (`_harmonics`), by a number m_k, and `_times(p, m)` is
+that product.  Convolution with the kernel Psi_beta of a profile psi,
+whose harmonics first_k..last_k `kernel_poly` builds, multiplies by
+psi(k) e^{-i beta pi/2}, so `convolve` reads psi(1..degree of phi) and
+nothing else, and `psi_beta_derivative` divides by it.  d/dt multiplies
+by ik (`_derivative`), the shift p(t + h) (`shifted`) by e^{ikh}, and the
+Zygmund sum and its deviation f - Z(f) by the real 1 - (k/n)^s and
+min(k/n, 1)^s.
 
 `sample` evaluates p on M uniform nodes by one inverse FFT and returns a
 fresh array that the caller owns; `from_samples` reads such an array back
@@ -128,20 +130,29 @@ class TrigPoly:
         return self * -1.0
 
 
+def _harmonics(p: TrigPoly) -> np.ndarray:
+    """The complex coefficients c_k = a_k - i b_k of p, k = 1..degree."""
+    return p.a - 1j * p.b
+
+
+def _times(p: TrigPoly, multiplier: np.ndarray) -> TrigPoly:
+    """The zero-mean polynomial whose harmonic k is p's times multiplier[k - 1]."""
+    c = _harmonics(p) * multiplier
+    return TrigPoly(0.0, c.real, -c.imag)
+
+
 def shifted(p: TrigPoly, h: float) -> TrigPoly:
-    """p(t + h): harmonic k of p, written a_k - i b_k, rotated by e^{ikh}."""
-    rotated = (p.a - 1j * p.b) * np.exp(1j * h * np.arange(1, p.degree + 1))
+    """p(t + h): harmonic k of p, a_k - i b_k, rotated by e^{ikh}."""
+    rotated = _harmonics(p) * np.exp(1j * h * np.arange(1, p.degree + 1))
     return TrigPoly(p.a0, rotated.real, -rotated.imag)
 
 
 def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine coefficients of the derivative of p of the given
-    order; order -1 gives those of the antiderivative less a0 t/2."""
-    k = np.arange(1, p.degree + 1, dtype=float) ** order
-    a, b = k * p.a, k * p.b
-    for _ in range(order % 4):
-        a, b = b, -a
-    return a, b
+    order, harmonic k times (ik)^order; order -1 gives those of the
+    antiderivative less a0 t/2."""
+    d = _times(p, np.arange(1, p.degree + 1, dtype=float) ** order * 1j**order)
+    return d.a, d.b
 
 
 def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
@@ -257,49 +268,33 @@ def kernel_poly(psi: PsiFunction, beta: float, last_k: int, first_k: int = 1) ->
     return phased_poly(psi(np.arange(first_k, last_k + 1, dtype=float)), beta, first_k)
 
 
-def _kernel_harmonics(psi: PsiFunction, beta: float, degree: int) -> tuple[np.ndarray, float, float]:
-    """psi(k) for k = 1..degree, and the cosine and sine of the phase beta*pi/2."""
-    k = np.arange(1, degree + 1, dtype=float)
-    phase = beta * math.pi / 2.0
-    return np.asarray(psi(k), dtype=float), math.cos(phase), math.sin(phase)
-
-
 def convolve(psi: PsiFunction, beta: float, phi: TrigPoly) -> TrigPoly:
     """Periodic convolution (1/pi) * integral of Psi_beta(x - t) * phi(t) dt
     with the kernel Psi_beta(t) = sum_k psi(k) cos(kt - beta*pi/2).
 
-    By orthogonality the k-th harmonic of phi, written (alpha_k, gamma_k),
-    maps to psi(k) times the pair rotated by +beta*pi/2:
-
-        a_k = psi(k) * (alpha_k cos(beta*pi/2) - gamma_k sin(beta*pi/2))
-        b_k = psi(k) * (alpha_k sin(beta*pi/2) + gamma_k cos(beta*pi/2))
-
-    so psi(k) is read only for k up to the degree of phi, and no kernel tail
-    enters.  The sign convention is frozen by the quadrature oracle in the
-    test suite (a grid evaluation of the defining integral), so the rotation
-    direction cannot silently flip.
+    By orthogonality it is a Fourier multiplier: harmonic k of phi is
+    multiplied by the kernel's, psi(k) e^{-i beta pi/2}, so psi(k) is read
+    only for k up to the degree of phi, and no kernel tail enters.  The sign
+    convention is frozen by the quadrature oracle in the test suite (a grid
+    evaluation of the defining integral), so the rotation direction cannot
+    silently flip.
     """
     if phi.a0 != 0.0:
         raise ParameterError("convolve: phi must have zero mean (a0 = 0)")
-    psi_k, c, s = _kernel_harmonics(psi, beta, phi.degree)
-    a = psi_k * (phi.a * c - phi.b * s)
-    b = psi_k * (phi.a * s + phi.b * c)
-    return TrigPoly(0.0, a, b)
+    return _times(phi, _harmonics(kernel_poly(psi, beta, phi.degree)))
 
 
 def psi_beta_derivative(f: TrigPoly, psi: PsiFunction, beta: float) -> TrigPoly:
     """Inverse of `convolve` on the zero-mean part of f.
 
-    Divides each harmonic by psi(k) and rotates the phase back; the constant
-    term of f is not part of the convolution and is dropped (callers carry
-    a0 separately).  Raises when a needed psi(k) underflows.
+    Divides each harmonic by the kernel's, psi(k) e^{-i beta pi/2}; the
+    constant term of f is not part of the convolution and is dropped
+    (callers carry a0 separately).  Raises when a needed psi(k) underflows.
     """
-    psi_k, c, s = _kernel_harmonics(psi, beta, f.degree)
-    if np.any(psi_k < 1.0e-300):
+    kernel = _harmonics(kernel_poly(psi, beta, f.degree))
+    if np.any(np.abs(kernel) < 1.0e-300):
         raise IllPosedError("psi_beta_derivative: psi(k) underflow, inversion ill-posed")
-    alpha = (f.a * c + f.b * s) / psi_k
-    gamma = (-f.a * s + f.b * c) / psi_k
-    return TrigPoly(0.0, alpha, gamma)
+    return _times(f, 1.0 / kernel)
 
 
 # ---------------------------------------------------------------------------

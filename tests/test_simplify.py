@@ -1,5 +1,6 @@
 """Seams shared across modules: the phase-rotation builder, the kernel
-builder and the shift, the majorant's empty head, one regime
+builder that convolution and its inverse read, the derivative as a Fourier
+multiplier, the shift, the majorant's empty head, one regime
 classification per experiment, one rate law, whose regime split is the
 Weyl–Nagy case split of the pure powers, public names that resolve, no
 module-level import that its module never reads, no config field that the
@@ -21,8 +22,9 @@ import pytest
 import zygmund
 import zygmund.cli
 import zygmund.rates
+import zygmund.trig
 from zygmund.config import ExperimentConfig
-from zygmund.decay import MethodParams, Power, Regime, classify_regime
+from zygmund.decay import MethodParams, Power, PowerLog, Regime, classify_regime
 from zygmund.errors import ParameterError
 from zygmund.rates import (
     best_vs_method_experiment,
@@ -30,7 +32,15 @@ from zygmund.rates import (
     theoretical_rate,
     upper_bound_estimate,
 )
-from zygmund.trig import TrigPoly, kernel_poly, phased_poly, shifted
+from zygmund.trig import (
+    TrigPoly,
+    _derivative,
+    convolve,
+    kernel_poly,
+    phased_poly,
+    psi_beta_derivative,
+    shifted,
+)
 
 SRC = Path(zygmund.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +137,71 @@ class TestKernelPoly:
         want = phased_poly(psi(np.arange(first, last + 1.0)), beta, first)
         assert p.degree == want.degree == last and p.a0 == want.a0 == 0.0
         assert np.array_equal(p.a, want.a) and np.array_equal(p.b, want.b)
+
+
+def rotation_convolve(psi, beta, phi):
+    # the hand-written rotation convolve was once built with
+    psi_k = np.asarray(psi(np.arange(1, phi.degree + 1, dtype=float)), dtype=float)
+    c, s = math.cos(beta * math.pi / 2.0), math.sin(beta * math.pi / 2.0)
+    return psi_k * (phi.a * c - phi.b * s), psi_k * (phi.a * s + phi.b * c)
+
+
+CONVOLVE_PROFILES = [Power(1.0), Power(2.5), PowerLog(1.5, 1, 60)]
+
+
+class TestConvolutionMultiplier:
+    def test_convolution_pair_reads_kernel_poly(self, monkeypatch):
+        calls = []
+
+        def spy(psi, beta, last_k, first_k=1):
+            calls.append((beta, last_k, first_k))
+            return kernel_poly(psi, beta, last_k, first_k)
+
+        monkeypatch.setattr(zygmund.trig, "kernel_poly", spy)
+        phi = TrigPoly(0.0, [1.0, -2.0, 0.5], [0.25, 1.0, -1.0])
+        f = convolve(Power(1.0), 0.7, phi)
+        assert calls == [(0.7, 3, 1)]
+        psi_beta_derivative(f, Power(1.0), 0.7)
+        assert calls == [(0.7, 3, 1)] * 2
+        assert not hasattr(zygmund.trig, "_kernel_harmonics")
+
+    @pytest.mark.parametrize("psi", CONVOLVE_PROFILES, ids=repr)
+    @pytest.mark.parametrize("degree", [1, 64, 2047])
+    def test_rotation_formula_bitwise_at_beta_0(self, psi, degree):
+        rng = np.random.default_rng(degree)
+        phi = TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
+        a, b = rotation_convolve(psi, 0.0, phi)
+        f = convolve(psi, 0.0, phi)
+        assert f.a0 == 0.0 and np.array_equal(f.a, a) and np.array_equal(f.b, b)
+
+    @pytest.mark.parametrize("psi", CONVOLVE_PROFILES, ids=repr)
+    @pytest.mark.parametrize("degree", [1, 64, 2047])
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 1.0, 3.0])
+    def test_rotation_formula_at_other_beta(self, psi, degree, beta):
+        # Relative to the largest coefficient: where the rotation cancels,
+        # one coefficient's relative gap can reach 1e-13.
+        rng = np.random.default_rng(degree)
+        phi = TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
+        a, b = rotation_convolve(psi, beta, phi)
+        f = convolve(psi, beta, phi)
+        scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+        gap = max(np.max(np.abs(f.a - a)), np.max(np.abs(f.b - b)))
+        assert gap <= 1.0e-15 * scale
+
+
+class TestDerivativeMultiplier:
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 7, 4096])
+    def test_swap_loop_formula(self, order, degree):
+        # the swap loop _derivative was once built with
+        rng = np.random.default_rng(degree)
+        p = TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
+        k = np.arange(1, degree + 1, dtype=float) ** order
+        a, b = k * p.a, k * p.b
+        for _ in range(order % 4):
+            a, b = b, -a
+        got_a, got_b = _derivative(p, order)
+        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
 
 
 class TestShifted:
