@@ -325,7 +325,8 @@ def _gauss_jacobi(k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal entries are sqrt(j (j + 2q) / ((2j + 2q)^2 - 1)), and each
     weight is mu0 times the squared first component of its unit
     eigenvector, with mu0 = sqrt(pi) Gamma(q + 1) / Gamma(q + 3/2) the
-    integral of the weight.
+    integral of the weight.  At q = 0 this is the Gauss-Legendre rule, which
+    rates.panel_integral reads.
     """
     j = np.arange(1, k, dtype=float)
     off = np.sqrt(j * (j + 2.0 * q) / ((2.0 * j + 2.0 * q) ** 2 - 1.0))

@@ -18,13 +18,15 @@ same law through the private `_rate`.
 The Weyl–Nagy profiles psi(t) = t**(-r) are `Power(r)`, whose three cases
 are the three regimes, so `table-vnad` reads its case from
 `RateReport.regime`.  The critical law's integral is taken by
-`panel_integral`, the library's one profile quadrature.
+`panel_integral`, the library's one profile quadrature, on the Gauss rule
+that norms._gauss_jacobi builds for the q' < 2 dual norms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -43,8 +45,8 @@ from .decay import (
     reciprocal_convexity,
 )
 from .errors import ConvergenceError, ParameterError, RegimeMismatchError
-from .norms import NormRequest, best_approx, l1_norm, lq_norm
-from .trig import TrigPoly, convolve, deviation, kernel_poly
+from .norms import NormRequest, _gauss_jacobi, best_approx, l1_norm, lq_norm
+from .trig import TWO_PI, TrigPoly, convolve, deviation, kernel_poly
 from .witness import WitnessConfig, WitnessResult, build_witness
 
 __all__ = [
@@ -61,24 +63,16 @@ __all__ = [
 ]
 
 
-def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 32-point rule on [-1, 1], with
-    numpy.polynomial imported here: at module level it would add to every
-    command's start-up."""
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(32)
-
-
 def panel_integral(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
     """Integral of exp(log_f(x)) over [edges[0], edges[-1]].
 
-    A 32-point Gauss-Legendre rule runs on every panel between consecutive
-    edges, and every panel is halved until two sums agree to 1e-13
-    relative; log_f takes an array of nodes.  Raises ConvergenceError when
-    the sums still differ at 2**15 panels.
+    A 32-point Gauss-Legendre rule, norms._gauss_jacobi at weight exponent
+    0, runs on every panel between consecutive edges, and every panel is
+    halved until two sums agree to 1e-13 relative; log_f takes an array of
+    nodes.  Raises ConvergenceError when the sums still differ at 2**15
+    panels.
     """
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _gauss_jacobi(32, 0.0)
     edges = np.asarray(edges, dtype=float)
     prev = math.nan
     while edges.size - 1 <= 2**15:
@@ -102,9 +96,9 @@ def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
     Pure powers are integrated analytically (the boundary case is exactly
     log n).  Other profiles are integrated in u = log t, where the integrand
     is exp(q*log(psi(e**u)) + q*gamma*u), gamma = s + 1/q', by
-    panel_integral: a 32-point Gauss-Legendre rule on panels halved, from
-    the one panel [0, log n], until two sums agree to 1e-13 relative, else
-    ConvergenceError.
+    panel_integral: the 32-point Gauss-Legendre rule of _gauss_jacobi on
+    panels halved, from the one panel [0, log n], until two sums agree to
+    1e-13 relative, else ConvergenceError.
     """
     if n < 2:
         raise ParameterError("critical_integral: requires n >= 2")
@@ -188,14 +182,18 @@ UNIT_BALL_DEGREE = 64
 @functools.lru_cache(maxsize=16)
 def unit_ball_sources(count: int, seed: int) -> tuple[TrigPoly, ...]:
     """Seeded random zero-mean polynomials of degree UNIT_BALL_DEGREE, each
-    scaled to unit L_1 norm (exact up to rounding).
+    scaled to unit L_1 norm (exact up to rounding), built once per (count,
+    seed) and cached, since unit_ball_deviations asks for them at every n.
 
-    The immutable sources are built once per (count, seed) and cached, since
-    unit_ball_deviations asks for the same sources at every order n."""
-    rng = np.random.default_rng(seed)
+    Box-Muller maps uniforms u1 = 1 - random() > 0 and u2 of the stdlib's
+    random.Random(seed), a stream Python keeps across versions, to each
+    harmonic's normals a_k and b_k; numpy.random would add 6 MB of imports."""
+    rng = random.Random(seed)
     sources = []
     for _ in range(count):
-        phi = TrigPoly(0.0, rng.standard_normal(UNIT_BALL_DEGREE), rng.standard_normal(UNIT_BALL_DEGREE))
+        u = np.array([rng.random() for _ in range(2 * UNIT_BALL_DEGREE)]).reshape(2, -1)
+        radius, angle = np.sqrt(-2.0 * np.log(1.0 - u[0])), TWO_PI * u[1]
+        phi = TrigPoly(0.0, radius * np.cos(angle), radius * np.sin(angle))
         sources.append((1.0 / l1_norm(phi)) * phi)
     return tuple(sources)
 

@@ -112,16 +112,20 @@ class TestMajorantCalls:
 
 
 def test_power_paths_do_not_import_scipy():
+    # Nor numpy.random (the unit-ball sources draw from the stdlib's random)
+    # or numpy.polynomial (panel_integral's rule is _gauss_jacobi at 0).
     code = "\n".join(
         [
             "import sys",
-            "from zygmund import MethodParams, Power, ratio_experiment",
+            "from zygmund import MethodParams, Power, PowerLog, critical_integral, ratio_experiment",
             "from zygmund import unit_ball_deviations, upper_bound_estimate",
             "upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=3.0), 16)",
             "upper_bound_estimate(Power(2.0), MethodParams(s=1.0, q=3.0), 16)",
             "unit_ball_deviations(Power(1.0), MethodParams(s=1.0, q=3.0), 16, 2, 1)",
             "ratio_experiment(Power(1.0), MethodParams(s=1.0, q=2.0), [8, 16, 32, 64, 128])",
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+            "critical_integral(PowerLog(1.5, 1.0, 60.0), MethodParams(s=1.0, q=2.0), 64)",
+            "for name in ('scipy', 'numpy.random', 'numpy.polynomial'):",
+            "    assert name not in sys.modules, sorted(m for m in sys.modules if m.startswith(name))",
         ]
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

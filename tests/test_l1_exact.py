@@ -11,6 +11,9 @@ l1_norm.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -287,6 +290,26 @@ class TestUnitBallSources:
         again = unit_ball_sources(5, seed=5)[:3]
         for p, q in zip(first, again):
             assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
+
+    def test_sources_do_not_depend_on_the_hash_seed(self):
+        code = (
+            "from zygmund.rates import unit_ball_sources\n"
+            "for p in unit_ball_sources(3, 5):\n"
+            "    print(*map(float.hex, p.a), *map(float.hex, p.b))"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 3
 
     def test_sources_are_normalized_once_per_count_and_seed(self, monkeypatch):
         # unit_ball_deviations asks for the same sources at every order n.
