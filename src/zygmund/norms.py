@@ -36,14 +36,15 @@ would cost more than the doubling), uses the rectangle rule on uniform
 nodes, which is spectrally accurate for smooth periodic integrands and
 merely convergent here, so convergence is confirmed by grid doubling rather
 than assumed.  The first grid is a fixed multiple of the first power of two
->= 2 * degree, and each doubling of an m-node grid samples only the new
-midpoints, the nodes of `trig.shifted(p, pi/m)`, and adds their sum to the
-one already taken.  Every grid of the rule is summed by one reduction,
-`_power_sum`: a grid of at most _COSET_NODES nodes is one `trig.sample`,
-and a larger one is covered by interleaved inverse FFTs of at most
-_COSET_NODES nodes (cosets), onto which a spectrum of higher degree is
-folded, and whose batches are reduced as they are made, so that a power sum
-holds O(degree + _COSET_NODES) values whatever the grid.  lq_norm reads the
+>= 2 * degree, and each doubling of an m-node grid sums only its m new
+midpoints 2 pi (j + 1/2)/m, the grid at offset 1/2, and adds that to the
+sum already taken.  Every grid is summed by one reduction, `_power_sum`:
+one inverse FFT up to _COSET_NODES nodes, else interleaved inverse FFTs of
+at most _COSET_NODES nodes (cosets), reduced as they are made, onto which a
+spectrum of higher degree is folded from views of p's coefficients; an even
+or odd p transforms only the cosets that negation does not map onto
+others.  So a power sum holds O(_COSET_NODES) values beside p whatever the
+grid.  lq_norm reads the
 tolerance of a NormRequest only in the K/2K check and in this doubling, so
 it is unused at q = 1, q = 2 and even integer q.  The doubling's first grid
 and best_approx's IRLS grid have at least _MIN_NODES nodes.
@@ -61,7 +62,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TWO_PI, TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample, shifted
+from .trig import TWO_PI, TrigPoly, _derivative, _half_spectrum, _harmonics, _jet, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -81,11 +82,13 @@ _MIN_NODES = 512
 # covers a larger grid by cosets, inverse FFTs of at most this many nodes
 # each, batched into arrays of at most this many values (and at most m/16,
 # so that a batch's scratch stays a small share of the grid), so that the
-# sum holds O(degree + _COSET_NODES) values whatever the grid.  On a 2-vCPU
-# Xeon with one BLAS thread (medians of repeated q = 3 sums), degree 2^18
-# took 23 ms in 16 folded cosets against 32 ms as one 2^20-node transform,
-# and 49 against 71 ms on 2^21 nodes; two cosets (degree 2^15 on 2^17
-# nodes) took 2.2 times the one transform's 1.9 ms.
+# sum holds O(_COSET_NODES) values beside p whatever the grid.  On a 2-vCPU
+# Xeon with one BLAS thread (medians of 31 interleaved q = 3 sums), a
+# general p of degree 2^18 took 31 ms in 16 folded cosets against 33 ms as
+# one 2^20-node transform, and 63 against 66 ms on 2^21 nodes; a cosine
+# polynomial, which transforms 9 and 17 of those cosets, took 16 and 27 ms,
+# with a tracemalloc peak of 2.5 MiB on 2^20 nodes.  Two cosets (degree
+# 2^15 on 2^17 nodes) took 1.6 to 1.8 times the one transform's 2.3 ms.
 _COSET_NODES = 1 << 16
 
 # 1 < q < 2: a p with at least _PANEL_DENSITY * degree sign changes on
@@ -94,6 +97,7 @@ _COSET_NODES = 1 << 16
 _PANEL_DENSITY = 1.5
 _DENSITY_OVERSAMPLE = 8
 _PANEL_NODES = 8
+_POLISH_STEPS = 2  # Newton steps on the Golub-Welsch nodes of those rules
 
 # q = 1: sign changes are bracketed on about this many nodes per harmonic.
 _ROOT_OVERSAMPLE = 64
@@ -125,94 +129,140 @@ class NormRequest:
             raise ParameterError("NormRequest: tolerance must be positive")
 
 
-def _power_sum(p: TrigPoly, q: float, m: int) -> float:
-    """sum |p(t_j)|^q over the m uniform nodes t_j = 2 pi j/m.
+def _power_sum(p: TrigPoly, q: float, m: int, offset: float = 0.0) -> float:
+    """sum |p(t_j)|^q over the m uniform nodes t_j = 2 pi (j + offset)/m,
+    offset 0 or 1/2.
 
     The grid comes in pieces: one sample when m <= _COSET_NODES, else the
-    batches of _coset_batches.  Each piece is raised to |.|^q in place while
-    it is still in cache and summed, and the piece sums are added pairwise
-    in order, so a coset grid is never held whole.  On one sample the value
-    is np.sum(np.abs(v) ** q), bit for bit.
+    cosets of _coset_batches.  Each piece is raised to |.|^q in place while
+    it is still in cache and summed, and the coset sums are added with
+    their _coset_weights, so a coset grid is never held whole.  On one
+    sample the value is np.sum(np.abs(v) ** q), bit for bit; at offset 1/2
+    v is the sample whose half spectrum is p's rotated by e^{i pi k/m}.
     """
-    pieces = [sample(p, m)] if m <= _COSET_NODES else _coset_batches(p, m)
-    sums = []
-    for piece in pieces:
-        np.abs(piece, out=piece)
-        np.power(piece, q, out=piece)
-        sums.append(np.sum(piece))
-    return _pairwise_total(np.array(sums))
+    if m <= _COSET_NODES:
+        if offset:
+            half = _half_spectrum(p, m)
+            turn = np.exp(1j * (TWO_PI * offset / m) * np.arange(1, p.degree + 1))
+            np.multiply(_harmonics(p) * turn, 0.5 * m, out=half[1:])
+            v = np.fft.irfft(half, n=m)
+        else:
+            v = sample(p, m)
+        np.abs(v, out=v)
+        np.power(v, q, out=v)
+        return float(np.sum(v))
+    weights = _coset_weights(p, m, offset)
+    sums = np.empty(weights.size)
+    c0 = 0
+    for batch in _coset_batches(p, m, offset, weights.size):
+        np.abs(batch, out=batch)
+        np.power(batch, q, out=batch)
+        np.sum(batch, axis=1, out=sums[c0 : c0 + len(batch)])
+        c0 += len(batch)
+    return float(np.sum(weights * sums))
 
 
-def _coset_batches(p: TrigPoly, m: int) -> Iterator[np.ndarray]:
-    """The values of p on m > _COSET_NODES uniform nodes as r = m/n
-    interleaved n-point cosets, n = min(2 L0, _COSET_NODES) with L0 the
-    smallest power of two >= max(2*degree + 2, 16), yielded batch by batch:
-    the batch of cosets c0 .. c0 + B - 1 is an array v with
-    v[b, l] = p(t_{l r + c0 + b}), and the batches come in order of c0.
+def _coset_length(p: TrigPoly) -> int:
+    """n = min(2 L0, _COSET_NODES), L0 the first power of two >= 2*degree + 2."""
+    return min(2 * _next_pow2(2 * p.degree + 2), _COSET_NODES)
+
+
+def _coset_weights(p: TrigPoly, m: int, offset: float) -> np.ndarray:
+    """The weights of cosets 0, 1, .. in _power_sum on m nodes, r =
+    m/_coset_length(p) cosets in all: 1 on each, unless |p(-t)| = |p(t)|,
+    as for an even p (b = 0) or an odd one (a0 = 0, a = 0).  Then negation
+    maps coset c onto coset r - c at offset 0, so cosets 0 .. r/2 weigh
+    1, 2, .., 2, 1, and onto r - 1 - c at offset 1/2, so cosets
+    0 .. r/2 - 1 weigh 2, and no other coset is transformed."""
+    r = m // _coset_length(p)
+    if p.b.any() and (p.a0 != 0.0 or p.a.any()):
+        return np.ones(r)
+    weights = np.full(r // 2 + (offset == 0.0), 2.0)
+    if offset == 0.0:
+        weights[[0, -1]] = 1.0
+    return weights
+
+
+def _coset_batches(p: TrigPoly, m: int, offset: float, cosets: int) -> Iterator[np.ndarray]:
+    """The values of p at t_j = 2 pi (j + offset)/m on cosets 0 .. cosets - 1
+    of the r = m/n interleaved n-point cosets of m > _COSET_NODES nodes,
+    n = _coset_length(p), batch by batch: the batch of cosets
+    c0 .. c0 + B - 1 is an array v with v[b, l] = p(t_{l r + c0 + b}).
 
     Coset c holds the nodes j = l r + c, which are the n nodes of
-    p(t + 2 pi c/m), so its half spectrum is p's times e^{2 pi i k c/m}.
+    p(t + 2 pi h/m), h = c + offset, so its harmonic k is p's times
+    e^{2 pi i k h/m}.
 
     When 2*degree < n, as at every degree below _COSET_NODES/2, a batch
-    takes the twiddles e^{2 pi i k b/m}, tabulated once, times
-    e^{2 pi i k c0/m}, whose angle stays below pi since k < n/2 and
-    c0 < m/n, and irfft zero-pads each row past the degree.
+    takes the twiddles e^{2 pi i k b/m}, tabulated once, times the half
+    spectrum's e^{2 pi i k (c0 + offset)/m}, whose angle stays below pi
+    since k < n/2 and c0 + offset < r, and irfft zero-pads each row.
 
     Otherwise n = _COSET_NODES, B = 1, and the spectrum is folded modulo n
-    (Bailey, J. Supercomputing 4, 1990): harmonic k goes to bin k mod n.
-    Row l of the folded table holds harmonics l n .. l n + n - 1, whose
-    twiddles are those of row 0 times e^{2 pi i l c/r}, so coset c sums the
-    rows with these weights into P and multiplies it in place by
-    e^{2 pi i j c/m}, j < n, as two ramps of about sqrt(n) values each.
-    The negative harmonics, the conjugates, then complete P Hermitian:
-    F_j = P_j + conj P_{n-j}, with the constant halved in the table so that
-    it counts once in F_0 = 2 Re P_0.  Every angle stays below 2 pi.
+    (Bailey, J. Supercomputing 4, 1990) from p's coefficients read as rows
+    of n: harmonic k = l n + j + 1, (a - i b)[l n + j], goes to bin
+    (j + 1) mod n with twiddle e^{2 pi i l h/r} e^{2 pi i (j + 1) h/m}.  So
+    S_j = sum_l e^{2 pi i l h/r} (a - i b)[l n + j] is formed by real
+    products of the cosines and sines with views of a and b, skipping an
+    all-zero a or b and copying only the ragged end of a last row, and is
+    multiplied in place by e^{2 pi i (j + 1) h/m}, as two ramps of about
+    sqrt(n) values each.  The conjugate harmonics complete the Hermitian
+    spectrum: F_b = S_{b-1} + conj S_{n-1-b} for 0 < b <= n/2, and
+    F_0 = 2 Re S_{n-1} + n a0/2.  Every angle stays below 2 pi.
 
     The values differ from the one m-point transform by rounding only, a
     few units in the last place of max |p(t_j)|.  Each v is a fresh array of
-    at most _COSET_NODES values and the tables hold about degree + n, so a
-    caller that reduces the batches as they come never holds the grid.
+    at most _COSET_NODES values beside O(n) scratch, so a caller that
+    reduces the batches as they come never holds the grid.
     """
-    n = min(2 * _next_pow2(2 * p.degree + 2), _COSET_NODES)
+    n = _coset_length(p)
     r = m // n
     unit = TWO_PI / m
-    half = _half_spectrum(p, n)
     if 2 * p.degree < n:
+        half = _half_spectrum(p, n)
         width = max(1, min(_COSET_NODES, m // 16) // n)
         k = np.arange(half.size)
         twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
         batch = np.empty_like(twiddle)
-        for c0 in range(0, r, width):
-            np.multiply(twiddle, half * np.exp(1j * unit * (k * c0)), out=batch)
-            yield np.fft.irfft(batch, n=n, axis=1)
+        for c0 in range(0, cosets, width):
+            rows = min(width, cosets - c0)
+            np.multiply(twiddle[:rows], half * np.exp(1j * unit * (k * (c0 + offset))), out=batch[:rows])
+            yield np.fft.irfft(batch[:rows], n=n, axis=1)
         return
-    half[0] *= 0.5
-    # Zero-pad in place: half is this function's own array, and a copy
-    # would hold the spectrum twice.
-    half.resize(half.size + -half.size % n, refcheck=False)
-    table = half.reshape(-1, n)
-    turns = np.arange(table.shape[0])
+    whole, ragged = divmod(p.degree, n)
+    turns = np.arange(whole + (ragged > 0))
     step = 1 << (n.bit_length() // 2)
-    coarse, fine = np.arange(0, n, step), np.arange(step)
-    partner = -np.arange(n // 2 + 1) % n
-    for c in range(r):
-        folded = np.exp(1j * (TWO_PI / r) * (turns * c % r)) @ table
-        ramp = folded.reshape(-1, step)
-        ramp *= np.exp(1j * unit * c * coarse)[:, np.newaxis]
-        ramp *= np.exp(1j * unit * c * fine)
-        spectrum = folded[partner]
-        np.conjugate(spectrum, out=spectrum)
-        spectrum += folded[: n // 2 + 1]
+    coarse, fine = np.arange(0, n, step), np.arange(1, step + 1)
+    has_a, has_b = p.a.any(), p.b.any()
+
+    def fold(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_l weights[l] x[l n : (l + 1) n], the last row zero-padded."""
+        rows = weights[:whole] @ x[: whole * n].reshape(whole, n)
+        if ragged:
+            rows[:ragged] += weights[whole] * x[whole * n :]
+        return rows
+
+    for c in range(cosets):
+        h = c + offset
+        angle = (TWO_PI / r) * (turns * h % r)
+        cos, sin = 0.5 * n * np.cos(angle), 0.5 * n * np.sin(angle)
+        s = np.zeros(n, dtype=complex)
+        # e^{i angle} (a - i b) = (a cos + b sin) + i (a sin - b cos)
+        if has_a:
+            s.real += fold(p.a, cos)
+            s.imag += fold(p.a, sin)
+        if has_b:
+            s.real += fold(p.b, sin)
+            s.imag -= fold(p.b, cos)
+        ramp = s.reshape(-1, step)
+        ramp *= np.exp(1j * unit * h * coarse)[:, np.newaxis]
+        ramp *= np.exp(1j * unit * h * fine)
+        spectrum = np.conjugate(s[n // 2 - 1 :][::-1])
+        spectrum[1:] += s[: n // 2]
+        spectrum[0] += s[-1] + 0.5 * n * p.a0
         # Only the spectrum stays alive while the caller reduces the values.
-        del folded, ramp
+        del s, ramp
         yield np.fft.irfft(spectrum, n=n)[np.newaxis]
-
-
-def _pairwise_total(sums: np.ndarray) -> float:
-    """Total of a power-of-two count of partial sums, added pairwise."""
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
-    return float(sums[0])
 
 
 def _even_lq(p: TrigPoly, q: float) -> float:
@@ -266,12 +316,10 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     kink, so the oversampling is 16 for q < 2, which leaves the doubling
     budget room to converge, and 2 above, where the first grid has at least
     twice the 2 * degree nodes that resolve p.  Doubling an m-node grid adds
-    the m midpoints pi/m + 2 pi j/m, which are the m nodes of
-    trig.shifted(p, pi/m), whose harmonics are those of p rotated by
-    e^{ik pi/m}; their sum is added to the m-node sum, so no node is
-    sampled twice.  A grid of more than _COSET_NODES nodes is summed coset
-    batch by batch (_power_sum), which moves the value by rounding only
-    and holds O(degree + _COSET_NODES) values, not the grid.
+    the m midpoints 2 pi (j + 1/2)/m, whose sum _power_sum(p, q, m, 1/2)
+    takes with no shifted copy of p and adds to the m-node sum, so no node
+    is sampled twice.  A grid of more than _COSET_NODES nodes is summed
+    coset batch by batch, which moves the value by rounding only.
     """
     q = req.q
     if q == 1.0:
@@ -289,7 +337,7 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     total = _power_sum(p, q, m)
     prev = (TWO_PI / m * total) ** (1.0 / q)
     for _ in range(_MAX_DOUBLINGS):
-        total += _power_sum(shifted(p, math.pi / m), q, m)
+        total += _power_sum(p, q, m, 0.5)
         m *= 2
         curr = (TWO_PI / m * total) ** (1.0 / q)
         # Absolute stop for O(1) norms; proportional above that, since an
@@ -322,18 +370,32 @@ def _gauss_jacobi(k: int, q: float) -> tuple[np.ndarray, np.ndarray]:
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     symmetric Jacobi polynomials, whose diagonal is zero and whose
-    off-diagonal entries are sqrt(j (j + 2q) / ((2j + 2q)^2 - 1)), and each
-    weight is mu0 times the squared first component of its unit
-    eigenvector, with mu0 = sqrt(pi) Gamma(q + 1) / Gamma(q + 3/2) the
-    integral of the weight.  At q = 0 this is the Gauss-Legendre rule, which
-    rates.panel_integral reads.
+    off-diagonal entries are beta_j = sqrt(j (j + 2q) / ((2j + 2q)^2 - 1)).
+    _POLISH_STEPS Newton steps polish them as the zeros of p_k, where
+    p_{-1} = 0, p_0 = mu0^{-1/2}, beta_{j+1} p_{j+1} = x p_j - beta_j p_{j-1}
+    are the orthonormal polynomials and mu0 = sqrt(pi) Gamma(q + 1) /
+    Gamma(q + 3/2) is the integral of the weight, and each weight is the
+    Christoffel number 1 / sum_{j<k} p_j(x)^2 at its polished node.  At
+    q = 0 this is the Gauss-Legendre rule, which rates.panel_integral reads;
+    at k = 32 its weights are within 1e-16 of the exact ones, against 4e-16
+    for numpy's leggauss.
     """
-    j = np.arange(1, k, dtype=float)
-    off = np.sqrt(j * (j + 2.0 * q) / ((2.0 * j + 2.0 * q) ** 2 - 1.0))
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    j = np.arange(1, k + 1, dtype=float)
+    beta = np.sqrt(j * (j + 2.0 * q) / ((2.0 * j + 2.0 * q) ** 2 - 1.0))
+    x = np.linalg.eigvalsh(np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
     mu0 = math.exp(0.5 * math.log(math.pi) + math.lgamma(q + 1.0) - math.lgamma(q + 1.5))
-    weights = mu0 * vectors[0] ** 2 / (1.0 - nodes**2) ** q
-    return nodes, weights
+    for step in range(_POLISH_STEPS + 1):
+        # p_j, p_j', p_{j-1}, p_{j-1}' and beta_j, from j = 0
+        value, slope, prev, dprev, below = np.full(k, mu0**-0.5), np.zeros(k), 0.0, 0.0, 0.0
+        squares = np.zeros(k)
+        for b in beta:
+            squares += value**2
+            prev, value = value, (x * value - below * prev) / b
+            dprev, slope = slope, (prev + x * slope - below * dprev) / b
+            below = b
+        if step < _POLISH_STEPS:
+            x = x - value / slope
+    return x, 1.0 / (squares * (1.0 - x**2) ** q)
 
 
 def _panel_lq(p: TrigPoly, q: float, tolerance: float) -> float | None:

@@ -11,8 +11,8 @@ that product.  Convolution with the kernel Psi_beta of a profile psi,
 whose harmonics first_k..last_k `kernel_poly` builds, multiplies by
 psi(k) e^{-i beta pi/2}, so `convolve` reads psi(1..degree of phi) and
 nothing else, and `psi_beta_derivative` divides by it.  d/dt multiplies
-by ik (`_derivative`), the shift p(t + h) (`shifted`) by e^{ikh}, and the
-Zygmund sum and its deviation f - Z(f) by the real 1 - (k/n)^s and
+by ik (`_derivative`), the shift p(t + h) of a zero-mean p by e^{ikh}, and
+the Zygmund sum and its deviation f - Z(f) by the real 1 - (k/n)^s and
 min(k/n, 1)^s.
 
 `sample` evaluates p on M uniform nodes by one inverse FFT and returns a
@@ -38,7 +38,6 @@ __all__ = [
     "vallee_poussin",
     "phased_poly",
     "kernel_poly",
-    "shifted",
     "convolve",
     "psi_beta_derivative",
     "zygmund_sum",
@@ -141,12 +140,6 @@ def _times(p: TrigPoly, multiplier: np.ndarray) -> TrigPoly:
     return TrigPoly(0.0, c.real, -c.imag)
 
 
-def shifted(p: TrigPoly, h: float) -> TrigPoly:
-    """p(t + h): harmonic k of p, a_k - i b_k, rotated by e^{ikh}."""
-    rotated = _harmonics(p) * np.exp(1j * h * np.arange(1, p.degree + 1))
-    return TrigPoly(p.a0, rotated.real, -rotated.imag)
-
-
 def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine coefficients of the derivative of p of the given
     order, harmonic k times (ik)^order; order -1 gives those of the
@@ -247,18 +240,23 @@ def phased_poly(amp: np.ndarray, beta: float, first_k: int = 1) -> TrigPoly:
     """sum_k amp[k - first_k] cos(kt - beta*pi/2) over k >= first_k, as a TrigPoly.
 
     The harmonics of the kernel Psi_beta have this form, and so does every
-    polynomial built from them; harmonics below first_k are zero.
+    polynomial built from them; harmonics below first_k are zero.  At
+    integer beta the phase is a quadrant, whose cosine and sine are taken
+    exactly, so a sine kernel (odd beta) has a = 0 and a cosine kernel b = 0.
     """
     if first_k < 1:
         raise ParameterError("phased_poly: requires first_k >= 1")
     amp = np.asarray(amp, dtype=float)
-    phase = beta * math.pi / 2.0
+    if float(beta).is_integer():
+        cos, sin = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(beta) % 4]
+    else:
+        cos, sin = math.cos(beta * math.pi / 2.0), math.sin(beta * math.pi / 2.0)
     # Filled in place: building a and b with np.concatenate raised the peak
     # RSS of the q = 4 majorant run by 2 MB (0.8%).
     a = np.zeros(first_k - 1 + amp.size)
     b = np.zeros_like(a)
-    a[first_k - 1 :] = amp * math.cos(phase)
-    b[first_k - 1 :] = amp * math.sin(phase)
+    a[first_k - 1 :] = amp * cos
+    b[first_k - 1 :] = amp * sin
     return TrigPoly(0.0, a, b)
 
 

@@ -5,8 +5,10 @@ spectrum modulo n once the degree reaches n/2, while `sample` is always one
 full-length transform.
 
 Every value is checked against a full-length `irfft` built here: to
-rounding (rel 1e-14) for the coset batches assembled into the grid, and bit
-for bit for `sample`.  Small grids reach cosets and folds by lowering
+rounding (rel 1e-14) for the coset batches assembled into the grid, at
+offset 0 and at the midpoints (offset 1/2), with the mirror images of the
+cosets that an even or odd p does not transform, and bit for bit for
+`sample`.  Small grids reach cosets and folds by lowering
 _COSET_NODES (the `small_grids` fixture), which changes where cosets start
 and how long they are but not how they are computed.
 """
@@ -60,25 +62,38 @@ def cosets(degree, m):
     return 1 if m <= norms._COSET_NODES else m // coset_length(degree)
 
 
-def assembled(p, m):
-    """The grid of m values that the coset batches of p cover, in node order."""
+def assembled(p, m, offset):
+    """The m values at the nodes 2 pi (j + offset)/m, in node order, from
+    the cosets that the power sum transforms: all of them, or, when
+    |p(-t)| = |p(t)|, half of them and their mirror images.
+
+    Negation maps node l of coset c onto node n - 1 - l of coset r - c at
+    offset 0, and of coset r - 1 - c at offset 1/2; an odd p changes sign."""
     n = coset_length(p.degree)
-    grid = np.empty(m)
-    columns = grid.reshape(n, m // n)
+    r = m // n
+    count = norms._coset_weights(p, m, offset).size
+    columns = np.empty((r, n))
     c0 = 0
-    for batch in norms._coset_batches(p, m):
+    for batch in norms._coset_batches(p, m, offset, count):
         assert batch.shape[1] == n and batch.size <= norms._COSET_NODES
-        columns[:, c0 : c0 + len(batch)] = batch.T
+        columns[c0 : c0 + len(batch)] = batch
         c0 += len(batch)
-    assert c0 == m // n
-    return grid
+    assert c0 == count
+    sign = -1.0 if p.b.any() else 1.0
+    for c in range(count):
+        image = (r - c) % r if offset == 0.0 else r - 1 - c
+        if image >= count:
+            columns[image] = sign * columns[c][::-1]
+    return columns.T.ravel()
 
 
 def check(p, m):
+    # The grid, then the midpoints that a doubling of it adds: the odd nodes
+    # of the grid of 2m nodes.
     assert cosets(p.degree, m) > 1
-    expected = oracle(p, m)
-    got = assembled(p, m)
-    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    for offset, expected in ((0.0, oracle(p, m)), (0.5, oracle(p, 2 * m)[1::2])):
+        got = assembled(p, m, offset)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestAgainstFullTransform:

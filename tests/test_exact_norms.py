@@ -67,21 +67,36 @@ def random_poly(rng, degree):
     return TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
 
 
+def spy_power_sum(monkeypatch, record):
+    """Patch norms._power_sum to pass (m, offset) of every call to record:
+    the sum over the m nodes 2 pi (j + offset)/m."""
+    power_sum = zygmund.norms._power_sum
+
+    def recording(p, q, m, offset=0.0):
+        record(m, offset)
+        return power_sum(p, q, m, offset)
+
+    monkeypatch.setattr(zygmund.norms, "_power_sum", recording)
+
+
 @pytest.fixture
 def sampled_sizes(monkeypatch):
     """The node count of every rectangle-rule grid lq_norm sums, in order.
 
     Every such grid passes through norms._power_sum, whether it is sampled
-    whole or streamed in coset batches."""
+    whole or streamed in coset batches, and whether it is a first grid or a
+    doubling's midpoints."""
     sizes = []
-    power_sum = zygmund.norms._power_sum
-
-    def recording(p, q, m):
-        sizes.append(m)
-        return power_sum(p, q, m)
-
-    monkeypatch.setattr(zygmund.norms, "_power_sum", recording)
+    spy_power_sum(monkeypatch, lambda m, offset: sizes.append(m))
     return sizes
+
+
+@pytest.fixture
+def power_sum_calls(monkeypatch):
+    """(m, offset) of every rectangle-rule sum lq_norm takes, in order."""
+    calls = []
+    spy_power_sum(monkeypatch, lambda m, offset: calls.append((m, offset)))
+    return calls
 
 
 class TestEvenQ:
@@ -188,7 +203,9 @@ class TestOtherQ:
                 assert value == pytest.approx(doubling_lq(p, q), rel=1e-12)
 
     @pytest.mark.parametrize("q", [1.5, 2.5, 3.0])
-    def test_same_sample_calls_as_oracle(self, q, sampled_sizes):
+    def test_same_sample_calls_as_oracle(self, q, power_sum_calls):
+        # As many sums as the oracle's grids, from the oracle's first grid;
+        # each later sum covers only the midpoints of the grid so far.
         rng = np.random.default_rng(int(100 * q))
         for degree in (1, 9, 50, 300):
             p = random_poly(rng, degree)
@@ -196,19 +213,42 @@ class TestOtherQ:
                 continue
             oracle = []
             doubling_lq(p, q, tolerance=1e-8, sizes=oracle)
-            sampled_sizes.clear()
+            power_sum_calls.clear()
             lq_norm(p, NormRequest(q=q, tolerance=1e-8))
-            assert len(sampled_sizes) == len(oracle)
-            assert sampled_sizes[0] == oracle[0]
+            assert len(power_sum_calls) == len(oracle)
+            assert power_sum_calls[0] == (oracle[0], 0.0)
+            assert power_sum_calls[1:] == [(m, 0.5) for m in oracle[:-1]]
 
-    def test_samples_only_midpoints(self, sampled_sizes):
-        # Each sample after the first covers the midpoints of the grid built
-        # so far, so it is as large as that grid: m, m, 2m, 4m, ...
+    def test_samples_only_midpoints(self, power_sum_calls):
+        # Each sum after the first covers the midpoints 2 pi (j + 1/2)/m of
+        # the m-node grid built so far, and no other node: (m, 0), (m, 1/2),
+        # (2m, 1/2), (4m, 1/2), ...
         p = random_poly(np.random.default_rng(30), 50)
         lq_norm(p, NormRequest(q=3.0))
-        first = sampled_sizes[0]
-        assert first == 512 and len(sampled_sizes) >= 2
-        assert sampled_sizes[1:] == [first << i for i in range(len(sampled_sizes) - 1)]
+        first = power_sum_calls[0]
+        assert first == (512, 0.0) and len(power_sum_calls) >= 2
+        assert power_sum_calls[1:] == [(512 << i, 0.5) for i in range(len(power_sum_calls) - 1)]
+
+
+def long_double_legendre(k):
+    """Nodes and weights of the k-point Gauss-Legendre rule, by Newton's
+    method on the Legendre recurrence in long double, rounded to double."""
+    ld = np.longdouble
+    x = np.cos(np.pi * (np.arange(1, k + 1, dtype=ld) - ld(0.25)) / (k + ld(0.5)))
+
+    def legendre(x):
+        before, value = np.ones_like(x), x.copy()
+        for j in range(2, k + 1):
+            before, value = value, ((2 * j - 1) * x * value - (j - 1) * before) / j
+        return before, value
+
+    for _ in range(20):
+        before, value = legendre(x)
+        x = x - value * (x * x - 1) / (k * (x * value - before))
+    before, _ = legendre(x)
+    weights = 2 * (1 - x * x) / (k * before) ** 2
+    order = np.argsort(x)
+    return x[order].astype(float), weights[order].astype(float)
 
 
 def dual(q, n):
@@ -240,6 +280,18 @@ class TestPanels:
         assert np.max(np.abs(nodes - x)) <= 1e-14
         # _gauss_jacobi divides its weights by the weight function.
         assert weights * (1.0 - nodes**2) ** q == pytest.approx(w, rel=1e-12)
+
+    def test_legendre_rule_at_q_0(self):
+        # Nodes against numpy's leggauss(32), whose nodes are within 1e-17 of
+        # the exact ones; weights against the rule solved in long double,
+        # since leggauss rescales its weights to sum 2, which puts them
+        # 4e-16 off.  The weights sum to 2 as well.
+        nodes, weights = _gauss_jacobi(32, 0.0)
+        x, _ = np.polynomial.legendre.leggauss(32)
+        assert np.max(np.abs(nodes - x)) <= 1e-16
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        assert np.max(np.abs(weights - long_double_legendre(32)[1])) <= 2e-16
 
     @pytest.mark.parametrize("q, n", [(4.0, 2), (4.0, 8), (4.0, 64), (3.0, 16), (3.0, 128)])
     def test_dense_zero_duals_match_qaws_without_rectangle_rule(self, q, n, sampled_sizes):

@@ -35,11 +35,11 @@ from zygmund.rates import (
 from zygmund.trig import (
     TrigPoly,
     _derivative,
+    _times,
     convolve,
     kernel_poly,
     phased_poly,
     psi_beta_derivative,
-    shifted,
 )
 
 SRC = Path(zygmund.__file__).parent
@@ -138,6 +138,20 @@ class TestKernelPoly:
         assert p.degree == want.degree == last and p.a0 == want.a0 == 0.0
         assert np.array_equal(p.a, want.a) and np.array_equal(p.b, want.b)
 
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0, 2.0, 3.0, 5.0])
+    def test_exact_quadrants_at_integer_beta(self, beta):
+        # cos and sin of beta pi/2 exactly: a sine kernel has a = 0 (odd
+        # beta), a cosine kernel b = 0, and the other part is +-psi(k).
+        psi = Power(1.0)
+        p = kernel_poly(psi, beta, 8)
+        amp = psi(np.arange(1.0, 9.0))
+        cos, sin = {0: (1.0, 0.0), 1: (0.0, 1.0), 2: (-1.0, 0.0), 3: (0.0, -1.0)}[int(beta) % 4]
+        assert np.array_equal(p.a, cos * amp) and np.array_equal(p.b, sin * amp)
+
+    def test_sine_kernel_is_odd_and_beta_2_cosine_is_even(self):
+        assert np.all(kernel_poly(Power(1.0), 1.0, 8).a == 0.0)
+        assert np.all(kernel_poly(Power(1.0), 2.0, 8).b == 0.0)
+
 
 def rotation_convolve(psi, beta, phi):
     # the hand-written rotation convolve was once built with
@@ -207,21 +221,13 @@ class TestDerivativeMultiplier:
 class TestShifted:
     @pytest.mark.parametrize("seed", range(4))
     def test_values_are_those_at_shifted_points(self, seed):
+        # The shift is a multiplier: p(t + h) - a0/2 is _times(p, e^{ikh}).
         rng = np.random.default_rng(seed)
         p = TrigPoly(rng.standard_normal(), rng.standard_normal(25), rng.standard_normal(25))
         h = rng.uniform(-10.0, 10.0)
         t = rng.uniform(0.0, 2.0 * math.pi, 50)
-        np.testing.assert_allclose(shifted(p, h)(t), p(t + h), rtol=0.0, atol=1.0e-12)
-
-    @pytest.mark.parametrize("degree,m", [(1, 512), (100, 512), (20000, 1 << 17)])
-    def test_midpoint_shift_bitwise(self, degree, m):
-        # the expression lq_norm's doubling built its midpoints with
-        rng = np.random.default_rng(degree)
-        p = TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
-        rotated = (p.a - 1j * p.b) * np.exp(1j * math.pi / m * np.arange(1, p.degree + 1))
-        got = shifted(p, math.pi / m)
-        assert got.a0 == p.a0
-        assert np.array_equal(got.a, rotated.real) and np.array_equal(got.b, -rotated.imag)
+        got = _times(p, np.exp(1j * h * np.arange(1, p.degree + 1)))(t)
+        np.testing.assert_allclose(got, p(t + h) - p.a0 / 2.0, rtol=0.0, atol=1.0e-12)
 
 
 class TestMajorantKernel:
@@ -235,8 +241,9 @@ class TestMajorantKernel:
         assert majorant == pytest.approx(value, rel=1e-9)
 
     def test_peak_memory_at_q_3(self):
-        # The tails reach degree 2^17.  Each doubling of their norms builds
-        # one shift of the tail and holds no other degree-sized complex array.
+        # The tails reach degree 2^17.  Their norms build no shift of the
+        # tail and hold no degree-sized complex array: the doublings sum
+        # their midpoints as offset cosets, folded from views of the tail.
         method = MethodParams(s=1.0, q=3.0)
         upper_bound_estimate(Power(1.0), method, 4)  # first-call allocations
         tracemalloc.start()

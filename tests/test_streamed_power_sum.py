@@ -2,9 +2,12 @@
 
 `norms._power_sum` takes |.|^q of each piece of a grid in place and sums
 it: one `sample` on a grid of at most norms._COSET_NODES nodes, else each
-batch of coset transforms as it is made, with the batch sums added
-pairwise.  A coset grid is never held whole, so lq_norm holds O(degree +
-_COSET_NODES) values whatever the grid, and no full-size temporaries.
+batch of coset transforms as it is made, with the coset sums added by
+their weights.  A coset grid is never held whole, and a folded spectrum is
+read from views of p's coefficients, so lq_norm holds O(_COSET_NODES)
+values beside p whatever the grid, and no full-size temporaries.  The same
+sum at offset 1/2 covers the midpoints that a doubling adds, and an even or
+odd p transforms only the cosets that negation does not map onto others.
 """
 
 import tracemalloc
@@ -16,7 +19,7 @@ import zygmund.norms
 from oracles import constant
 from zygmund.decay import MethodParams, Power, growth_function
 from zygmund.norms import NormRequest, lq_norm
-from zygmund.trig import TrigPoly, sample
+from zygmund.trig import TrigPoly, kernel_poly, sample
 from zygmund.witness import WitnessConfig, dual_test_poly
 
 def random_poly(rng, degree):
@@ -156,3 +159,136 @@ def test_lq_norm_peak_memory(q):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 8 * (degree + zygmund.norms._COSET_NODES)
+
+
+def cosine_poly(rng, degree):
+    return TrigPoly(rng.standard_normal(), rng.standard_normal(degree), np.zeros(degree))
+
+
+def sine_poly(rng, degree):
+    return TrigPoly(0.0, np.zeros(degree), rng.standard_normal(degree))
+
+
+# |p(-t)| = |p(t)| for every kind but "general", whose sums take every coset.
+KINDS = {
+    "general": lambda d: random_poly(np.random.default_rng(d), d),
+    "even": lambda d: cosine_poly(np.random.default_rng(d), d),
+    "odd": lambda d: sine_poly(np.random.default_rng(d), d),
+    "a0_only": lambda d: constant(-3.0).padded(d),
+}
+
+
+def midpoint_oracle(p, q, m):
+    """sum |p|^q over the m midpoints 2 pi (j + 1/2)/m: the odd nodes of
+    one 2m-point irfft."""
+    spectrum = np.zeros(m + 1, dtype=complex)
+    spectrum[0] = p.a0 * m
+    spectrum[1 : p.degree + 1] = m * (p.a - 1j * p.b)
+    return float(np.sum(np.abs(np.fft.irfft(spectrum, n=2 * m)[1::2]) ** q))
+
+
+class TestMidpoints:
+    """_power_sum(p, q, m, 1/2) sums the m midpoints 2 pi (j + 1/2)/m, the
+    nodes that a doubling of the m-node grid adds."""
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize(
+        "degree, m",
+        # unfolded (2 * degree < n), then folded onto 2^16-node cosets:
+        # whole rows of 2^16 coefficients, one ragged row alone, and whole
+        # rows with a ragged last one
+        [(7, 1 << 18), (1023, 1 << 17), (1 << 16, 1 << 18), (1 << 15, 1 << 17), ((1 << 16) + 5, 1 << 18)],
+    )
+    def test_default_thresholds(self, degree, m, kind, q):
+        assert m > zygmund.norms._COSET_NODES
+        p = KINDS[kind](degree)
+        got = zygmund.norms._power_sum(p, q, m, 0.5)
+        assert got == pytest.approx(midpoint_oracle(p, q, m), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize(
+        "nodes, degree, m",
+        # 32-node cosets of degree 7 (two and eight of them), then 64-node
+        # cosets folding degrees 32 (one ragged row), 64, 100 and 200
+        [(32, 7, 64), (32, 7, 256), (64, 32, 256), (64, 64, 512), (64, 100, 512), (64, 200, 1024)],
+    )
+    def test_small_grids(self, small_grids, nodes, degree, m, kind, q):
+        small_grids(nodes)
+        p = KINDS[kind](degree)
+        got = zygmund.norms._power_sum(p, q, m, 0.5)
+        assert got == pytest.approx(midpoint_oracle(p, q, m), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("degree, m", [(1, 512), (100, 512), (20000, 1 << 16)])
+    def test_one_sample_bitwise(self, degree, m):
+        # the rotated harmonics that lq_norm's doubling once sampled as a
+        # shifted polynomial
+        rng = np.random.default_rng(degree)
+        p = random_poly(rng, degree)
+        rotated = (p.a - 1j * p.b) * np.exp(1j * np.pi / m * np.arange(1, p.degree + 1))
+        v = sample(TrigPoly(p.a0, rotated.real, -rotated.imag), m)
+        assert zygmund.norms._power_sum(p, 3.0, m, 0.5) == np.sum(np.abs(v) ** 3.0)
+
+
+class TestMirrorCosets:
+    """A p with |p(-t)| = |p(t)| transforms only the cosets that negation
+    does not map onto others."""
+
+    @staticmethod
+    def transforms(monkeypatch, p, m, offset):
+        rows = []
+        batches = zygmund.norms._coset_batches
+
+        def counting(*args):
+            for batch in batches(*args):
+                rows.append(len(batch))
+                yield batch
+
+        monkeypatch.setattr(zygmund.norms, "_coset_batches", counting)
+        zygmund.norms._power_sum(p, 3.0, m, offset)
+        return sum(rows)
+
+    @pytest.mark.parametrize(
+        "kind, degree, m, r",
+        [("even", 1 << 15, 1 << 20, 16), ("odd", 1 << 16, 1 << 19, 8), ("a0_only", 7, 1 << 18, 8192)],
+    )
+    def test_half_the_cosets(self, monkeypatch, kind, degree, m, r):
+        p = KINDS[kind](degree)
+        assert self.transforms(monkeypatch, p, m, 0.0) == r // 2 + 1
+        assert self.transforms(monkeypatch, p, m, 0.5) == r // 2
+
+    @pytest.mark.parametrize("degree, m, r", [(1 << 15, 1 << 20, 16), (7, 1 << 18, 8192)])
+    def test_general_p_takes_every_coset(self, monkeypatch, degree, m, r):
+        p = KINDS["general"](degree)
+        for offset in (0.0, 0.5):
+            assert self.transforms(monkeypatch, p, m, offset) == r
+
+
+def test_folded_power_sum_peak_memory():
+    # A cosine polynomial of degree 2^18 on 2^20 nodes: sixteen 2^16-node
+    # cosets, each folded from views of p's four rows of coefficients.  A
+    # table of the half spectrum alone would take 5 MiB.
+    degree = 1 << 18
+    p = TrigPoly(0.0, 1.0 / np.arange(1.0, degree + 1.0), np.zeros(degree))
+    tracemalloc.start()
+    try:
+        zygmund.norms._power_sum(p, 3.0, 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_doubling_peak_memory():
+    # A majorant tail of degree 2^17 at q = 3: grids of 2^19 nodes and up,
+    # whose doublings sum the midpoints as offset cosets; a shifted copy of
+    # p alone would take 2 MiB.
+    tail = kernel_poly(Power(1.0), 0.0, 1 << 17, 16)
+    tracemalloc.start()
+    try:
+        lq_norm(tail, NormRequest(q=3.0, tolerance=1e-8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
