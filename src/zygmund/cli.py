@@ -1,6 +1,8 @@
 """Command-line front end for the experiment harness.
 
-Subcommands: classify, rate-check, witness, table-vnad, best-approx.  Every
+Subcommands: classify, rate-check, witness, table-vnad, best-approx, each
+declared once in `_COMMANDS` with its help, its runner (which takes the
+config and the parsed arguments) and whether it reads a band limit.  Every
 command reads a flat key-value config (see `zygmund.config`), writes CSV
 files into the output directory, and exits 0 only when all verdicts pass and
 no validation error occurred.  Outputs are deterministic: identical configs
@@ -25,9 +27,10 @@ import atexit
 import functools
 import gc
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, checked_band_limit, parse_config
 from .decay import (
     Power,
     Regime,
@@ -81,7 +84,7 @@ def _not_banded(report: RateReport, lower: str) -> str:
     return f"NOT BANDED: {'; '.join(failed)} over {_grid_label(report.n_grid)}"
 
 
-def cmd_classify(cfg: ExperimentConfig) -> int:
+def cmd_classify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     method = cfg.method
     regime = classify_regime(cfg.psi, method)
     theta = check_almost_decreasing(cfg.psi, method.q_prime)
@@ -98,7 +101,7 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_rate_check(cfg: ExperimentConfig) -> int:
+def cmd_rate_check(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ns = cfg.require_n_grid()
     report = ratio_experiment(cfg.psi, cfg.method, ns, band_limit=cfg.band_limit)
     dev, low, rate = report.deviations, report.lower_bounds, report.upper_rates
@@ -116,7 +119,8 @@ def cmd_rate_check(cfg: ExperimentConfig) -> int:
     return 1
 
 
-def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
+def cmd_witness(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    n = args.n
     if n < 2:
         raise ConfigError("n", "the witness pairing requires n >= 2")
     result = build_witness(WitnessConfig(psi=cfg.psi, method=cfg.method, n=n))
@@ -136,7 +140,7 @@ def cmd_witness(cfg: ExperimentConfig, n: int) -> int:
 _VNAD_CASE = {Regime.GROWING: 1, Regime.CRITICAL: 2, Regime.DECAYING: 3}
 
 
-def cmd_table_vnad(cfg: ExperimentConfig) -> int:
+def cmd_table_vnad(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ns = cfg.require_n_grid()
     r_values = cfg.require_r_list()
     method = cfg.method
@@ -166,7 +170,7 @@ def cmd_table_vnad(cfg: ExperimentConfig) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_best_approx(cfg: ExperimentConfig) -> int:
+def cmd_best_approx(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ns = cfg.require_n_grid()
     report = best_vs_method_experiment(cfg.psi, cfg.method, ns, band_limit=cfg.band_limit)
     best, dev, rate = report.lower_bounds, report.deviations, report.upper_rates
@@ -183,26 +187,31 @@ def cmd_best_approx(cfg: ExperimentConfig) -> int:
     return 1
 
 
+# name: (help, runner, whether the command reads a band limit)
+_COMMANDS = {
+    "classify": ("print regime and structural-class verdicts", cmd_classify, False),
+    "rate-check": ("run the bounded-ratio experiment, emit rate_report.csv", cmd_rate_check, True),
+    "witness": ("build the extremal witness at one order, emit CSV dumps", cmd_witness, False),
+    "table-vnad": ("three-case rate table over a list of decay exponents", cmd_table_vnad, True),
+    "best-approx": ("compare best approximation with the Zygmund deviation", cmd_best_approx, True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zygmund",
         description="Summation-method rate experiments on periodic convolution classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("classify", "print regime and structural-class verdicts"),
-        ("rate-check", "run the bounded-ratio experiment, emit rate_report.csv"),
-        ("witness", "build the extremal witness at one order, emit CSV dumps"),
-        ("table-vnad", "three-case rate table over a list of decay exponents"),
-        ("best-approx", "compare best approximation with the Zygmund deviation"),
-    ]:
+    for name, (help_text, run, reads_band) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", required=True, help="path to the experiment config file")
         sp.add_argument("--out", default=None, help="output directory (overrides output_dir)")
         sp.add_argument("--seed", type=int, help="ignored; perfbench/run.py passes it to every command")
-        if name in ("rate-check", "table-vnad", "best-approx"):
+        if reads_band:
             sp.add_argument("--band-limit", type=float, help="ratio band limit (overrides band_limit)")
-        if name == "witness":
+        if run is cmd_witness:
             sp.add_argument("--n", type=int, required=True, help="polynomial order of the witness")
     return parser
 
@@ -211,16 +220,9 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     updates = {}
     if args.out is not None:
         updates["output_dir"] = Path(args.out)
-    band_limit = getattr(args, "band_limit", None)
-    if band_limit is not None:
-        if not (band_limit > 1.0):
-            raise ConfigError("band_limit", "must exceed 1")
-        updates["band_limit"] = band_limit
-    if not updates:
-        return cfg
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
+    if getattr(args, "band_limit", None) is not None:
+        updates["band_limit"] = checked_band_limit(args.band_limit)
+    return replace(cfg, **updates) if updates else cfg
 
 
 @functools.cache
@@ -233,24 +235,13 @@ def main(argv=None) -> int:
     _freeze_heap_at_exit()
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(parse_config(args.config), args)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "rate-check":
-            return cmd_rate_check(cfg)
-        if args.command == "witness":
-            return cmd_witness(cfg, args.n)
-        if args.command == "table-vnad":
-            return cmd_table_vnad(cfg)
-        if args.command == "best-approx":
-            return cmd_best_approx(cfg)
+        return args.run(_apply_overrides(parse_config(args.config), args), args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZygmundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

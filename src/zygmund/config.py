@@ -14,9 +14,14 @@ Canonical keys (camelCase aliases are accepted):
     n_grid        whitespace- or comma-separated polynomial orders; the
                   experiments take 5 or more, increasing, in [4, 1024],
                   or in [4, 16384] at q = 2
-    band_limit    bounded-ratio verdict limit (default 4, or 6 for log families)
+    band_limit    bounded-ratio verdict limit > 1 (default 4, or 6 for log families)
     output_dir    directory for CSV output (default "out")
     r_list        decay exponents for the three-case table command
+
+`_KEYS` declares each key once, with how its value reads: a number (float),
+a list of numbers (a one-element tuple of the entry type) or text (str,
+Path).  `_read` reads every value, and its `_REQUIRED` default marks the
+keys without one.
 """
 
 from __future__ import annotations
@@ -30,28 +35,26 @@ from .errors import ConfigError, ParameterError
 
 __all__ = ["ExperimentConfig", "parse_config", "build_psi"]
 
-_ALIASES = {
-    "ngrid": "n_grid",
-    "bandlimit": "band_limit",
-    "outputdir": "output_dir",
-    "rlist": "r_list",
+# camelCase aliases, by the key's lowercase form without underscores
+_ALIASES = {"ngrid": "n_grid", "bandlimit": "band_limit", "outputdir": "output_dir", "rlist": "r_list"}
+
+_KEYS = {
+    "psi.family": str,
+    "psi.r": float,
+    "psi.alpha": float,
+    "psi.c": float,
+    "method.s": float,
+    "method.q": float,
+    "method.beta": float,
+    "n_grid": (int,),
+    "band_limit": float,
+    "output_dir": Path,
+    "r_list": (float,),
 }
 
-_KNOWN_KEYS = {
-    "psi.family",
-    "psi.r",
-    "psi.alpha",
-    "psi.c",
-    "method.s",
-    "method.q",
-    "method.beta",
-    "n_grid",
-    "band_limit",
-    "output_dir",
-    "r_list",
-}
+_REQUIRED = object()
 
-_LOG_FAMILIES = {"power_log": PowerLog, "power_inv_log": PowerInvLog, "power_log_log": PowerLogLog}
+_FAMILIES = {"power": Power, "power_log": PowerLog, "power_inv_log": PowerInvLog, "power_log_log": PowerLogLog}
 
 
 @dataclass(frozen=True)
@@ -77,44 +80,48 @@ class ExperimentConfig:
         return self.r_list
 
 
+def checked_band_limit(value: float, line: Optional[int] = None) -> float:
+    """The band limit, which must exceed 1, from the config file's `line` or
+    from the command line."""
+    if not (value > 1.0):
+        raise ConfigError("band_limit", "must exceed 1", line)
+    return value
+
+
 def build_psi(family: str, r: float, alpha: Optional[float], c: Optional[float]) -> PsiFunction:
     """Construct the decay profile named in a config record."""
     name = family.strip().lower().replace("-", "_")
+    if name not in _FAMILIES:
+        raise ConfigError("psi.family", f"unknown family '{family}'")
+    logs = {} if name == "power" else {"alpha": alpha, "c": c}
+    for key, value in logs.items():
+        if value is None:
+            raise ConfigError(f"psi.{key}", f"required for family '{name}'")
     try:
-        if name == "power":
-            return Power(r=r)
-        if name in _LOG_FAMILIES:
-            if alpha is None:
-                raise ConfigError("psi.alpha", f"required for family '{name}'")
-            if c is None:
-                raise ConfigError("psi.c", f"required for family '{name}'")
-            return _LOG_FAMILIES[name](r=r, alpha=alpha, c=c)
+        return _FAMILIES[name](r=r, **logs)
     except ParameterError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("psi", str(exc)) from exc
-    raise ConfigError("psi.family", f"unknown family '{family}'")
 
 
-def _parse_float(raw: dict, key: str, default: Optional[float] = None) -> Optional[float]:
+def _read(raw: dict, key: str, default=None):
+    """The value of `key` as `_KEYS` reads it, or `default` when the file
+    has no such key; a `_REQUIRED` default makes the key required."""
     if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(key, "missing required key")
         return default
     value, line = raw[key]
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(key, f"not a number: '{value}'", line) from exc
-
-
-def _parse_number_list(raw: dict, key: str, cast) -> Optional[tuple]:
-    if key not in raw:
-        return None
-    value, line = raw[key]
+    kind = _KEYS[key]
+    if not isinstance(kind, tuple):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ConfigError(key, f"not a number: '{value}'", line) from exc
     tokens = value.replace(",", " ").split()
     if not tokens:
         raise ConfigError(key, "list is empty", line)
     try:
-        return tuple(cast(tok) for tok in tokens)
+        return tuple(map(kind[0], tokens))
     except ValueError as exc:
         raise ConfigError(key, f"bad list entry in '{value}'", line) from exc
 
@@ -131,59 +138,40 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(line.split()[0], "expected 'key = value'", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = _ALIASES.get(key.replace("_", "").lower(), key)
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown key", lineno)
         if key in raw:
             raise ConfigError(key, "duplicate key", lineno)
         raw[key] = (value, lineno)
+    line_of = {key: line for key, (_, line) in raw.items()}
 
-    if "psi.family" not in raw:
-        raise ConfigError("psi.family", "missing required key")
-    family = raw["psi.family"][0]
-    r = _parse_float(raw, "psi.r")
-    if r is None:
-        raise ConfigError("psi.r", "missing required key")
-    psi = build_psi(family, r, _parse_float(raw, "psi.alpha"), _parse_float(raw, "psi.c"))
+    family = _read(raw, "psi.family", _REQUIRED)
+    r = _read(raw, "psi.r", _REQUIRED)
+    psi = build_psi(family, r, _read(raw, "psi.alpha"), _read(raw, "psi.c"))
+    psi_family = next(name for name, kind in _FAMILIES.items() if type(psi) is kind)
 
-    s = _parse_float(raw, "method.s")
-    if s is None:
-        raise ConfigError("method.s", "missing required key")
-    q = _parse_float(raw, "method.q")
-    if q is None:
-        raise ConfigError("method.q", "missing required key")
-    beta = _parse_float(raw, "method.beta", default=0.0)
+    s = _read(raw, "method.s", _REQUIRED)
+    q = _read(raw, "method.q", _REQUIRED)
+    beta = _read(raw, "method.beta", 0.0)
     try:
         method = MethodParams(s=s, q=q, beta=beta)
     except ParameterError as exc:
         message = str(exc)
-        if "q in" in message:
-            field = "method.q"
-        elif "beta" in message:
-            field = "method.beta"
-        else:
-            field = "method.s"
-        line = raw.get(field, (None, None))[1]
-        raise ConfigError(field, message, line) from exc
+        field = "method.q" if "q in" in message else "method.beta" if "beta" in message else "method.s"
+        raise ConfigError(field, message, line_of.get(field)) from exc
 
-    n_grid = _parse_number_list(raw, "n_grid", int)
+    n_grid = _read(raw, "n_grid")
     if n_grid is not None and any(n < 1 for n in n_grid):
-        raise ConfigError("n_grid", "orders must be positive", raw["n_grid"][1])
+        raise ConfigError("n_grid", "orders must be positive", line_of["n_grid"])
 
-    family_key = family.strip().lower().replace("-", "_")
-    default_band = 6.0 if family_key in _LOG_FAMILIES else 4.0
-    band_limit = _parse_float(raw, "band_limit", default=default_band)
-    if not (band_limit > 1.0):
-        raise ConfigError("band_limit", "must exceed 1", raw.get("band_limit", (None, None))[1])
-
-    output_dir = Path(raw["output_dir"][0]) if "output_dir" in raw else Path("out")
-    r_list = _parse_number_list(raw, "r_list", float)
+    band_limit = _read(raw, "band_limit", 4.0 if psi_family == "power" else 6.0)
 
     return ExperimentConfig(
         psi=psi,
-        psi_family=family_key,
+        psi_family=psi_family,
         method=method,
         n_grid=n_grid,
-        band_limit=band_limit,
-        output_dir=output_dir,
-        r_list=r_list,
+        band_limit=checked_band_limit(band_limit, line_of.get("band_limit")),
+        output_dir=_read(raw, "output_dir", Path("out")),
+        r_list=_read(raw, "r_list"),
     )

@@ -62,7 +62,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TWO_PI, TrigPoly, _derivative, _half_spectrum, _harmonics, _jet, _next_pow2, sample
+from .trig import TWO_PI, TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -138,13 +138,14 @@ def _power_sum(p: TrigPoly, q: float, m: int, offset: float = 0.0) -> float:
     it is still in cache and summed, and the coset sums are added with
     their _coset_weights, so a coset grid is never held whole.  On one
     sample the value is np.sum(np.abs(v) ** q), bit for bit; at offset 1/2
-    v is the sample whose half spectrum is p's rotated by e^{i pi k/m}.
+    v is the sample of p's half spectrum rotated in place by e^{i pi k/m},
+    in no more memory than `sample`; k = 0 turns too, by 1, since numpy may
+    round a one-entry product in place unlike out of place (degree 1).
     """
     if m <= _COSET_NODES:
         if offset:
             half = _half_spectrum(p, m)
-            turn = np.exp(1j * (TWO_PI * offset / m) * np.arange(1, p.degree + 1))
-            np.multiply(_harmonics(p) * turn, 0.5 * m, out=half[1:])
+            half *= np.exp(1j * (TWO_PI * offset / m) * np.arange(p.degree + 1))
             v = np.fft.irfft(half, n=m)
         else:
             v = sample(p, m)
@@ -451,7 +452,7 @@ def sign_changes(p: TrigPoly) -> np.ndarray:
     m = _next_pow2(_ROOT_OVERSAMPLE * (p.degree + 1))
     # Closed samples: the last node is the first.
     closed = np.empty((3, m + 1))
-    for row, f in zip(closed, (p, *(TrigPoly(0.0, *_derivative(p, r)) for r in (1, 2)))):
+    for row, f in zip(closed, (p, _derivative(p, 1), _derivative(p, 2))):
         row[:m] = sample(f, m)
     closed[:, m] = closed[:, 0]
     return _screened_zeros(lambda t, orders: _jet(p, t, orders), 0.0, TWO_PI / m, closed, bounds)

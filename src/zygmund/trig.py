@@ -140,12 +140,10 @@ def _times(p: TrigPoly, multiplier: np.ndarray) -> TrigPoly:
     return TrigPoly(0.0, c.real, -c.imag)
 
 
-def _derivative(p: TrigPoly, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine coefficients of the derivative of p of the given
-    order, harmonic k times (ik)^order; order -1 gives those of the
-    antiderivative less a0 t/2."""
-    d = _times(p, np.arange(1, p.degree + 1, dtype=float) ** order * 1j**order)
-    return d.a, d.b
+def _derivative(p: TrigPoly, order: int) -> TrigPoly:
+    """The derivative of p of the given order, harmonic k times (ik)^order;
+    order -1 gives the antiderivative less a0 t/2."""
+    return _times(p, np.arange(1, p.degree + 1, dtype=float) ** order * 1j**order)
 
 
 def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
@@ -168,8 +166,7 @@ def _jet(p: TrigPoly, t: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray
     rows = -(-d // width)
     coef = np.zeros((len(orders) * rows, width), dtype=complex)
     for i, r in enumerate(orders):
-        a, b = _derivative(p, r)
-        coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
+        coef[i * rows : (i + 1) * rows].flat[:d] = _harmonics(_derivative(p, r))
     fit = _POOL_FREE_MACS // max(coef.size, 1)
     batch = min(fit, _JET_BLOCK) if fit >= 2 else 0
     sums = np.empty((len(orders), t.size))
@@ -200,16 +197,9 @@ def _jet_block(t: np.ndarray, coef: np.ndarray, per: int, count: int) -> np.ndar
 
 
 def max_coeff_diff(p: TrigPoly, q: TrigPoly) -> float:
-    d = max(p.degree, q.degree)
-    pp, qq = p.padded(d), q.padded(d)
-    gap = abs(pp.a0 - qq.a0)
-    if d:
-        gap = max(
-            gap,
-            float(np.max(np.abs(pp.a - qq.a))),
-            float(np.max(np.abs(pp.b - qq.b))),
-        )
-    return gap
+    """The largest absolute coefficient of p - q."""
+    d = p - q
+    return float(np.max(np.abs(np.concatenate(([d.a0], d.a, d.b)))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import argparse
 from pathlib import Path
 
 import pytest
 
 from oracles import read_trig_poly_csv
-from zygmund import cli, witness
+from zygmund import cli, config, witness
 from zygmund.cli import main, trig_poly_csv
 from zygmund.config import build_psi, parse_config
 from zygmund.decay import Power, PowerLog
@@ -99,6 +100,23 @@ method.q = 2.0
 """
         cfg = parse_config(write_config(tmp_path, text))
         assert cfg.band_limit == 6.0
+
+
+    @pytest.mark.parametrize(
+        "key", [key for key, kind in config._KEYS.items() if kind is float or isinstance(kind, tuple)]
+    )
+    def test_bad_value_names_its_key_and_line(self, tmp_path, key):
+        # "4 x" is neither a number nor a list of numbers.
+        lines = [line for line in BASE.strip().splitlines() if not line.startswith(f"{key} =")]
+        lines.insert(2, f"{key} = 4 x")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+        assert (err.value.field, err.value.line) == (key, 3)
+
+    def test_docstring_key_table_names_every_key(self):
+        # The table's rows are indented four spaces, continuations further.
+        rows = [line for line in config.__doc__.splitlines() if line.startswith("    ") and line[4] != " "]
+        assert [row.split()[0] for row in rows] == list(config._KEYS)
 
 
 class TestPolySerialization:
@@ -321,6 +339,14 @@ class TestCli:
     def test_band_limit_taken_where_a_band_is_read(self, command):
         args = cli._build_parser().parse_args([command, "--config", GROWING, "--band-limit", "2"])
         assert cli._apply_overrides(parse_config(GROWING), args).band_limit == 2.0
+
+    def test_every_subcommand_has_a_runner_and_every_runner_a_subcommand(self):
+        parser = cli._build_parser()
+        (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        runners = [sp.get_default("run") for sp in sub.choices.values()]
+        commands = [value for name, value in vars(cli).items() if name.startswith("cmd_")]
+        assert len(runners) == len(commands) == len(set(runners))
+        assert set(runners) == set(commands)
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["classify", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -214,8 +214,8 @@ class TestDerivativeMultiplier:
         a, b = k * p.a, k * p.b
         for _ in range(order % 4):
             a, b = b, -a
-        got_a, got_b = _derivative(p, order)
-        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+        got = _derivative(p, order)
+        assert got.a0 == 0.0 and np.array_equal(got.a, a) and np.array_equal(got.b, b)
 
 
 class TestShifted:

@@ -56,6 +56,23 @@ class TestPowerSum:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 4096
 
+    @pytest.mark.parametrize("degree", [1023, 1 << 14])
+    def test_midpoint_sum_holds_no_more_than_sample(self, degree):
+        # The offset-1/2 sum rotates p's half spectrum in place: p's
+        # harmonics are not built a second time beside it.
+        p = random_poly(np.random.default_rng(4), degree)
+        m = zygmund.norms._COSET_NODES
+        sample(p, m)  # first-call allocations
+        peaks = []
+        for run in (lambda: sample(p, m), lambda: zygmund.norms._power_sum(p, 3.0, m, 0.5)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
+
     def test_peak_independent_of_grid(self):
         # Degree 2^16 folds onto 2^16-node cosets: summing 2^21 nodes (32
         # cosets) holds no more than summing 2^18 (4 cosets), where one

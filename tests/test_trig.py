@@ -117,8 +117,8 @@ def one_product_jet(p: TrigPoly, t: np.ndarray, orders: tuple) -> list:
     rows = -(-d // width)
     coef = np.zeros((len(orders) * rows, width), dtype=complex)
     for i, r in enumerate(orders):
-        a, b = _derivative(p, r)
-        coef[i * rows : (i + 1) * rows].flat[:d] = a - 1j * b
+        derivative = _derivative(p, r)
+        coef[i * rows : (i + 1) * rows].flat[:d] = derivative.a - 1j * derivative.b
     inner = np.exp(1j * np.multiply.outer(t, np.arange(width)))
     outer = np.exp(1j * np.multiply.outer(t, width * np.arange(rows) + 1.0))
     products = (inner @ coef.T).reshape(t.size, len(orders), rows)
