@@ -9,8 +9,9 @@ the checkout that holds this script and with its src/ first on PYTHONPATH:
   demos/configs/ and perfbench/configs/;
 - `table-vnad` on demos/configs/vnad_table.cfg;
 - `witness --n 2`, `--n 64` and `--n 1024` on demos/configs/growing.cfg;
-- the three `perfbench/task.py majorant` tasks of the benchmark's `majorant`
-  workload, with `--count 4 --seed 1`;
+- the `perfbench/task.py majorant` tasks of the benchmark's `majorant`
+  workload, as `WORKLOADS["majorant"]` of perfbench/run.py declares them
+  (which imports no scipy), with `--seed 1`;
 - the demo scripts;
 - the front end's error paths: `classify` on one bad config per kind of
   config-file error (BAD_CONFIGS, each growing.cfg with one edit), and
@@ -35,9 +36,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import WORKLOADS  # noqa: E402
+
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-# The benchmark's majorant tasks: perfbench/run.py's `majorant` workload.
-MAJORANT_TASKS = (("1.5", "8 16 32 64"), ("3", "8 16 32 64"), ("4", "4 8 16"))
 # name: (text of demos/configs/growing.cfg to replace, its replacement)
 BAD_CONFIGS = {
     "unknown-key": ("method.beta", "method.p"),
@@ -72,11 +74,10 @@ def runs(files: Path, scratch: Path) -> list[tuple[str, list[str]]]:
     out.append(("error-witness-n-1", cli + ["witness", "--n", "1", "--config", growing]))
     out.append(("error-missing-config", cli + ["classify", "--config", "demos/configs/missing.cfg"]))
     out = [(name, argv + ["--out", str(files / name / "files")]) for name, argv in out]
-    for q, ns in MAJORANT_TASKS:
-        name = f"majorant-q{q}"
-        out.append((name, [sys.executable, str(ROOT / "perfbench" / "task.py"), "majorant",
-                           str(scratch / f"{name}.json"), "0", "--q", q, "--n", *ns.split(),
-                           "--count", "4", "--seed", "1", "--out", str(files / name / "files")]))
+    for task in WORKLOADS["majorant"]:
+        out.append((task.name, [sys.executable, str(ROOT / "perfbench" / "task.py"), task.mode,
+                                str(scratch / f"{task.name}.json"), "0", *task.args,
+                                "--seed", "1", "--out", str(files / task.name / "files")]))
     for script in sorted(ROOT.glob("demos/*.py")):
         out.append((f"demo-{script.stem}", [sys.executable, str(script)]))
     return out

@@ -52,9 +52,8 @@ tail = math.sqrt(math.pi * float(np.sum(f.a[n - 1:] ** 2 + f.b[n - 1:] ** 2)))
 print(f"  best = {res.value:.12f}, tail formula = {tail:.12f}")
 
 print("\nthe witness function of the growing regime, approximated at its own order:")
-from zygmund import MethodParams, WitnessConfig, build_witness
+from zygmund import MethodParams, build_witness
 
-cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0), n=16)
-res16 = build_witness(cfg)
+res16 = build_witness(Power(1.0), MethodParams(s=1.0, q=2.0), 16)
 best16 = best_approx(res16.f, 16, NormRequest(q=2.0))
 print(f"  Zygmund deviation = {res16.deviation:.6f}, best = {best16.value:.6f}")

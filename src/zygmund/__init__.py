@@ -52,7 +52,6 @@ from .trig import (
     zygmund_sum,
 )
 from .witness import (
-    WitnessConfig,
     WitnessResult,
     build_witness,
     calibrate_alpha0,
@@ -98,7 +97,6 @@ __all__ = [
     "sample",
     "vallee_poussin",
     "zygmund_sum",
-    "WitnessConfig",
     "WitnessResult",
     "build_witness",
     "calibrate_alpha0",

@@ -42,7 +42,7 @@ from .decay import (
 from .errors import ConfigError, ZygmundError
 from .rates import RateReport, best_vs_method_experiment, loglog_slope, ratio_experiment
 from .trig import TrigPoly
-from .witness import WitnessConfig, build_witness
+from .witness import build_witness
 
 __all__ = ["main"]
 
@@ -123,7 +123,7 @@ def cmd_witness(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     n = args.n
     if n < 2:
         raise ConfigError("n", "the witness pairing requires n >= 2")
-    result = build_witness(WitnessConfig(psi=cfg.psi, method=cfg.method, n=n))
+    result = build_witness(cfg.psi, cfg.method, n)
 
     names = ("n", "alpha0", "I_closed", "I_quadrature", "lower_bound", "deviation")
     row = (n, result.alpha0, result.pairing, result.pairing_quadrature, result.lower_bound, result.deviation)

@@ -156,9 +156,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         method = MethodParams(s=s, q=q, beta=beta)
     except ParameterError as exc:
-        message = str(exc)
-        field = "method.q" if "q in" in message else "method.beta" if "beta" in message else "method.s"
-        raise ConfigError(field, message, line_of.get(field)) from exc
+        field = f"method.{exc.field}"
+        raise ConfigError(field, str(exc), line_of.get(field)) from exc
 
     n_grid = _read(raw, "n_grid")
     if n_grid is not None and any(n < 1 for n in n_grid):

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "PsiFunction",
@@ -53,10 +53,10 @@ _EXPONENT_TOL = 1.0e-12
 def _on_domain(
     f: Callable[[np.ndarray], np.ndarray], t: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
-    """f(t) for t >= 1, else DomainError; a scalar t gives a float."""
+    """f(t) for t >= 1, else ParameterError; a scalar t gives a float."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 1.0):
-        raise DomainError("psi(t) is defined for t >= 1")
+        raise ParameterError("psi(t) is defined for t >= 1")
     out = f(arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -201,11 +201,11 @@ class MethodParams:
 
     def __post_init__(self) -> None:
         if not (self.s > 0.0 and math.isfinite(self.s)):
-            raise ParameterError("MethodParams: requires s > 0")
+            raise ParameterError("MethodParams: requires s > 0", field="s")
         if not (1.0 < self.q and math.isfinite(self.q)):
-            raise ParameterError("MethodParams: requires q in (1, inf)")
+            raise ParameterError("MethodParams: requires q in (1, inf)", field="q")
         if not math.isfinite(self.beta):
-            raise ParameterError("MethodParams: beta must be finite")
+            raise ParameterError("MethodParams: beta must be finite", field="beta")
 
     @property
     def q_prime(self) -> float:

@@ -1,4 +1,11 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library.
+
+Four classes, told apart by the CLI only: it exits 2 on `ConfigError` and 1
+on any other `ZygmundError`.  `ParameterError` covers every argument outside
+a contract (a point off a profile's domain, a grid that would alias, an
+ill-posed inversion, a profile in the wrong regime); a failed self-check of
+a construction raises `ZygmundError` itself.
+"""
 
 
 class ZygmundError(Exception):
@@ -6,7 +13,14 @@ class ZygmundError(Exception):
 
 
 class ParameterError(ZygmundError, ValueError):
-    """A constructor or operation received parameters outside its contract."""
+    """A constructor or operation received parameters outside its contract.
+
+    `field` names the rejected parameter when the raiser knows it, else None.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ConfigError(ParameterError):
@@ -16,30 +30,10 @@ class ConfigError(ParameterError):
     """
 
     def __init__(self, field: str, message: str, line: int | None = None):
-        self.field = field
         self.line = line
         where = f" (line {line})" if line is not None else ""
-        super().__init__(f"config field '{field}'{where}: {message}")
-
-
-class DomainError(ZygmundError, ValueError):
-    """An evaluation point lies outside the function's domain."""
-
-
-class AliasingError(ZygmundError, ValueError):
-    """A sampling grid is too coarse to represent a polynomial exactly."""
+        super().__init__(f"config field '{field}'{where}: {message}", field)
 
 
 class ConvergenceError(ZygmundError, RuntimeError):
     """An iterative refinement failed to stabilize within its budget."""
-
-class IllPosedError(ZygmundError, ArithmeticError):
-    """An inverse operation would divide by an underflowing coefficient."""
-
-
-class RegimeMismatchError(ZygmundError, ValueError):
-    """An experiment was asked for on a profile in the wrong growth regime."""
-
-
-class CoefficientMismatchError(ZygmundError, RuntimeError):
-    """Two independent constructions of the same polynomial disagree."""

@@ -44,10 +44,10 @@ from .decay import (
     classify_regime,
     reciprocal_convexity,
 )
-from .errors import ConvergenceError, ParameterError, RegimeMismatchError
+from .errors import ConvergenceError, ParameterError
 from .norms import NormRequest, _gauss_jacobi, best_approx, l1_norm, lq_norm
 from .trig import TWO_PI, TrigPoly, convolve, deviation, kernel_poly
-from .witness import WitnessConfig, WitnessResult, build_witness
+from .witness import WitnessResult, build_witness
 
 __all__ = [
     "theoretical_rate",
@@ -93,21 +93,21 @@ def panel_integral(log_f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray)
 def critical_integral(psi: PsiFunction, method: MethodParams, n: int) -> float:
     """int_1^n g(t)**q / t dt for the composite growth function g.
 
-    Pure powers are integrated analytically (the boundary case is exactly
-    log n).  Other profiles are integrated in u = log t, where the integrand
-    is exp(q*log(psi(e**u)) + q*gamma*u), gamma = s + 1/q', by
-    panel_integral: the 32-point Gauss-Legendre rule of _gauss_jacobi on
-    panels halved, from the one panel [0, log n], until two sums agree to
-    1e-13 relative, else ConvergenceError.
+    Pure powers are integrated analytically: with e = s + 1/q' - r, the
+    value is expm1(q*e*log n) / (q*e), which keeps full relative accuracy
+    as q*e goes to 0 inside classify_regime's critical band |e| <= 1e-12,
+    and is log n at q*e = 0 exactly.  Other profiles are integrated in
+    u = log t, where the integrand is exp(q*log(psi(e**u)) + q*gamma*u),
+    gamma = s + 1/q', by panel_integral: the 32-point Gauss-Legendre rule
+    of _gauss_jacobi on panels halved, from the one panel [0, log n], until
+    two sums agree to 1e-13 relative, else ConvergenceError.
     """
     if n < 2:
         raise ParameterError("critical_integral: requires n >= 2")
     q = method.q
     if isinstance(psi, Power):
         qe = q * (method.growth_exponent - psi.r)
-        if abs(qe) < 1.0e-12:
-            return math.log(n)
-        return (float(n) ** qe - 1.0) / qe
+        return math.expm1(qe * math.log(n)) / qe if qe != 0.0 else math.log(n)
 
     def log_integrand(u: np.ndarray) -> np.ndarray:
         return q * psi.log_value(np.exp(u)) + q * method.growth_exponent * u
@@ -312,7 +312,7 @@ def _experiment(
     lowers = []
     rates = []
     for n in ns:
-        res = build_witness(WitnessConfig(psi=psi, method=method, n=n))
+        res = build_witness(psi, method, n)
         deviations.append(res.deviation)
         lowers.append(lower(res, n))
         rates.append(_rate(psi, method, regime, n))
@@ -354,7 +354,7 @@ def best_vs_method_experiment(
     ns = _validate_experiment(n_grid, band_limit, method.q)
     regime = classify_regime(psi, method)
     if regime.regime is not Regime.GROWING:
-        raise RegimeMismatchError(
+        raise ParameterError(
             f"best_vs_method_experiment: requires the growing regime, got {regime.regime.value}"
         )
     theta = check_almost_decreasing(psi, method.q_prime)

@@ -31,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from .decay import PsiFunction
-from .errors import AliasingError, IllPosedError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "TrigPoly",
@@ -281,7 +281,7 @@ def psi_beta_derivative(f: TrigPoly, psi: PsiFunction, beta: float) -> TrigPoly:
     """
     kernel = _harmonics(kernel_poly(psi, beta, f.degree))
     if np.any(np.abs(kernel) < 1.0e-300):
-        raise IllPosedError("psi_beta_derivative: psi(k) underflow, inversion ill-posed")
+        raise ParameterError("psi_beta_derivative: psi(k) underflow, inversion ill-posed")
     return _times(f, 1.0 / kernel)
 
 
@@ -340,7 +340,7 @@ def sample(p: TrigPoly, m: int) -> np.ndarray:
     if m < 2 or m & (m - 1):
         raise ParameterError("sample: M must be a power of two >= 2")
     if m < 2 * p.degree + 2:
-        raise AliasingError("sample: M must be at least 2*degree + 2")
+        raise ParameterError("sample: M must be at least 2*degree + 2")
     return np.fft.irfft(_half_spectrum(p, m), n=m)
 
 
@@ -368,7 +368,7 @@ def from_samples(values: np.ndarray, degree: int | None = None) -> TrigPoly:
     if degree is None:
         degree = m // 2 - 1
     if degree > m // 2 - 1:
-        raise AliasingError("from_samples: degree exceeds what M samples determine")
+        raise ParameterError("from_samples: degree exceeds what M samples determine")
     spectrum = np.fft.rfft(values)
     a0 = 2.0 * spectrum[0].real / m
     a = 2.0 * spectrum[1 : degree + 1].real / m

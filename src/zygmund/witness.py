@@ -23,34 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import MethodParams, PsiFunction, growth_function
-from .errors import CoefficientMismatchError, ParameterError, ZygmundError
+from .errors import ParameterError, ZygmundError
 from .norms import _ROOT_OVERSAMPLE, NormRequest, _screen_bounds, _screened_zeros, lq_norm
 from .trig import (
     TrigPoly, _jet, _next_pow2, convolve, deviation, max_coeff_diff, phased_poly, sample, vallee_poussin
 )
 
 __all__ = [
-    "WitnessConfig",
     "WitnessResult",
     "vp_pulse",
     "calibrate_alpha0",
     "build_witness",
     "dual_test_poly",
 ]
-
-
-@dataclass(frozen=True)
-class WitnessConfig:
-    """Profile, method parameters, and the polynomial order n >= 2 of the
-    witness; the dual polynomial has degree n - 1, so n = 1 has none."""
-
-    psi: PsiFunction
-    method: MethodParams
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ParameterError("WitnessConfig: requires n >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +132,16 @@ def calibrate_alpha0(n: int) -> float:
     return 1.0 / _pulse_l1(n)
 
 
-def _witness_direct(cfg: WitnessConfig, alpha0: float) -> TrigPoly:
+def _witness_direct(psi: PsiFunction, method: MethodParams, n: int, alpha0: float) -> TrigPoly:
     """Witness coefficients written out directly from the kernel expansion."""
-    k = np.arange(1, 2 * cfg.n, dtype=float)
-    amp = alpha0 * np.asarray(cfg.psi(k), dtype=float) * vp_pulse(cfg.n).a
-    return phased_poly(amp, cfg.method.beta)
+    k = np.arange(1, 2 * n, dtype=float)
+    amp = alpha0 * np.asarray(psi(k), dtype=float) * vp_pulse(n).a
+    return phased_poly(amp, method.beta)
 
 
-def build_witness(cfg: WitnessConfig) -> WitnessResult:
-    """Assemble the calibrated witness and certify its internal consistency.
+def build_witness(psi: PsiFunction, method: MethodParams, n: int) -> WitnessResult:
+    """Assemble the calibrated witness of order n >= 2 (the dual has degree
+    n - 1, so n = 1 has none) and certify its internal consistency.
 
     The witness f is written directly from the expanded coefficient form and
     cross-checked against convolve(psi, beta, phi); disagreement beyond 1e-10
@@ -165,34 +151,32 @@ def build_witness(cfg: WitnessConfig) -> WitnessResult:
     alpha0 * pi / n**s * sum_{k<n} g(k)**q / k, and by the rectangle rule on
     the m = max(1024, next power of two >= 6n + 2) nodes of `sample`, which
     is exact once the grid exceeds the combined bandwidth.  The two values
-    must agree to 1e-8 relative, or the orthogonality bookkeeping is broken
-    and CoefficientMismatchError is raised.  The certified Hölder lower bound
-    is checked against the deviation before returning.
+    must agree to 1e-8 relative, or the orthogonality bookkeeping is broken.
+    The certified Hölder lower bound is checked against the deviation
+    before returning.  Each failed check raises ZygmundError.
     """
-    alpha0 = calibrate_alpha0(cfg.n)
-    phi = alpha0 * vp_pulse(cfg.n)
-    f = _witness_direct(cfg, alpha0)
+    if n < 2:
+        raise ParameterError("build_witness: requires n >= 2")
+    alpha0 = calibrate_alpha0(n)
+    phi = alpha0 * vp_pulse(n)
+    f = _witness_direct(psi, method, n, alpha0)
 
-    gap = max_coeff_diff(f, convolve(cfg.psi, cfg.method.beta, phi))
+    gap = max_coeff_diff(f, convolve(psi, method.beta, phi))
     if gap > 1.0e-10:
-        raise CoefficientMismatchError(
-            f"build_witness: direct expansion and convolution disagree by {gap:.3e}"
-        )
+        raise ZygmundError(f"build_witness: direct expansion and convolution disagree by {gap:.3e}")
 
-    dev_poly = deviation(f, cfg.n, cfg.method.s)
-    dev = lq_norm(dev_poly, NormRequest(q=cfg.method.q))
-    k = np.arange(1, cfg.n, dtype=float)
-    g = np.asarray(growth_function(cfg.psi, cfg.method, k), dtype=float)
-    pairing = alpha0 * math.pi / cfg.n ** cfg.method.s * float(np.sum(g ** cfg.method.q / k))
-    dual = dual_test_poly(cfg.method, g)
-    grid_m = max(1024, _next_pow2(6 * cfg.n + 2))
+    dev_poly = deviation(f, n, method.s)
+    dev = lq_norm(dev_poly, NormRequest(q=method.q))
+    k = np.arange(1, n, dtype=float)
+    g = np.asarray(growth_function(psi, method, k), dtype=float)
+    pairing = alpha0 * math.pi / n ** method.s * float(np.sum(g ** method.q / k))
+    dual = dual_test_poly(method, g)
+    grid_m = max(1024, _next_pow2(6 * n + 2))
     quadrature = float(2.0 * math.pi / grid_m * np.sum(sample(dev_poly, grid_m) * sample(dual, grid_m)))
     if abs(pairing - quadrature) > 1.0e-8 * max(1.0, abs(pairing)):
-        raise CoefficientMismatchError(
-            f"build_witness: pairing closed form {pairing} vs quadrature {quadrature}"
-        )
+        raise ZygmundError(f"build_witness: pairing closed form {pairing} vs quadrature {quadrature}")
 
-    lower = pairing / lq_norm(dual, NormRequest(q=cfg.method.q_prime))
+    lower = pairing / lq_norm(dual, NormRequest(q=method.q_prime))
     if lower > dev + 1.0e-9:
         raise ZygmundError(f"build_witness: Hölder lower bound {lower} exceeds deviation {dev}")
     return WitnessResult(

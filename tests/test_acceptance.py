@@ -26,7 +26,7 @@ from zygmund.trig import (
     max_coeff_diff,
     zygmund_sum,
 )
-from zygmund.witness import WitnessConfig, build_witness
+from zygmund.witness import build_witness
 
 GRID = (8, 16, 32, 64, 128, 256)
 TWO_PI = 2.0 * math.pi
@@ -51,8 +51,7 @@ def regime_sweeps():
             method = MethodParams(s=1.0, q=2.0, beta=beta)
             rows = []
             for n in GRID:
-                cfg = WitnessConfig(psi=psi, method=method, n=n)
-                res = build_witness(cfg)
+                res = build_witness(psi, method, n)
                 rows.append(
                     {
                         "n": n,
@@ -114,9 +113,8 @@ def test_criterion_04_witness_expansion_consistency():
     worst = 0.0
     for n in (2, 4, 8, 16, 32):
         for beta in (0.0, 0.3, 1.0):
-            cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0, beta=beta), n=n)
-            res = build_witness(cfg)
-            worst = max(worst, max_coeff_diff(res.f, convolve(cfg.psi, beta, res.phi)))
+            res = build_witness(Power(1.0), MethodParams(s=1.0, q=2.0, beta=beta), n)
+            worst = max(worst, max_coeff_diff(res.f, convolve(Power(1.0), beta, res.phi)))
     report(4, f"witness expansion vs convolution (worst {worst:.2e})", worst < 1e-10)
 
 
@@ -127,8 +125,7 @@ def test_criterion_05_pairing_orthogonality():
     for n in (4, 16, 64):
         per_beta = []
         for beta in (0.0, 0.5, 1.0):
-            cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0, beta=beta), n=n)
-            res = build_witness(cfg)
+            res = build_witness(Power(1.0), MethodParams(s=1.0, q=2.0, beta=beta), n)
             worst_rel = max(worst_rel, abs(res.pairing - res.pairing_quadrature) / max(1.0, abs(res.pairing)))
             per_beta.append(res.pairing_quadrature)
         worst_beta = max(worst_beta, max(per_beta) - min(per_beta))
@@ -146,8 +143,7 @@ def test_criterion_06_holder_chain(regime_sweeps):
                 violations += 1
     for q in (1.5, 3.0):
         for n in (8, 32, 128):
-            cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=q), n=n)
-            res = build_witness(cfg)
+            res = build_witness(Power(1.0), MethodParams(s=1.0, q=q), n)
             checked += 1
             if res.lower_bound > res.deviation + 1e-9:
                 violations += 1

@@ -10,7 +10,7 @@ from zygmund.config import build_psi, parse_config
 from zygmund.decay import Power, PowerLog
 from zygmund.errors import ConfigError
 from zygmund.trig import TrigPoly, max_coeff_diff
-from zygmund.witness import WitnessConfig, build_witness
+from zygmund.witness import build_witness
 
 ROOT = Path(__file__).resolve().parents[1]
 GROWING = str(ROOT / "demos" / "configs" / "growing.cfg")
@@ -51,10 +51,18 @@ class TestConfigParsing:
         assert cfg.band_limit == 4.0
 
     def test_invalid_q_names_the_field(self, tmp_path):
-        path = write_config(tmp_path, BASE.replace("method.q = 2.0", "method.q = 1.0"))
-        with pytest.raises(ConfigError) as err:
-            parse_config(path)
-        assert err.value.field == "method.q"
+        # and so do a bad s and a bad beta, each with its own key and line
+        for line, old, new in (
+            (5, "method.s = 1.0", "method.s = 0.0"),
+            (6, "method.q = 2.0", "method.q = 1.0"),
+            (7, "method.beta = 0.0", "method.beta = inf"),
+        ):
+            path = write_config(tmp_path, BASE.replace(old, new))
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            key = new.split()[0]
+            assert (err.value.field, err.value.line) == (key, line)
+            assert str(err.value).startswith(f"config field '{key}' (line {line}): MethodParams: ")
 
     def test_empty_grid_rejected_with_line(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("n_grid = 4 8 16 32 64", "n_grid ="))
@@ -210,7 +218,7 @@ class TestCli:
         lines = text.strip().splitlines()
         assert lines[0] == "n,alpha0,I_closed,I_quadrature,lower_bound,deviation"
         row = lines[1].split(",")
-        res = build_witness(WitnessConfig(psi=Power(1.0), method=parse_config(path).method, n=8))
+        res = build_witness(Power(1.0), parse_config(path).method, 8)
         assert float(row[1]) == pytest.approx(res.alpha0, rel=1e-12)
         assert row[2:4] == [repr(res.pairing), repr(res.pairing_quadrature)]
         assert float(row[5]) == pytest.approx(res.deviation, rel=1e-12)

@@ -19,7 +19,7 @@ from zygmund.decay import (
     growth_function,
     reciprocal_convexity,
 )
-from zygmund.errors import DomainError, ParameterError
+from zygmund.errors import ParameterError
 
 
 class TestEval:
@@ -36,9 +36,9 @@ class TestEval:
         assert psi(t) == pytest.approx(raw, rel=1e-14)
 
     def test_domain_error_below_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match=r"psi\(t\) is defined for t >= 1"):
             Power(1.0)(0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match=r"psi\(t\) is defined for t >= 1"):
             Power(1.0)(np.array([1.0, 0.99]))
 
     def test_parameter_errors(self):
@@ -108,12 +108,17 @@ class TestGrowthFunction:
 
 class TestMethodParams:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            MethodParams(s=0.0, q=2.0)
-        with pytest.raises(ParameterError):
-            MethodParams(s=1.0, q=1.0)
-        with pytest.raises(ParameterError):
-            MethodParams(s=1.0, q=math.inf)
+        # each rejection names its parameter in `field`
+        for kwargs, field in (
+            ({"s": 0.0, "q": 2.0}, "s"),
+            ({"s": math.nan, "q": 2.0}, "s"),
+            ({"s": 1.0, "q": 1.0}, "q"),
+            ({"s": 1.0, "q": math.inf}, "q"),
+            ({"s": 1.0, "q": 2.0, "beta": math.nan}, "beta"),
+        ):
+            with pytest.raises(ParameterError) as err:
+                MethodParams(**kwargs)
+            assert err.value.field == field
 
     @given(q=st.floats(1.0 + 1e-6, 100.0))
     @settings(max_examples=100, deadline=None)

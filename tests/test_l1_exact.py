@@ -27,7 +27,7 @@ from zygmund.norms import NormRequest, l1_norm, lq_norm, sign_changes
 from zygmund.rates import unit_ball_sources
 from zygmund.trig import TrigPoly, _jet, deviation, from_samples, phased_poly, sample
 from zygmund.witness import (
-    WitnessConfig, _pulse_l1, _pulse_numerator, _pulse_zeros, build_witness, calibrate_alpha0, dual_test_poly,
+    _pulse_l1, _pulse_numerator, _pulse_zeros, build_witness, calibrate_alpha0, dual_test_poly,
     vp_pulse,
 )
 
@@ -207,8 +207,7 @@ class TestCalibration:
         assert witness._pulse_l1.cache_info().maxsize == 64
 
     def test_witness_source_in_unit_ball(self):
-        cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=2.0), n=64)
-        phi = build_witness(cfg).phi
+        phi = build_witness(Power(1.0), MethodParams(s=1.0, q=2.0), 64).phi
         assert doubling_l1(phi, grid_m=1024, tolerance=1e-10) == pytest.approx(1.0, abs=1e-9)
 
 

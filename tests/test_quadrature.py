@@ -12,12 +12,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zygmund import MethodParams, PowerInvLog, PowerLog, PowerLogLog
+from zygmund import MethodParams, Power, PowerInvLog, PowerLog, PowerLogLog
 from zygmund.errors import ConvergenceError
 from zygmund.rates import critical_integral, panel_integral
 
 ROOT = Path(__file__).resolve().parents[1]
-ANALYTIC = (PowerLog(1.5, 1.0, 60.0), PowerInvLog(1.5, 1.0, 1.0), PowerLogLog(1.5, 1.0, 60.0))
+# The pure powers include two inside the critical band |e| <= 1e-12 of
+# classify_regime at q = 2, with e = s + 1/q' - r = -/+9e-13 != 0.
+ANALYTIC = (
+    PowerLog(1.5, 1.0, 60.0),
+    PowerInvLog(1.5, 1.0, 1.0),
+    PowerLogLog(1.5, 1.0, 60.0),
+    Power(1.0),
+    Power(2.5),
+    Power(1.5 - 9e-13),
+    Power(1.5 + 9e-13),
+)
+
+
+def profile_id(psi):
+    return f"Power({psi.r!r})" if isinstance(psi, Power) else type(psi).__name__
 
 
 def quad_pieces(f, edges):
@@ -39,7 +53,7 @@ def critical_oracle(psi, method, n):
     return quad_pieces(integrand, [1.0, float(n)])
 
 
-@pytest.mark.parametrize("psi", ANALYTIC, ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("psi", ANALYTIC, ids=profile_id)
 @pytest.mark.parametrize("q", [2.0, 3.0])
 @pytest.mark.parametrize("n", [2, 8, 64, 1024, 16384])
 def test_analytic_critical_integral_matches_quad(psi, q, n):

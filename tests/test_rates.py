@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zygmund.decay import MethodParams, Power, PowerInvLog, PowerLog, Regime, classify_regime
-from zygmund.errors import ConvergenceError, ParameterError, RegimeMismatchError
+from zygmund.errors import ConvergenceError, ParameterError
 from zygmund.rates import (
     best_vs_method_experiment,
     critical_integral,
@@ -15,7 +15,7 @@ from zygmund.rates import (
     unit_ball_deviations,
     upper_bound_estimate,
 )
-from zygmund.witness import WitnessConfig, build_witness
+from zygmund.witness import build_witness
 
 GRID = [8, 16, 32, 64, 128, 256]
 
@@ -183,7 +183,7 @@ class TestRatioExperiment:
         psi, m, ns = Power(1.0), MethodParams(s=s, q=q), [4, 8, 16, 32, 64]
         report = ratio_experiment(psi, m, ns)
         for n, lower, dev in zip(ns, report.lower_bounds, report.deviations):
-            assert lower == build_witness(WitnessConfig(psi=psi, method=m, n=n)).lower_bound
+            assert lower == build_witness(psi, m, n).lower_bound
             assert lower <= dev
 
     def test_report_carries_the_regime(self):
@@ -241,7 +241,7 @@ class TestBestVsMethod:
         assert max(spreads) < 5.0
 
     def test_wrong_regime_rejected(self):
-        with pytest.raises(RegimeMismatchError):
+        with pytest.raises(ParameterError, match="requires the growing regime, got decaying"):
             best_vs_method_experiment(Power(2.5), MethodParams(s=1.0, q=2.0), [8, 16, 32, 64, 128])
 
     def test_integrability_precondition(self):
@@ -252,7 +252,7 @@ class TestBestVsMethod:
     def test_convexity_precondition(self, monkeypatch):
         # Growing and integrable, but 1/psi is convex at nodes 2..7 and
         # concave beyond: rejected before any witness is built.
-        def no_witness(config):
+        def no_witness(psi, method, n):
             raise AssertionError("build_witness called")
 
         monkeypatch.setattr("zygmund.rates.build_witness", no_witness)
@@ -266,7 +266,7 @@ class TestBestVsMethod:
 @pytest.mark.parametrize("experiment", [ratio_experiment, best_vs_method_experiment])
 @pytest.mark.parametrize("band_limit", [0.5, 1.0])
 def test_band_limit_must_exceed_one_before_any_witness(experiment, band_limit, monkeypatch):
-    def no_witness(config):
+    def no_witness(psi, method, n):
         raise AssertionError("build_witness called")
 
     monkeypatch.setattr("zygmund.rates.build_witness", no_witness)
@@ -285,7 +285,7 @@ class _WitnessReached(Exception):
 def test_order_cap_follows_the_exponent(experiment, q, accepted, rejected, cap, monkeypatch):
     # q = 2 allows orders up to 2^14, other q up to 1024; the grid is checked
     # before any witness is built.
-    def reached(config):
+    def reached(psi, method, n):
         raise _WitnessReached
 
     monkeypatch.setattr("zygmund.rates.build_witness", reached)

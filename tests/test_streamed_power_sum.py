@@ -20,7 +20,7 @@ from oracles import constant
 from zygmund.decay import MethodParams, Power, growth_function
 from zygmund.norms import NormRequest, lq_norm
 from zygmund.trig import TrigPoly, kernel_poly, sample
-from zygmund.witness import WitnessConfig, dual_test_poly
+from zygmund.witness import dual_test_poly
 
 def random_poly(rng, degree):
     return TrigPoly(rng.standard_normal(), rng.standard_normal(degree), rng.standard_normal(degree))
@@ -148,9 +148,9 @@ def test_streamed_dual_norm_peak_memory():
     # doubling reaches a 2^21-node grid, whose last midpoint sample alone
     # would take 8 MiB, and every sample from 2^17 nodes on is streamed in
     # coset batches.
-    cfg = WitnessConfig(Power(1.0), MethodParams(s=1.0, q=4.0), 256)
-    dual = dual_test_poly(cfg.method, growth_function(cfg.psi, cfg.method, np.arange(1.0, cfg.n)))
-    req = NormRequest(q=cfg.method.q_prime)
+    method = MethodParams(s=1.0, q=4.0)
+    dual = dual_test_poly(method, growth_function(Power(1.0), method, np.arange(1.0, 256)))
+    req = NormRequest(q=method.q_prime)
     tracemalloc.start()
     try:
         lq_norm(dual, req)

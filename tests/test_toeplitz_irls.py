@@ -24,7 +24,7 @@ from zygmund.norms import (
     lq_norm,
 )
 from zygmund.trig import TrigPoly, sample
-from zygmund.witness import WitnessConfig, build_witness
+from zygmund.witness import build_witness
 
 TWO_PI = 2.0 * math.pi
 QS = [1.1, 1.2, 1.5, 2.5, 3.0, 4.0, 6.0]
@@ -103,8 +103,7 @@ def random_f(q, n):
 
 
 def witness_f(q, n):
-    cfg = WitnessConfig(psi=Power(1.0), method=MethodParams(s=1.0, q=q), n=n)
-    return build_witness(cfg).f
+    return build_witness(Power(1.0), MethodParams(s=1.0, q=q), n).f
 
 
 def assert_matches_oracle(f, n, q):
