@@ -148,7 +148,8 @@ def cmd_table_vnad(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rows = []
     all_ok = True
     for r in r_values:
-        if not (r > 1.0 - 1.0 / method.q):
+        # r > 1/q' = 1 - 1/q puts the kernel of Power(r) in L_q
+        if not (r > 0.0 and check_almost_decreasing(Power(r), method.q_prime).member):
             rows.append((r, "rejected", "", "", "", "requires r>1-1/q"))
             all_ok = False
             continue

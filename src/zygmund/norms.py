@@ -38,11 +38,12 @@ merely convergent here, so convergence is confirmed by grid doubling rather
 than assumed.  The first grid is a fixed multiple of the first power of two
 >= 2 * degree, and each doubling of an m-node grid sums only its m new
 midpoints 2 pi (j + 1/2)/m, the grid at offset 1/2, and adds that to the
-sum already taken.  Every grid is summed by one reduction, `_power_sum`:
-one inverse FFT up to _COSET_NODES nodes, else interleaved inverse FFTs of
-at most _COSET_NODES nodes (cosets), reduced as they are made, onto which a
-spectrum of higher degree is folded from views of p's coefficients; an even
-or odd p transforms only the cosets that negation does not map onto
+sum already taken.  Every grid is summed by one reduction, `_power_sum`,
+coset by coset: the whole grid is one coset up to _COSET_NODES nodes, else
+r interleaved cosets of at most _COSET_NODES nodes, reduced as they are
+made.  A coset is one `trig.sample` at its offset, or, from degree
+_COSET_NODES/2 on, a spectrum folded from views of p's coefficients; an
+even or odd p transforms only the cosets that negation does not map onto
 others.  So a power sum holds O(_COSET_NODES) values beside p whatever the
 grid.  lq_norm reads the
 tolerance of a NormRequest only in the K/2K check and in this doubling, so
@@ -62,7 +63,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .trig import TWO_PI, TrigPoly, _derivative, _half_spectrum, _jet, _next_pow2, sample
+from .trig import TWO_PI, TrigPoly, _derivative, _jet, _next_pow2, sample
 
 __all__ = [
     "NormRequest",
@@ -78,10 +79,9 @@ _MAX_DOUBLINGS = 12
 # Fewest nodes on the first grid of the other-q doubling and on the IRLS grid.
 _MIN_NODES = 512
 
-# _power_sum takes one sample of a grid of at most this many nodes, and
-# covers a larger grid by cosets, inverse FFTs of at most this many nodes
-# each, batched into arrays of at most this many values (and at most m/16,
-# so that a batch's scratch stays a small share of the grid), so that the
+# _power_sum takes a grid of at most this many nodes as one sample, and
+# covers a larger grid of m nodes by cosets of n = min(max(2 L0, m/16), this)
+# nodes (_coset_length), at most 16 of them below 2^20 nodes, so that the
 # sum holds O(_COSET_NODES) values beside p whatever the grid.  On a 2-vCPU
 # Xeon with one BLAS thread (medians of 31 interleaved q = 3 sums), a
 # general p of degree 2^18 took 31 ms in 16 folded cosets against 33 ms as
@@ -133,50 +133,40 @@ def _power_sum(p: TrigPoly, q: float, m: int, offset: float = 0.0) -> float:
     """sum |p(t_j)|^q over the m uniform nodes t_j = 2 pi (j + offset)/m,
     offset 0 or 1/2.
 
-    The grid comes in pieces: one sample when m <= _COSET_NODES, else the
-    cosets of _coset_batches.  Each piece is raised to |.|^q in place while
-    it is still in cache and summed, and the coset sums are added with
-    their _coset_weights, so a coset grid is never held whole.  On one
-    sample the value is np.sum(np.abs(v) ** q), bit for bit; at offset 1/2
-    v is the sample of p's half spectrum rotated in place by e^{i pi k/m},
-    in no more memory than `sample`; k = 0 turns too, by 1, since numpy may
-    round a one-entry product in place unlike out of place (degree 1).
+    The grid comes in the cosets of _cosets, one of them when
+    m <= _COSET_NODES.  Each is raised to |.|^q in place while it is still
+    in cache and summed, and the coset sums are added with their
+    _coset_weights, so a grid of several cosets is never held whole.  On one
+    coset the value is np.sum(np.abs(sample(p, m, offset)) ** q), bit for
+    bit.
     """
-    if m <= _COSET_NODES:
-        if offset:
-            half = _half_spectrum(p, m)
-            half *= np.exp(1j * (TWO_PI * offset / m) * np.arange(p.degree + 1))
-            v = np.fft.irfft(half, n=m)
-        else:
-            v = sample(p, m)
-        np.abs(v, out=v)
-        np.power(v, q, out=v)
-        return float(np.sum(v))
     weights = _coset_weights(p, m, offset)
     sums = np.empty(weights.size)
-    c0 = 0
-    for batch in _coset_batches(p, m, offset, weights.size):
-        np.abs(batch, out=batch)
-        np.power(batch, q, out=batch)
-        np.sum(batch, axis=1, out=sums[c0 : c0 + len(batch)])
-        c0 += len(batch)
+    for c, v in enumerate(_cosets(p, m, offset, weights.size)):
+        np.abs(v, out=v)
+        np.power(v, q, out=v)
+        sums[c] = np.sum(v)
     return float(np.sum(weights * sums))
 
 
-def _coset_length(p: TrigPoly) -> int:
-    """n = min(2 L0, _COSET_NODES), L0 the first power of two >= 2*degree + 2."""
-    return min(2 * _next_pow2(2 * p.degree + 2), _COSET_NODES)
+def _coset_length(p: TrigPoly, m: int) -> int:
+    """n: m itself when m <= _COSET_NODES, else min(max(2 L0, m/16),
+    _COSET_NODES), L0 the first power of two >= 2*degree + 2, so that a grid
+    below 2^20 nodes takes at most 16 cosets."""
+    if m <= _COSET_NODES:
+        return m
+    return min(max(2 * _next_pow2(2 * p.degree + 2), m // 16), _COSET_NODES)
 
 
 def _coset_weights(p: TrigPoly, m: int, offset: float) -> np.ndarray:
     """The weights of cosets 0, 1, .. in _power_sum on m nodes, r =
-    m/_coset_length(p) cosets in all: 1 on each, unless |p(-t)| = |p(t)|,
-    as for an even p (b = 0) or an odd one (a0 = 0, a = 0).  Then negation
-    maps coset c onto coset r - c at offset 0, so cosets 0 .. r/2 weigh
-    1, 2, .., 2, 1, and onto r - 1 - c at offset 1/2, so cosets
-    0 .. r/2 - 1 weigh 2, and no other coset is transformed."""
-    r = m // _coset_length(p)
-    if p.b.any() and (p.a0 != 0.0 or p.a.any()):
+    m/_coset_length(p, m) cosets in all: 1 on each, unless r > 1 and
+    |p(-t)| = |p(t)|, as for an even p (b = 0) or an odd one (a0 = 0,
+    a = 0).  Then negation maps coset c onto coset r - c at offset 0, so
+    cosets 0 .. r/2 weigh 1, 2, .., 2, 1, and onto r - 1 - c at offset 1/2,
+    so cosets 0 .. r/2 - 1 weigh 2, and no other coset is transformed."""
+    r = m // _coset_length(p, m)
+    if r == 1 or (p.b.any() and (p.a0 != 0.0 or p.a.any())):
         return np.ones(r)
     weights = np.full(r // 2 + (offset == 0.0), 2.0)
     if offset == 0.0:
@@ -184,22 +174,21 @@ def _coset_weights(p: TrigPoly, m: int, offset: float) -> np.ndarray:
     return weights
 
 
-def _coset_batches(p: TrigPoly, m: int, offset: float, cosets: int) -> Iterator[np.ndarray]:
-    """The values of p at t_j = 2 pi (j + offset)/m on cosets 0 .. cosets - 1
-    of the r = m/n interleaved n-point cosets of m > _COSET_NODES nodes,
-    n = _coset_length(p), batch by batch: the batch of cosets
-    c0 .. c0 + B - 1 is an array v with v[b, l] = p(t_{l r + c0 + b}).
+def _cosets(p: TrigPoly, m: int, offset: float, count: int) -> Iterator[np.ndarray]:
+    """The values of p at t_j = 2 pi (j + offset)/m on cosets 0 .. count - 1
+    of the r = m/n interleaved n-point cosets, n = _coset_length(p, m),
+    one coset at a time: coset c is the array v with v[l] = p(t_{l r + c}).
 
-    Coset c holds the nodes j = l r + c, which are the n nodes of
-    p(t + 2 pi h/m), h = c + offset, so its harmonic k is p's times
+    Coset c holds the nodes j = l r + c, which are the n nodes
+    2 pi (l + h/r)/n, h = c + offset, so its harmonic k is p's times
     e^{2 pi i k h/m}.
 
-    When 2*degree < n, as at every degree below _COSET_NODES/2, a batch
-    takes the twiddles e^{2 pi i k b/m}, tabulated once, times the half
-    spectrum's e^{2 pi i k (c0 + offset)/m}, whose angle stays below pi
-    since k < n/2 and c0 + offset < r, and irfft zero-pads each row.
+    When 2*degree < n, as at every degree below _COSET_NODES/2, coset c is
+    sample(p, n, h/r), and the one coset of m <= _COSET_NODES nodes is
+    sample(p, m, offset).
 
-    Otherwise n = _COSET_NODES, B = 1, and the spectrum is folded modulo n
+    Otherwise, as from degree _COSET_NODES/2 on, where n = _COSET_NODES,
+    the spectrum is folded modulo n
     (Bailey, J. Supercomputing 4, 1990) from p's coefficients read as rows
     of n: harmonic k = l n + j + 1, (a - i b)[l n + j], goes to bin
     (j + 1) mod n with twiddle e^{2 pi i l h/r} e^{2 pi i (j + 1) h/m}.  So
@@ -211,25 +200,18 @@ def _coset_batches(p: TrigPoly, m: int, offset: float, cosets: int) -> Iterator[
     spectrum: F_b = S_{b-1} + conj S_{n-1-b} for 0 < b <= n/2, and
     F_0 = 2 Re S_{n-1} + n a0/2.  Every angle stays below 2 pi.
 
-    The values differ from the one m-point transform by rounding only, a
-    few units in the last place of max |p(t_j)|.  Each v is a fresh array of
-    at most _COSET_NODES values beside O(n) scratch, so a caller that
-    reduces the batches as they come never holds the grid.
+    On several cosets the values differ from the one m-point transform by
+    rounding only, a few units in the last place of max |p(t_j)|.  Each v
+    is a fresh array of at most _COSET_NODES values beside O(n) scratch,
+    so a caller that reduces the cosets as they come never holds the grid.
     """
-    n = _coset_length(p)
+    n = _coset_length(p, m)
     r = m // n
-    unit = TWO_PI / m
     if 2 * p.degree < n:
-        half = _half_spectrum(p, n)
-        width = max(1, min(_COSET_NODES, m // 16) // n)
-        k = np.arange(half.size)
-        twiddle = np.exp(1j * unit * np.multiply.outer(np.arange(width), k))
-        batch = np.empty_like(twiddle)
-        for c0 in range(0, cosets, width):
-            rows = min(width, cosets - c0)
-            np.multiply(twiddle[:rows], half * np.exp(1j * unit * (k * (c0 + offset))), out=batch[:rows])
-            yield np.fft.irfft(batch[:rows], n=n, axis=1)
+        for c in range(count):
+            yield sample(p, n, (c + offset) / r)
         return
+    unit = TWO_PI / m
     whole, ragged = divmod(p.degree, n)
     turns = np.arange(whole + (ragged > 0))
     step = 1 << (n.bit_length() // 2)
@@ -243,7 +225,7 @@ def _coset_batches(p: TrigPoly, m: int, offset: float, cosets: int) -> Iterator[
             rows[:ragged] += weights[whole] * x[whole * n :]
         return rows
 
-    for c in range(cosets):
+    for c in range(count):
         h = c + offset
         angle = (TWO_PI / r) * (turns * h % r)
         cos, sin = 0.5 * n * np.cos(angle), 0.5 * n * np.sin(angle)
@@ -263,7 +245,7 @@ def _coset_batches(p: TrigPoly, m: int, offset: float, cosets: int) -> Iterator[
         spectrum[0] += s[-1] + 0.5 * n * p.a0
         # Only the spectrum stays alive while the caller reduces the values.
         del s, ramp
-        yield np.fft.irfft(spectrum, n=n)[np.newaxis]
+        yield np.fft.irfft(spectrum, n=n)
 
 
 def _even_lq(p: TrigPoly, q: float) -> float:
@@ -320,7 +302,7 @@ def lq_norm(p: TrigPoly, req: NormRequest) -> float:
     the m midpoints 2 pi (j + 1/2)/m, whose sum _power_sum(p, q, m, 1/2)
     takes with no shifted copy of p and adds to the m-node sum, so no node
     is sampled twice.  A grid of more than _COSET_NODES nodes is summed
-    coset batch by batch, which moves the value by rounding only.
+    coset by coset, which moves the value by rounding only.
     """
     q = req.q
     if q == 1.0:

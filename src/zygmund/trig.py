@@ -15,8 +15,9 @@ by ik (`_derivative`), the shift p(t + h) of a zero-mean p by e^{ikh}, and
 the Zygmund sum and its deviation f - Z(f) by the real 1 - (k/n)^s and
 min(k/n, 1)^s.
 
-`sample` evaluates p on M uniform nodes by one inverse FFT and returns a
-fresh array that the caller owns; `from_samples` reads such an array back
+`sample` evaluates p on M uniform nodes, at offset 0 or shifted by a
+fraction of a node, by one inverse FFT and returns a fresh array that the
+caller owns; `from_samples` reads an offset-0 array back
 into coefficients.  Off that grid there is one evaluator, `_jet`: exact
 values of p and of its derivatives at any points, in
 O(points * sqrt(degree)) memory; `TrigPoly.__call__` is its order 0.
@@ -329,10 +330,15 @@ def deviation(f: TrigPoly, n: int, s: float) -> TrigPoly:
 # Uniform sampling
 # ---------------------------------------------------------------------------
 
-def sample(p: TrigPoly, m: int) -> np.ndarray:
-    """Values of p at the M uniform nodes t_j = 2 pi j/M, exactly, as a fresh
-    float64 array: one M-point inverse FFT of the (degree + 1)-entry half
-    spectrum, which irfft zero-pads.
+def sample(p: TrigPoly, m: int, offset: float = 0.0) -> np.ndarray:
+    """Values of p at the M uniform nodes t_j = 2 pi (j + offset)/M, exactly,
+    as a fresh float64 array: one M-point inverse FFT of the (degree + 1)-entry
+    half spectrum, which irfft zero-pads.
+
+    A nonzero offset is p(t + 2 pi offset/M) on the nodes 2 pi j/M: the half
+    spectrum is rotated in place by e^{2 pi i k offset/M}, k = 0 included
+    (numpy may round a one-entry product in place unlike out of place), so
+    the peak memory is the transform's, as at offset 0.
 
     Requires M >= 2*degree + 2 so every harmonic sits strictly below the
     Nyquist index.
@@ -341,21 +347,18 @@ def sample(p: TrigPoly, m: int) -> np.ndarray:
         raise ParameterError("sample: M must be a power of two >= 2")
     if m < 2 * p.degree + 2:
         raise ParameterError("sample: M must be at least 2*degree + 2")
-    return np.fft.irfft(_half_spectrum(p, m), n=m)
+    half = np.empty(p.degree + 1, dtype=complex)
+    half[0] = 0.5 * p.a0 * m
+    np.multiply(p.a, 0.5 * m, out=half[1:].real)
+    np.multiply(p.b, -0.5 * m, out=half[1:].imag)
+    if offset:
+        half *= np.exp(1j * (TWO_PI * offset / m) * np.arange(p.degree + 1))
+    return np.fft.irfft(half, n=m)
 
 
 def _next_pow2(n: int) -> int:
     """Smallest power of two >= max(n, 16)."""
     return 1 << max(4, (n - 1).bit_length())
-
-
-def _half_spectrum(p: TrigPoly, n: int) -> np.ndarray:
-    """Harmonics 0..degree of p's half spectrum, scaled for n-point inverse FFTs."""
-    half = np.empty(p.degree + 1, dtype=complex)
-    half[0] = 0.5 * p.a0 * n
-    np.multiply(p.a, 0.5 * n, out=half[1:].real)
-    np.multiply(p.b, -0.5 * n, out=half[1:].imag)
-    return half
 
 
 def from_samples(values: np.ndarray, degree: int | None = None) -> TrigPoly:

@@ -210,6 +210,16 @@ class TestCli:
             assert float(ratio) == pytest.approx(float(dev) * int(n), rel=1e-12)
             assert float(lower) <= float(dev)
 
+    @pytest.mark.parametrize("family", ["power_inv_log", "power_log_log"])
+    def test_log_families_classify_and_rate_check(self, tmp_path, capsys, family):
+        # No shipped config reads these two families.
+        text = BASE.replace("psi.family = power", f"psi.family = {family}\npsi.alpha = 1.0\npsi.c = 60.0")
+        path = write_config(tmp_path, text)
+        assert main(["classify", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"psi        : {family} ")
+        assert main(["rate-check", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().out.startswith("BANDED within ")
+
     def test_witness_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
         out = tmp_path / "w"
@@ -276,6 +286,25 @@ class TestCli:
         bad.write_text(text.replace("r_list = 0.75 1.5 2.5", "r_list = 0.4 1.5"), encoding="utf-8")
         assert main(["table-vnad", "--config", str(bad), "--out", str(tmp_path / "t2")]) == 1
         assert "requires r>1-1/q" in capsys.readouterr().out
+
+    def test_table_vnad_rejected_row(self, tmp_path, capsys, monkeypatch):
+        # r = 0.4 at q = 2 fails the kernel-integrability test r > 1/q' of
+        # check_almost_decreasing, which the table consults for every r.
+        consulted = []
+        check = cli.check_almost_decreasing
+
+        def spy(psi, rho):
+            consulted.append((psi, rho))
+            return check(psi, rho)
+
+        monkeypatch.setattr(cli, "check_almost_decreasing", spy)
+        path = write_config(tmp_path, BASE + "r_list = 0.4\n")
+        assert main(["table-vnad", "--config", str(path), "--out", str(tmp_path / "t")]) == 1
+        assert consulted == [(Power(0.4), 2.0)]
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].split() == ["0.4", "rejected", "requires", "r>1-1/q"]
+        rows = (tmp_path / "t" / "vnad_table.csv").read_text().splitlines()
+        assert rows[1:] == ["0.4,rejected,,,,requires r>1-1/q"]
 
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_table_vnad_case_two_at_non_dyadic_boundary(self, tmp_path, capsys, q):

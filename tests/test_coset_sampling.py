@@ -1,16 +1,16 @@
 """Coset sampling: the rectangle rule's power sum covers every grid of more
 than norms._COSET_NODES nodes as r interleaved inverse FFTs of
-n = min(2 L0, _COSET_NODES) nodes (`norms._coset_batches`), folding the
-spectrum modulo n once the degree reaches n/2, while `sample` is always one
-full-length transform.
+n = min(max(2 L0, m/16), _COSET_NODES) nodes (`norms._cosets`), each a
+`sample` at an offset, folding the spectrum modulo n once the degree
+reaches n/2, while `sample` is always one full-length transform.
 
 Every value is checked against a full-length `irfft` built here: to
-rounding (rel 1e-14) for the coset batches assembled into the grid, at
-offset 0 and at the midpoints (offset 1/2), with the mirror images of the
-cosets that an even or odd p does not transform, and bit for bit for
-`sample`.  Small grids reach cosets and folds by lowering
-_COSET_NODES (the `small_grids` fixture), which changes where cosets start
-and how long they are but not how they are computed.
+rounding (rel 1e-14) for the cosets assembled into the grid, at offset 0
+and at the midpoints (offset 1/2), with the mirror images of the cosets
+that an even or odd p does not transform, and for `sample` bit for bit at
+offset 0 and to rounding at offset 1/2.  Small grids reach cosets and
+folds by lowering _COSET_NODES (the `small_grids` fixture), which changes
+where cosets start and how long they are but not how they are computed.
 """
 
 import numpy as np
@@ -54,12 +54,14 @@ FOLDED = {
 }
 
 
-def coset_length(degree):
-    return min(2 * _next_pow2(2 * degree + 2), norms._COSET_NODES)
+def coset_length(degree, m):
+    if m <= norms._COSET_NODES:
+        return m
+    return min(max(2 * _next_pow2(2 * degree + 2), m // 16), norms._COSET_NODES)
 
 
 def cosets(degree, m):
-    return 1 if m <= norms._COSET_NODES else m // coset_length(degree)
+    return m // coset_length(degree, m)
 
 
 def assembled(p, m, offset):
@@ -69,16 +71,14 @@ def assembled(p, m, offset):
 
     Negation maps node l of coset c onto node n - 1 - l of coset r - c at
     offset 0, and of coset r - 1 - c at offset 1/2; an odd p changes sign."""
-    n = coset_length(p.degree)
+    n = coset_length(p.degree, m)
     r = m // n
     count = norms._coset_weights(p, m, offset).size
+    assert n <= norms._COSET_NODES
     columns = np.empty((r, n))
-    c0 = 0
-    for batch in norms._coset_batches(p, m, offset, count):
-        assert batch.shape[1] == n and batch.size <= norms._COSET_NODES
-        columns[c0 : c0 + len(batch)] = batch
-        c0 += len(batch)
-    assert c0 == count
+    transformed = list(norms._cosets(p, m, offset, count))
+    assert len(transformed) == count and all(v.shape == (n,) for v in transformed)
+    columns[:count] = transformed
     sign = -1.0 if p.b.any() else 1.0
     for c in range(count):
         image = (r - c) % r if offset == 0.0 else r - 1 - c
@@ -97,19 +97,20 @@ def check(p, m):
 
 
 class TestAgainstFullTransform:
-    # (degree, m, r): degree 7 has L0 = 16 and n = 32; degree 1023 has
-    # L0 = 2048 and n = 4096.  The constant, of degree 0, gets n = 32 and
-    # more cosets at the same m.
+    # (degree, m, ratio), ratio = m/(2 L0): degree 7 has L0 = 16, degree
+    # 1023 L0 = 2048.  Cosets of n = max(2 L0, m/16) nodes cap the ratio at
+    # r = 16, for the constant of degree 0 too.
     @pytest.mark.parametrize(
-        "degree, m, r", [(7, 1 << 18, 8192), (127, 1 << 17, 256), (1023, 1 << 18, 64)]
+        "degree, m, ratio", [(7, 1 << 18, 8192), (127, 1 << 17, 256), (1023, 1 << 18, 64)]
     )
     @pytest.mark.parametrize("kind", sorted(POLYS))
-    def test_default_thresholds(self, kind, degree, m, r):
-        assert cosets(degree, m) == r
+    def test_default_thresholds(self, kind, degree, m, ratio):
+        assert m // (2 * _next_pow2(2 * degree + 2)) == ratio
+        assert cosets(degree, m) == min(ratio, 16) == 16
         check(POLYS[kind](degree), m)
 
-    # _COSET_NODES = m/r: the first two grids get cosets of 32 nodes, in
-    # batches of one, and degree 100 gets 8 of 512 nodes.
+    # _COSET_NODES = m/r: the first two grids get cosets of 32 nodes, and
+    # degree 100 gets 8 of 512 nodes.
     @pytest.mark.parametrize("degree, m, r", [(7, 64, 2), (7, 256, 8), (100, 4096, 8)])
     @pytest.mark.parametrize("kind", sorted(POLYS))
     def test_few_cosets(self, small_grids, kind, degree, m, r):
@@ -128,14 +129,14 @@ class TestFolded:
     @pytest.mark.parametrize("kind", sorted(FOLDED))
     def test_small_cosets(self, small_grids, kind, degree, m):
         small_grids(64)
-        assert coset_length(degree) == 64
+        assert coset_length(degree, m) == 64
         check(FOLDED[kind](degree), m)
 
     # The same cases at the default n = 2^16.
     @pytest.mark.parametrize("degree, m", [(1 << 15, 1 << 17), (1 << 16, 1 << 18), (3 << 16, 1 << 19)])
     @pytest.mark.parametrize("kind", sorted(FOLDED))
     def test_default_coset_length(self, kind, degree, m):
-        assert coset_length(degree) == 1 << 16
+        assert coset_length(degree, m) == 1 << 16
         check(FOLDED[kind](degree), m)
 
 
@@ -162,6 +163,29 @@ class TestOneTransform:
         np.testing.assert_array_equal(sample(p, m), expected)
         assert cosets(p.degree, m) == m >> 16
         check(p, m)
+
+
+class TestOffset:
+    # sample(p, m, 1/2) is p at the midpoints 2 pi (j + 1/2)/m: the odd
+    # nodes of the 2m-point transform.
+    @pytest.mark.parametrize("degree, m", [(1, 4), (3, 16), (7, 1 << 16), (1023, 1 << 11), (1 << 14, 1 << 16)])
+    @pytest.mark.parametrize("kind", sorted(POLYS))
+    def test_midpoints(self, kind, degree, m):
+        p = POLYS[kind](degree)
+        expected = oracle(p, 2 * m)[1::2]
+        got = sample(p, m, 0.5)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+# Every unfolded grid (degree below _COSET_NODES/2) from 2^17 to 2^20 nodes.
+@pytest.mark.parametrize("m", [1 << 17, 1 << 18, 1 << 19, 1 << 20])
+@pytest.mark.parametrize("degree", [1, 15, 255, 1024, 4095, (1 << 15) - 1])
+def test_at_most_16_unfolded_cosets(degree, m):
+    p = random_poly(degree, seed=degree)
+    assert 2 * p.degree < norms._coset_length(p, m)
+    r = m // norms._coset_length(p, m)
+    assert 2 <= r <= 16
+    assert sum(1 for _ in norms._cosets(p, m, 0.5, norms._coset_weights(p, m, 0.5).size)) == r
 
 
 class TestOwnership:

@@ -98,13 +98,13 @@ class TestMajorantCalls:
     def test_power_of_two_tails_sample_at_most_2_16_nodes(self, monkeypatch, n, q):
         # The tail degrees d are powers of two: at q = 3 their norms start
         # on 4d nodes, and at q = 4 they take one rule on 4d nodes.  Grids
-        # of more than 2^16 nodes, up to 2^20 here, go in coset batches.
+        # of more than 2^16 nodes, up to 2^20 here, go in cosets.
         sizes = []
         real = zygmund.norms.sample
 
-        def spy(p, m):
+        def spy(p, m, offset=0.0):
             sizes.append(m)
-            return real(p, m)
+            return real(p, m, offset)
 
         monkeypatch.setattr(zygmund.norms, "sample", spy)
         upper_bound_estimate(Power(1.0), MethodParams(s=1.0, q=q), n)

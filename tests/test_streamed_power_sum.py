@@ -1,11 +1,13 @@
 """The one reduction behind the rectangle rule.
 
-`norms._power_sum` takes |.|^q of each piece of a grid in place and sums
-it: one `sample` on a grid of at most norms._COSET_NODES nodes, else each
-batch of coset transforms as it is made, with the coset sums added by
-their weights.  A coset grid is never held whole, and a folded spectrum is
-read from views of p's coefficients, so lq_norm holds O(_COSET_NODES)
-values beside p whatever the grid, and no full-size temporaries.  The same
+`norms._power_sum` takes |.|^q of each coset of a grid in place and sums
+it as it is made, with the coset sums added by their weights: one `sample`
+on a grid of at most norms._COSET_NODES nodes, else one `sample` of at most
+_COSET_NODES nodes per coset, or a folded spectrum per coset from degree
+_COSET_NODES/2 on.  A grid of several cosets is never held whole, and a
+folded spectrum is read from views of p's coefficients, so lq_norm holds
+O(_COSET_NODES) values beside p whatever the grid, and no full-size
+temporaries.  The same
 sum at offset 1/2 covers the midpoints that a doubling adds, and an even or
 odd p transforms only the cosets that negation does not map onto others.
 """
@@ -104,8 +106,9 @@ POLYS = {
 
 
 class TestStreamedGrids:
-    """On a coset grid the power sum streams the batches and never calls
-    sample; it agrees with the sum over the whole sample to rounding."""
+    """On a coset grid the power sum streams the cosets and samples no more
+    than _COSET_NODES nodes at a time; it agrees with the sum over the whole
+    sample to rounding."""
 
     @pytest.mark.parametrize("q", [1.2, 4.0 / 3.0, 1.5, 3.0])
     @pytest.mark.parametrize("kind", sorted(POLYS))
@@ -135,10 +138,12 @@ class TestStreamedGrids:
         assert m > zygmund.norms._COSET_NODES
         expected = np.sum(np.abs(sample(p, m)) ** q)
 
-        def no_sample(p, m):
-            raise AssertionError("a streamed grid was sampled whole")
+        def coset_sample(p, m, offset=0.0):
+            if m > zygmund.norms._COSET_NODES:
+                raise AssertionError("a streamed grid was sampled whole")
+            return sample(p, m, offset)
 
-        monkeypatch.setattr(zygmund.norms, "sample", no_sample)
+        monkeypatch.setattr(zygmund.norms, "sample", coset_sample)
         got = zygmund.norms._power_sum(p, q, m)
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
@@ -147,7 +152,7 @@ def test_streamed_dual_norm_peak_memory():
     # The rate_q4 witness dual at n = 256, degree 255, at q' = 4/3: the
     # doubling reaches a 2^21-node grid, whose last midpoint sample alone
     # would take 8 MiB, and every sample from 2^17 nodes on is streamed in
-    # coset batches.
+    # cosets.
     method = MethodParams(s=1.0, q=4.0)
     dual = dual_test_poly(method, growth_function(Power(1.0), method, np.arange(1.0, 256)))
     req = NormRequest(q=method.q_prime)
@@ -247,6 +252,26 @@ class TestMidpoints:
         v = sample(TrigPoly(p.a0, rotated.real, -rotated.imag), m)
         assert zygmund.norms._power_sum(p, 3.0, m, 0.5) == np.sum(np.abs(v) ** 3.0)
 
+    @pytest.mark.parametrize("degree, m", [(1, 512), (100, 512), (20000, 1 << 16)])
+    def test_offset_sample_bitwise(self, degree, m):
+        # sample at offset 1/2 is the sample of the rotated polynomial that
+        # test_one_sample_bitwise builds
+        p = random_poly(np.random.default_rng(degree), degree)
+        rotated = (p.a - 1j * p.b) * np.exp(1j * np.pi / m * np.arange(1, p.degree + 1))
+        np.testing.assert_array_equal(sample(p, m, 0.5), sample(TrigPoly(p.a0, rotated.real, -rotated.imag), m))
+
+    def test_peak_memory_of_small_degree(self):
+        # Degree 255 on 2^19 nodes: sixteen 2^15-node cosets, one at a time.
+        p = random_poly(np.random.default_rng(255), 255)
+        zygmund.norms._power_sum(p, 3.0, 1 << 19, 0.5)  # first-call allocations
+        tracemalloc.start()
+        try:
+            zygmund.norms._power_sum(p, 3.0, 1 << 19, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
+
 
 class TestMirrorCosets:
     """A p with |p(-t)| = |p(t)| transforms only the cosets that negation
@@ -254,28 +279,29 @@ class TestMirrorCosets:
 
     @staticmethod
     def transforms(monkeypatch, p, m, offset):
-        rows = []
-        batches = zygmund.norms._coset_batches
+        count = 0
+        cosets = zygmund.norms._cosets
 
         def counting(*args):
-            for batch in batches(*args):
-                rows.append(len(batch))
-                yield batch
+            nonlocal count
+            for values in cosets(*args):
+                count += 1
+                yield values
 
-        monkeypatch.setattr(zygmund.norms, "_coset_batches", counting)
+        monkeypatch.setattr(zygmund.norms, "_cosets", counting)
         zygmund.norms._power_sum(p, 3.0, m, offset)
-        return sum(rows)
+        return count
 
     @pytest.mark.parametrize(
         "kind, degree, m, r",
-        [("even", 1 << 15, 1 << 20, 16), ("odd", 1 << 16, 1 << 19, 8), ("a0_only", 7, 1 << 18, 8192)],
+        [("even", 1 << 15, 1 << 20, 16), ("odd", 1 << 16, 1 << 19, 8), ("a0_only", 7, 1 << 18, 16)],
     )
     def test_half_the_cosets(self, monkeypatch, kind, degree, m, r):
         p = KINDS[kind](degree)
         assert self.transforms(monkeypatch, p, m, 0.0) == r // 2 + 1
         assert self.transforms(monkeypatch, p, m, 0.5) == r // 2
 
-    @pytest.mark.parametrize("degree, m, r", [(1 << 15, 1 << 20, 16), (7, 1 << 18, 8192)])
+    @pytest.mark.parametrize("degree, m, r", [(1 << 15, 1 << 20, 16), (7, 1 << 18, 16)])
     def test_general_p_takes_every_coset(self, monkeypatch, degree, m, r):
         p = KINDS["general"](degree)
         for offset in (0.0, 0.5):
